@@ -1,83 +1,52 @@
 //! `bench_compare` — the CI regression gate over pipeline snapshots.
 //!
-//! Three modes:
-//!
-//! * **Pairwise diff** (two files): any perf mode whose blocks/sec drops
-//!   more than the tolerance, or any differing telemetry event count,
-//!   fails the gate;
-//! * **`--trend FILE`**: scans every committed run in one perf document
-//!   in order and reports each mode's cumulative native-relative drift
-//!   (first run vs last). Advisory — slow bleed the pairwise gate cannot
-//!   see draws a WARN but exits 0;
-//! * **`--curve PREFIX FILE`**: gates a committed `loadgen --sweep`
-//!   curve: the `serve-aggregate` rate of `PREFIX-nN` at the largest N
-//!   must hold at least `--curve-floor` (default 0.5) of the smallest-N
-//!   rate;
-//! * **`--warmstart LABEL FILE`**: gates a committed `loadgen
-//!   --warm-start` run: every workload's pre-warmed
-//!   blocks-to-first-trace must sit strictly below its cold number, and
-//!   `serve-prewarmed` throughput must hold within the tolerance of
-//!   `serve-cold` (`--relative` normalizes both by the run's own
-//!   `native` rate for cross-host portability);
-//! * **`--chaos LABEL FILE`**: gates a committed `loadgen --chaos` run:
-//!   zero leaked sessions, zero divergent sessions, every expected
-//!   session completed, and at least one injected fault visibly
-//!   absorbed (retry, reconnect, shard restart, or quarantined
-//!   publish);
-//! * **`--alloc LABEL FILE [CURRENT_FILE]`**: gates the serve-path
-//!   allocation profile recorded by a `selfprof-alloc` loadgen build:
-//!   heap bytes and allocator calls per interpreted block in the
-//!   current run must not exceed the run labelled `LABEL` by more than
-//!   the tolerance. With one file the run gates against itself, which
-//!   validates that the committed section exists and is well-formed;
-//!   with two, `--current-label` picks the fresh run (default `LABEL`).
-//!
 //! ```text
-//! bench_compare BASELINE.json CURRENT.json [--tolerance 0.10] [--relative]
+//! bench_compare BASELINE.json CURRENT.json [--tolerance 0.10]
 //!               [--baseline-label L] [--current-label L]
 //! bench_compare --trend FILE [--tolerance 0.10]
-//! bench_compare --curve PREFIX FILE [--curve-floor 0.5]
-//! bench_compare --warmstart LABEL FILE [--tolerance 0.10] [--relative]
+//! bench_compare --curve PREFIX FILE
+//! bench_compare --warmstart LABEL FILE [--tolerance 0.10]
 //! bench_compare --chaos LABEL FILE
 //! bench_compare --alloc LABEL FILE [CURRENT_FILE] [--tolerance 0.10]
 //!               [--current-label L]
 //! ```
 //!
-//! `--relative` normalizes each perf run by its own `native` rate before
-//! gating, cancelling machine speed — that is what CI uses, because its
-//! baseline numbers were recorded on a different host. The tolerance
-//! defaults to the `PERF_GATE_TOLERANCE` environment variable, then 0.10.
+//! Each mode reads its documents into flat metric runs and applies one
+//! gate from [`hotpath_bench::compare`], whose functions state each rule;
+//! `USAGE` (`--help`) summarizes them. Throughput is always gated
+//! native-relative: each run's rates are divided by its own `native`
+//! rate, cancelling machine speed, because committed baselines were
+//! recorded on other hosts. The tolerance defaults to 0.10.
 //!
 //! Exit codes: 0 pass (trend warnings included — they are advisory),
-//! 1 regression found (pairwise) or curve below floor, 2 usage or parse
-//! error.
+//! 1 a gate failed, 2 usage or parse error.
 
 use std::fs;
 use std::process::ExitCode;
 
 use hotpath_bench::compare::{
-    alloc_gate, chaos_gate, compare_perf, compare_telemetry, detect_kind, parse_perf_runs,
-    perf_trend, select_run, sweep_curve, warm_start_gate, CompareOptions, DocKind,
-    DEFAULT_CURVE_FLOOR, DEFAULT_TOLERANCE,
+    alloc_gate, chaos_gate, compare_perf, compare_telemetry, perf_trend, read_runs, render,
+    select_run, sweep_curve, warm_start_gate, DocKind, DEFAULT_TOLERANCE,
 };
 
-const USAGE: &str = "usage: bench_compare BASELINE.json CURRENT.json [--tolerance F] [--relative]
+const USAGE: &str = "usage: bench_compare BASELINE.json CURRENT.json [--tolerance F]
                      [--baseline-label L] [--current-label L]
        bench_compare --trend FILE [--tolerance F]
-       bench_compare --curve PREFIX FILE [--curve-floor F]
-       bench_compare --warmstart LABEL FILE [--tolerance F] [--relative]
+       bench_compare --curve PREFIX FILE
+       bench_compare --warmstart LABEL FILE [--tolerance F]
        bench_compare --chaos LABEL FILE
        bench_compare --alloc LABEL FILE [CURRENT_FILE] [--tolerance F]
                      [--current-label L]
 
 modes:
-  two files        pairwise gate: perf modes beyond the tolerance or any
-                   differing telemetry event count fail
+  two files        pairwise gate: perf modes beyond the tolerance (rates
+                   divided by each run's native rate), guard-exec
+                   increases, or any differing telemetry event count fail
   --trend FILE     cumulative native-relative drift across every run in
-                   one perf document; WARNs are advisory (exit 0)
+                   one perf document; warnings are advisory (exit 0)
   --curve PREFIX   sweep-curve gate over runs labelled PREFIX-nN: the
-                   serve-aggregate rate at the largest N must hold
-                   --curve-floor (default 0.5) of the smallest-N rate
+                   serve-aggregate rate at the largest N must hold half
+                   the smallest-N rate
   --warmstart L    warm-start gate over the run labelled L: pre-warmed
                    blocks-to-first-trace strictly below cold for every
                    workload, serve-prewarmed throughput within the
@@ -91,303 +60,185 @@ modes:
                    committed profile; a second file supplies the fresh
                    run, picked by --current-label, default L)
 
+--tolerance defaults to 0.10.
+
 exit codes:
   0  gate passed (including --trend runs that only warn)
-  1  regression found / curve below floor
+  1  a gate failed
   2  usage or parse error";
 
-enum Mode {
-    Diff {
-        baseline: String,
-        current: String,
-        baseline_label: Option<String>,
-        current_label: Option<String>,
-        options: CompareOptions,
-    },
-    Trend {
-        file: String,
-        tolerance: f64,
-    },
-    Curve {
-        file: String,
-        prefix: String,
-        floor: f64,
-    },
-    WarmStart {
-        file: String,
-        label: String,
-        options: CompareOptions,
-    },
-    Chaos {
-        file: String,
-        label: String,
-    },
-    Alloc {
-        file: String,
-        current_file: Option<String>,
-        label: String,
-        current_label: Option<String>,
-        tolerance: f64,
-    },
+/// The gate a command line selects.
+enum Gate {
+    Diff,
+    Trend,
+    Curve(String),
+    WarmStart(String),
+    Chaos(String),
+    Alloc(String),
 }
 
-fn parse_args() -> Result<Mode, String> {
-    let mut tolerance = match std::env::var("PERF_GATE_TOLERANCE") {
-        Ok(v) => v
-            .parse::<f64>()
-            .map_err(|_| format!("PERF_GATE_TOLERANCE=`{v}` is not a number"))?,
-        Err(_) => DEFAULT_TOLERANCE,
-    };
-    let mut relative = false;
+struct Args {
+    gate: Gate,
+    files: Vec<String>,
+    tolerance: f64,
+    baseline_label: Option<String>,
+    current_label: Option<String>,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut gate = Gate::Diff;
+    let mut tolerance = DEFAULT_TOLERANCE;
     let mut baseline_label = None;
     let mut current_label = None;
-    let mut trend = false;
-    let mut curve: Option<String> = None;
-    let mut warmstart: Option<String> = None;
-    let mut chaos: Option<String> = None;
-    let mut alloc: Option<String> = None;
-    let mut floor = DEFAULT_CURVE_FLOOR;
     let mut files = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match a.as_str() {
+        let selected = match a.as_str() {
             "--tolerance" => {
                 let v = value("--tolerance")?;
                 tolerance = v
                     .parse()
                     .map_err(|_| format!("--tolerance `{v}` is not a number"))?;
+                None
             }
-            "--relative" => relative = true,
-            "--baseline-label" => baseline_label = Some(value("--baseline-label")?),
-            "--current-label" => current_label = Some(value("--current-label")?),
-            "--trend" => trend = true,
-            "--curve" => curve = Some(value("--curve")?),
-            "--warmstart" => warmstart = Some(value("--warmstart")?),
-            "--chaos" => chaos = Some(value("--chaos")?),
-            "--alloc" => alloc = Some(value("--alloc")?),
-            "--curve-floor" => {
-                let v = value("--curve-floor")?;
-                floor = v
-                    .parse()
-                    .map_err(|_| format!("--curve-floor `{v}` is not a number"))?;
+            "--baseline-label" => {
+                baseline_label = Some(value("--baseline-label")?);
+                None
             }
+            "--current-label" => {
+                current_label = Some(value("--current-label")?);
+                None
+            }
+            "--trend" => Some(Gate::Trend),
+            "--curve" => Some(Gate::Curve(value("--curve")?)),
+            "--warmstart" => Some(Gate::WarmStart(value("--warmstart")?)),
+            "--chaos" => Some(Gate::Chaos(value("--chaos")?)),
+            "--alloc" => Some(Gate::Alloc(value("--alloc")?)),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            file => files.push(file.to_string()),
+            file => {
+                files.push(file.to_string());
+                None
+            }
+        };
+        if let Some(selected) = selected {
+            if !matches!(gate, Gate::Diff) {
+                return Err(
+                    "--trend, --curve, --warmstart, --chaos, and --alloc are mutually exclusive"
+                        .into(),
+                );
+            }
+            gate = selected;
         }
     }
     if !(0.0..1.0).contains(&tolerance) {
         return Err(format!("tolerance {tolerance} must be in [0, 1)"));
     }
-    if [
-        trend,
-        curve.is_some(),
-        warmstart.is_some(),
-        chaos.is_some(),
-        alloc.is_some(),
-    ]
-    .iter()
-    .filter(|&&set| set)
-    .count()
-        > 1
-    {
-        return Err(
-            "--trend, --curve, --warmstart, --chaos, and --alloc are mutually exclusive".into(),
-        );
+    let wanted = match gate {
+        Gate::Diff => 2..=2,
+        Gate::Alloc(_) => 1..=2,
+        _ => 1..=1,
+    };
+    if !wanted.contains(&files.len()) {
+        return Err(format!(
+            "expected {wanted:?} snapshot files, got {}",
+            files.len()
+        ));
     }
-    if trend {
-        let [file]: [String; 1] = files
-            .try_into()
-            .map_err(|_| "--trend takes exactly one snapshot file".to_string())?;
-        return Ok(Mode::Trend { file, tolerance });
-    }
-    if let Some(prefix) = curve {
-        let [file]: [String; 1] = files
-            .try_into()
-            .map_err(|_| "--curve takes exactly one snapshot file".to_string())?;
-        return Ok(Mode::Curve {
-            file,
-            prefix,
-            floor,
-        });
-    }
-    if let Some(label) = warmstart {
-        let [file]: [String; 1] = files
-            .try_into()
-            .map_err(|_| "--warmstart takes exactly one snapshot file".to_string())?;
-        return Ok(Mode::WarmStart {
-            file,
-            label,
-            options: CompareOptions {
-                tolerance,
-                relative,
-            },
-        });
-    }
-    if let Some(label) = chaos {
-        let [file]: [String; 1] = files
-            .try_into()
-            .map_err(|_| "--chaos takes exactly one snapshot file".to_string())?;
-        return Ok(Mode::Chaos { file, label });
-    }
-    if let Some(label) = alloc {
-        let (file, current_file) = match files.len() {
-            1 => (files.remove(0), None),
-            2 => {
-                let current = files.pop();
-                (files.remove(0), current)
-            }
-            n => return Err(format!("--alloc takes one or two snapshot files, got {n}")),
-        };
-        return Ok(Mode::Alloc {
-            file,
-            current_file,
-            label,
-            current_label,
-            tolerance,
-        });
-    }
-    let [baseline, current]: [String; 2] = files
-        .try_into()
-        .map_err(|_| "expected exactly two snapshot files".to_string())?;
-    Ok(Mode::Diff {
-        baseline,
-        current,
+    Ok(Args {
+        gate,
+        files,
+        tolerance,
         baseline_label,
         current_label,
-        options: CompareOptions {
-            tolerance,
-            relative,
-        },
     })
 }
 
-fn read(path: &str) -> Result<String, String> {
-    fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-fn read_perf_runs(path: &str) -> Result<Vec<hotpath_bench::compare::PerfRun>, String> {
-    let text = read(path)?;
-    parse_perf_runs(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn run(mode: &Mode) -> Result<bool, String> {
-    match mode {
-        Mode::Trend { file, tolerance } => {
-            let runs = read_perf_runs(file)?;
-            let report = perf_trend(&runs, *tolerance)?;
-            print!("{}", report.render());
-            let warnings = report.warnings().count();
-            if warnings > 0 {
-                eprintln!("bench_compare: {warnings} mode(s) drifting (advisory — not failing)");
-            }
-            Ok(true)
-        }
-        Mode::Curve {
-            file,
-            prefix,
-            floor,
-        } => {
-            let runs = read_perf_runs(file)?;
-            let report = sweep_curve(&runs, prefix, *floor)?;
-            print!("{}", report.render());
-            Ok(report.passed)
-        }
-        Mode::WarmStart {
-            file,
-            label,
-            options,
-        } => {
-            let runs = read_perf_runs(file)?;
-            let run = select_run(&runs, Some(label)).map_err(|e| format!("{file}: {e}"))?;
-            let report = warm_start_gate(run, *options)?;
-            print!("{}", report.render());
-            Ok(report.passed())
-        }
-        Mode::Chaos { file, label } => {
-            let runs = read_perf_runs(file)?;
-            let run = select_run(&runs, Some(label)).map_err(|e| format!("{file}: {e}"))?;
-            let report = chaos_gate(run)?;
-            print!("{}", report.render());
-            Ok(report.passed())
-        }
-        Mode::Alloc {
-            file,
-            current_file,
-            label,
-            current_label,
-            tolerance,
-        } => {
-            let base_runs = read_perf_runs(file)?;
-            let base = select_run(&base_runs, Some(label)).map_err(|e| format!("{file}: {e}"))?;
-            let report = match current_file {
-                Some(cur_path) => {
-                    let cur_runs = read_perf_runs(cur_path)?;
-                    let want = current_label.as_deref().unwrap_or(label);
-                    let cur = select_run(&cur_runs, Some(want))
-                        .map_err(|e| format!("{cur_path}: {e}"))?;
-                    alloc_gate(base, cur, *tolerance)?
-                }
-                // One file: gate the committed run against itself, which
-                // validates the section's presence and shape.
-                None => alloc_gate(base, base, *tolerance)?,
+fn run(args: &Args) -> Result<bool, String> {
+    let texts = args
+        .files
+        .iter()
+        .map(|path| fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let docs = texts
+        .iter()
+        .zip(&args.files)
+        .map(|(text, path)| read_runs(text).map_err(|e| format!("{path}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let pick = |i: usize, label: Option<&str>| {
+        select_run(&docs[i].1, label).map_err(|e| format!("{}: {e}", args.files[i]))
+    };
+    let tolerance = args.tolerance;
+    let (title, checks) = match &args.gate {
+        Gate::Trend => (
+            "perf trend (advisory): first -> last committed run".to_string(),
+            perf_trend(&docs[0].1, tolerance)?,
+        ),
+        Gate::Curve(prefix) => (
+            format!("sweep curve `{prefix}-nN`"),
+            sweep_curve(&docs[0].1, prefix)?,
+        ),
+        Gate::WarmStart(label) => (
+            format!("warm-start gate: run `{label}`"),
+            warm_start_gate(pick(0, Some(label))?, tolerance)?,
+        ),
+        Gate::Chaos(label) => (
+            format!("chaos gate: run `{label}`"),
+            chaos_gate(pick(0, Some(label))?)?,
+        ),
+        Gate::Alloc(label) => {
+            let base = pick(0, Some(label))?;
+            // One file: gate the committed run against itself, which
+            // validates the section's presence and shape.
+            let cur = match docs.len() {
+                2 => pick(1, Some(args.current_label.as_deref().unwrap_or(label)))?,
+                _ => base,
             };
-            print!("{}", report.render());
-            Ok(report.passed())
+            let title = format!("alloc gate: `{}` -> `{}`", base.label, cur.label);
+            (title, alloc_gate(base, cur, tolerance)?)
         }
-        Mode::Diff {
-            baseline,
-            current,
-            baseline_label,
-            current_label,
-            options,
-        } => {
-            let base_text = read(baseline)?;
-            let cur_text = read(current)?;
-            let kind = detect_kind(&base_text).map_err(|e| format!("{baseline}: {e}"))?;
-            let cur_kind = detect_kind(&cur_text).map_err(|e| format!("{current}: {e}"))?;
-            if kind != cur_kind {
+        Gate::Diff => match (docs[0].0, docs[1].0) {
+            (DocKind::Perf, DocKind::Perf) => {
+                let base = pick(0, args.baseline_label.as_deref())?;
+                let cur = pick(1, args.current_label.as_deref())?;
+                let title = format!("perf gate: `{}` -> `{}`", base.label, cur.label);
+                (title, compare_perf(base, cur, tolerance)?)
+            }
+            (DocKind::Telemetry, DocKind::Telemetry) => (
+                "telemetry gate".to_string(),
+                compare_telemetry(&texts[0], &texts[1])?,
+            ),
+            (base, cur) => {
                 return Err(format!(
-                    "cannot compare a {kind:?} document against a {cur_kind:?} document"
-                ));
+                    "cannot compare a {base:?} document against a {cur:?} document"
+                ))
             }
-            match kind {
-                DocKind::Perf => {
-                    let base_runs =
-                        parse_perf_runs(&base_text).map_err(|e| format!("{baseline}: {e}"))?;
-                    let cur_runs =
-                        parse_perf_runs(&cur_text).map_err(|e| format!("{current}: {e}"))?;
-                    let base = select_run(&base_runs, baseline_label.as_deref())
-                        .map_err(|e| format!("{baseline}: {e}"))?;
-                    let cur = select_run(&cur_runs, current_label.as_deref())
-                        .map_err(|e| format!("{current}: {e}"))?;
-                    let report = compare_perf(base, cur, *options)?;
-                    print!("{}", report.render());
-                    Ok(report.passed())
-                }
-                DocKind::Telemetry => {
-                    let diff = compare_telemetry(&base_text, &cur_text)?;
-                    print!("{}", diff.render());
-                    Ok(diff.passed())
-                }
-            }
+        },
+    };
+    print!("{}", render(&title, &checks));
+    let failed = checks.iter().filter(|c| !c.pass).count();
+    if matches!(args.gate, Gate::Trend) {
+        if failed > 0 {
+            eprintln!("bench_compare: {failed} mode(s) drifting (advisory — not failing)");
         }
+        return Ok(true);
     }
+    Ok(failed == 0)
 }
 
 fn main() -> ExitCode {
-    let mode = match parse_args() {
-        Ok(mode) => mode,
+    let args = match parse_args() {
+        Ok(args) => args,
         Err(e) => {
             eprintln!("bench_compare: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    match run(&mode) {
+    match run(&args) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
             eprintln!("bench_compare: regression gate FAILED");

@@ -6,7 +6,8 @@
 //! modes:
 //!
 //! * `native` — the same workload instances run sequentially on the bare
-//!   VM (the floor, and the normalizer `bench_compare --relative` needs),
+//!   VM (the floor, and the normalizer every `bench_compare` throughput
+//!   check divides by),
 //! * `serve-single` — the same instances run sequentially through a
 //!   1-shard session pool (per-session serving overhead),
 //! * `serve-aggregate` — all N sessions concurrently across `--shards`

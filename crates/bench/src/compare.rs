@@ -1,154 +1,39 @@
 //! Snapshot comparison for the regression gate.
 //!
-//! [`bench_compare`] (the binary built from this module's API) diffs two
-//! pipeline snapshots and decides whether the second one regressed:
+//! [`bench_compare`] (the binary built from this module's API) reads
+//! pipeline snapshots and decides whether they pass a gate. Every
+//! document is first flattened by [`read_runs`] into [`Run`]s: dotted
+//! metric names mapped to finite numbers, such as
+//! `modes.net.blocks_per_sec`, `warm_start.li.cold_blocks_to_first_trace`,
+//! `chaos.leaked`, `alloc.bytes_per_block` or `events.trace_enter`. Each
+//! gate then builds [`Check`] rows from named metrics, and [`render`]
+//! prints them as one table. The gates are [`compare_perf`],
+//! [`perf_trend`], [`sweep_curve`], [`warm_start_gate`], [`chaos_gate`],
+//! [`alloc_gate`] and [`compare_telemetry`].
 //!
-//! * **Perf documents** (`BENCH_perf.json`, written by `perf_baseline`):
-//!   per-mode `blocks_per_sec` is compared and any mode slower than
-//!   `baseline * (1 - tolerance)` is a regression. With
-//!   [`CompareOptions::relative`] each mode is first normalized by the
-//!   run's own `native` rate, which cancels machine speed and makes the
-//!   gate portable across CI hosts — only the profiling *overhead ratio*
-//!   is gated, which is the quantity the paper argues about.
-//! * **Warm-start runs** (`loadgen --warm-start`): [`warm_start_gate`]
-//!   requires every workload's pre-warmed blocks-to-first-trace to sit
-//!   strictly below its cold number and the pre-warmed throughput to
-//!   hold within the tolerance of the cold run's.
-//! * **Telemetry documents** (`telemetry.json`, written by `all` or
-//!   `perf_baseline --telemetry`): event counts are diffed exactly. Events
-//!   carry logical clocks only, so identical builds must produce identical
-//!   counts; any difference is reported as a behavioral change. Wall-clock
-//!   `timings` are documented nondeterministic and excluded.
+//! Every throughput check divides a run's rates by its own `native` rate.
+//! That cancels machine speed, so baselines recorded on another host still
+//! gate, and only the profiling *overhead ratio* is judged, which is the
+//! quantity the paper argues about.
 //!
 //! The documents are parsed with the dependency-free
 //! [`hotpath_telemetry::json`] value parser.
 //!
 //! [`bench_compare`]: index.html
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use hotpath_telemetry::json::JsonValue;
 
-/// Default regression tolerance: 10% blocks/sec loss.
+/// Default regression tolerance: a 10% loss.
 pub const DEFAULT_TOLERANCE: f64 = 0.10;
 
-/// One mode's measurements inside a perf run.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ModePerf {
-    /// Best wall seconds over the suite.
-    pub secs: f64,
-    /// Suite blocks divided by `secs`.
-    pub blocks_per_sec: f64,
-    /// Guard checks executed in trace-land over the suite (`None` for
-    /// modes that run no traces and for documents predating the field).
-    /// Deterministic, so the gate treats any increase as a regression.
-    pub guard_execs: Option<f64>,
-}
+/// Share of the smallest sweep point's aggregate throughput that the
+/// largest point must hold.
+pub const CURVE_FLOOR: f64 = 0.5;
 
-/// One workload's cold vs pre-warmed time-to-first-trace record from a
-/// `loadgen --warm-start` run. Both numbers count dynamic blocks
-/// executed before the session's first fragment install became visible,
-/// so they are deterministic and portable across hosts.
-#[derive(Clone, PartialEq, Debug)]
-pub struct WarmStartPoint {
-    /// Workload name.
-    pub workload: String,
-    /// Blocks to first trace for the cold session.
-    pub cold_blocks_to_first_trace: f64,
-    /// Blocks to first trace for the pre-warmed session.
-    pub prewarmed_blocks_to_first_trace: f64,
-}
-
-/// The fault-injection record of a `loadgen --chaos` run: how much
-/// chaos the pass absorbed and what it cost. Counts are deterministic
-/// for a fixed seed/rate/scale, so the gate can require them exactly.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ChaosSection {
-    /// Per-point firing probability the run was recorded under.
-    pub rate: f64,
-    /// Sessions driven to completion across both front-ends.
-    pub completed: f64,
-    /// Sessions left in the server's tables after the closes.
-    pub leaked: f64,
-    /// Sessions whose final statistics diverged from the native run.
-    pub divergent: f64,
-    /// Shard workers that panicked and were restarted.
-    pub shards_restarted: f64,
-    /// Sessions re-admitted into restarted shards.
-    pub sessions_readmitted: f64,
-    /// Publishes routed to the quarantine bucket (probabilistic passes
-    /// plus the directed `PublishPoison` check).
-    pub profiles_quarantined: f64,
-    /// Client-side request retries across every driver.
-    pub client_retries: f64,
-    /// Client-side reconnects after connection loss.
-    pub client_reconnects: f64,
-}
-
-impl ChaosSection {
-    /// Injected faults the pass visibly absorbed — the gate requires
-    /// this to be positive, or the run proved nothing.
-    pub fn faults_observed(&self) -> f64 {
-        self.client_retries
-            + self.client_reconnects
-            + self.shards_restarted
-            + self.profiles_quarantined
-    }
-}
-
-/// The serve-path allocation profile of a `loadgen` run recorded under a
-/// `selfprof-alloc` build: every byte and allocation the measuring
-/// allocator attributed to a serving stage, normalized per interpreted
-/// block. The per-block ratios are what [`alloc_gate`] compares — they
-/// cancel run length, so two runs at different scales still gate.
-#[derive(Clone, PartialEq, Debug)]
-pub struct AllocSection {
-    /// Serve-path heap bytes allocated per interpreted block.
-    pub bytes_per_block: f64,
-    /// Serve-path allocator calls per interpreted block.
-    pub allocs_per_block: f64,
-    /// Total serve-path bytes over the run.
-    pub alloc_bytes: f64,
-    /// Total serve-path allocator calls over the run.
-    pub alloc_count: f64,
-    /// Blocks the serving modes interpreted (the normalizer).
-    pub served_blocks: f64,
-    /// Per-stage `(name, bytes, count)` breakdown, in document order.
-    pub stages: Vec<(String, f64, f64)>,
-}
-
-/// One labelled `perf_baseline` invocation.
-#[derive(Clone, PartialEq, Debug)]
-pub struct PerfRun {
-    /// The `--label` the run was recorded under.
-    pub label: String,
-    /// Workload scale (`smoke`/`small`/`full`).
-    pub scale: String,
-    /// Dynamic blocks interpreted per mode over the whole suite.
-    pub total_blocks: f64,
-    /// Concurrent sessions driven (`loadgen` runs; `None` for
-    /// `perf_baseline` documents, which have no session concept).
-    pub sessions: Option<f64>,
-    /// Per-mode measurements in document order.
-    pub modes: Vec<(String, ModePerf)>,
-    /// Per-workload warm-start records (`loadgen --warm-start` runs;
-    /// empty for every other document).
-    pub warm_start: Vec<WarmStartPoint>,
-    /// Fault-injection record (`loadgen --chaos` runs; `None` for every
-    /// other document).
-    pub chaos: Option<ChaosSection>,
-    /// Serve-path allocation profile (`selfprof-alloc` loadgen runs;
-    /// `None` for every other document).
-    pub alloc: Option<AllocSection>,
-}
-
-impl PerfRun {
-    /// The measurement for `mode`, if the run recorded it.
-    pub fn mode(&self, mode: &str) -> Option<ModePerf> {
-        self.modes
-            .iter()
-            .find(|(name, _)| name == mode)
-            .map(|&(_, perf)| perf)
-    }
-}
+/// The rate every throughput check divides by.
+const NATIVE: &str = "modes.native.blocks_per_sec";
 
 /// Which kind of snapshot a file holds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -159,156 +44,140 @@ pub enum DocKind {
     Telemetry,
 }
 
-/// Sniffs the document kind from its top-level keys.
+/// One labelled run, flattened to dotted metric names.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Run {
+    /// The `--label` the run was recorded under.
+    pub label: String,
+    /// Every numeric leaf by its dotted path. Only [`read_runs`] fills
+    /// it, so every value is finite and non-negative.
+    metrics: BTreeMap<String, f64>,
+}
+
+impl Run {
+    /// The metric `name`, if the run recorded it.
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.metrics.get(name).copied()
+    }
+
+    /// The metric `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the run and the missing metric.
+    pub fn need(&self, name: &str) -> Result<f64, String> {
+        self.get(name)
+            .ok_or_else(|| format!("run `{}` has no `{name}`", self.label))
+    }
+
+    /// The metric `name`, which divides or bounds another.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the metric is missing or zero.
+    pub fn positive(&self, name: &str) -> Result<f64, String> {
+        let value = self.need(name)?;
+        if value > 0.0 {
+            return Ok(value);
+        }
+        Err(format!(
+            "run `{}` has unusable `{name}` ({value})",
+            self.label
+        ))
+    }
+
+    /// The distinct names one level below `section`, sorted: `modes`
+    /// gives `native`, `net`, …; `warm_start` gives the workloads.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the run records no such section.
+    pub fn section(&self, section: &str) -> Result<BTreeSet<&str>, String> {
+        let prefix = format!("{section}.");
+        let names: BTreeSet<&str> = self
+            .metrics
+            .keys()
+            .filter_map(|name| name.strip_prefix(&prefix)?.split('.').next())
+            .collect();
+        if names.is_empty() {
+            return Err(format!(
+                "run `{}` records no `{section}` section",
+                self.label
+            ));
+        }
+        Ok(names)
+    }
+}
+
+/// Flattens every run of a perf or telemetry document.
+///
+/// A perf document (`{"runs": [...]}`) yields one [`Run`] per entry. Its
+/// `label` and `scale` strings are metadata; every other leaf is a
+/// metric. A telemetry document (`{"events": {...}}`) yields one run
+/// holding its `events.*` counts; its histograms and timings are not read.
 ///
 /// # Errors
 ///
-/// Returns a message when the text is not JSON or matches neither format.
-pub fn detect_kind(text: &str) -> Result<DocKind, String> {
-    let value = JsonValue::parse(text)?;
-    if value.get("runs").is_some() {
-        Ok(DocKind::Perf)
-    } else if value.get("events").is_some() {
-        Ok(DocKind::Telemetry)
+/// Returns a message when the text is not JSON, matches neither format,
+/// a run lacks a string `label`, or any metric is not a finite
+/// non-negative number.
+pub fn read_runs(text: &str) -> Result<(DocKind, Vec<Run>), String> {
+    let doc = JsonValue::parse(text)?;
+    if let Some(runs) = doc.get("runs") {
+        let runs = runs.as_arr().ok_or("\"runs\" is not an array")?;
+        let runs = runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| {
+                let label = run
+                    .get("label")
+                    .and_then(JsonValue::as_str)
+                    .ok_or_else(|| format!("run #{i}: missing string \"label\""))?;
+                let mut metrics = BTreeMap::new();
+                for (key, value) in run.as_obj().unwrap_or_default() {
+                    if key == "label" || (key == "scale" && value.as_str().is_some()) {
+                        continue;
+                    }
+                    flatten(key, value, &mut metrics).map_err(|e| format!("run `{label}`: {e}"))?;
+                }
+                Ok(Run {
+                    label: label.to_string(),
+                    metrics,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok((DocKind::Perf, runs))
+    } else if let Some(events) = doc.get("events") {
+        if events.as_obj().is_none() {
+            return Err("\"events\" is not an object".into());
+        }
+        let mut metrics = BTreeMap::new();
+        flatten("events", events, &mut metrics)?;
+        let run = Run {
+            label: "telemetry".to_string(),
+            metrics,
+        };
+        Ok((DocKind::Telemetry, vec![run]))
     } else {
         Err("document has neither a \"runs\" nor an \"events\" key".into())
     }
 }
 
-/// Parses every labelled run out of a `BENCH_perf.json` document.
-///
-/// # Errors
-///
-/// Returns a message naming the missing or mistyped field.
-pub fn parse_perf_runs(text: &str) -> Result<Vec<PerfRun>, String> {
-    let value = JsonValue::parse(text)?;
-    let runs = value
-        .get("runs")
-        .and_then(|r| r.as_arr())
-        .ok_or("missing top-level \"runs\" array")?;
-    runs.iter()
-        .enumerate()
-        .map(|(i, run)| {
-            let str_field = |key: &str| {
-                run.get(key)
-                    .and_then(|v| v.as_str())
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("run #{i}: missing string \"{key}\""))
-            };
-            let modes = run
-                .get("modes")
-                .and_then(|m| m.as_obj())
-                .ok_or_else(|| format!("run #{i}: missing \"modes\" object"))?;
-            let modes = modes
-                .iter()
-                .map(|(name, mode)| {
-                    let num = |key: &str| {
-                        mode.get(key).and_then(|v| v.as_f64()).ok_or_else(|| {
-                            format!("run #{i} mode {name}: missing number \"{key}\"")
-                        })
-                    };
-                    Ok((
-                        name.clone(),
-                        ModePerf {
-                            secs: num("secs")?,
-                            blocks_per_sec: num("blocks_per_sec")?,
-                            guard_execs: mode.get("guard_execs").and_then(|v| v.as_f64()),
-                        },
-                    ))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let warm_start = match run.get("warm_start").and_then(|w| w.as_obj()) {
-                Some(entries) => entries
-                    .iter()
-                    .map(|(workload, point)| {
-                        let num = |key: &str| {
-                            point.get(key).and_then(|v| v.as_f64()).ok_or_else(|| {
-                                format!("run #{i} warm_start {workload}: missing number \"{key}\"")
-                            })
-                        };
-                        Ok(WarmStartPoint {
-                            workload: workload.clone(),
-                            cold_blocks_to_first_trace: num("cold_blocks_to_first_trace")?,
-                            prewarmed_blocks_to_first_trace: num(
-                                "prewarmed_blocks_to_first_trace",
-                            )?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-                None => Vec::new(),
-            };
-            let chaos = match run.get("chaos") {
-                Some(section) if section.as_obj().is_some() => {
-                    let num = |key: &str| {
-                        section
-                            .get(key)
-                            .and_then(|v| v.as_f64())
-                            .ok_or_else(|| format!("run #{i} chaos: missing number \"{key}\""))
-                    };
-                    Some(ChaosSection {
-                        rate: num("rate")?,
-                        completed: num("completed")?,
-                        leaked: num("leaked")?,
-                        divergent: num("divergent")?,
-                        shards_restarted: num("shards_restarted")?,
-                        sessions_readmitted: num("sessions_readmitted")?,
-                        profiles_quarantined: num("profiles_quarantined")?,
-                        client_retries: num("client_retries")?,
-                        client_reconnects: num("client_reconnects")?,
-                    })
-                }
-                _ => None,
-            };
-            let alloc = match run.get("alloc") {
-                Some(section) if section.as_obj().is_some() => {
-                    let num = |key: &str| {
-                        section
-                            .get(key)
-                            .and_then(|v| v.as_f64())
-                            .ok_or_else(|| format!("run #{i} alloc: missing number \"{key}\""))
-                    };
-                    let stages = match section.get("stages").and_then(|s| s.as_obj()) {
-                        Some(entries) => entries
-                            .iter()
-                            .map(|(name, stage)| {
-                                let num = |key: &str| {
-                                    stage.get(key).and_then(|v| v.as_f64()).ok_or_else(|| {
-                                        format!(
-                                            "run #{i} alloc stage {name}: missing number \"{key}\""
-                                        )
-                                    })
-                                };
-                                Ok((name.clone(), num("bytes")?, num("count")?))
-                            })
-                            .collect::<Result<Vec<_>, String>>()?,
-                        None => Vec::new(),
-                    };
-                    Some(AllocSection {
-                        bytes_per_block: num("bytes_per_block")?,
-                        allocs_per_block: num("allocs_per_block")?,
-                        alloc_bytes: num("alloc_bytes")?,
-                        alloc_count: num("alloc_count")?,
-                        served_blocks: num("served_blocks")?,
-                        stages,
-                    })
-                }
-                _ => None,
-            };
-            Ok(PerfRun {
-                label: str_field("label")?,
-                scale: str_field("scale")?,
-                total_blocks: run
-                    .get("total_blocks")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| format!("run #{i}: missing number \"total_blocks\""))?,
-                sessions: run.get("sessions").and_then(|v| v.as_f64()),
-                modes,
-                warm_start,
-                chaos,
-                alloc,
-            })
-        })
-        .collect()
+/// Adds every leaf of `value` to `out` under `path`, joining object keys
+/// with dots.
+fn flatten(path: &str, value: &JsonValue, out: &mut BTreeMap<String, f64>) -> Result<(), String> {
+    match value {
+        JsonValue::Obj(members) => members
+            .iter()
+            .try_for_each(|(key, member)| flatten(&format!("{path}.{key}"), member, out)),
+        JsonValue::Num(n) if n.is_finite() && *n >= 0.0 => {
+            out.insert(path.to_string(), *n);
+            Ok(())
+        }
+        other => Err(format!(
+            "`{path}` is not a finite non-negative number ({other:?})"
+        )),
+    }
 }
 
 /// Picks a run by label, or the last one when `label` is `None` (the most
@@ -317,7 +186,7 @@ pub fn parse_perf_runs(text: &str) -> Result<Vec<PerfRun>, String> {
 /// # Errors
 ///
 /// Returns a message listing the available labels.
-pub fn select_run<'a>(runs: &'a [PerfRun], label: Option<&str>) -> Result<&'a PerfRun, String> {
+pub fn select_run<'a>(runs: &'a [Run], label: Option<&str>) -> Result<&'a Run, String> {
     match label {
         Some(want) => runs.iter().rev().find(|r| r.label == want).ok_or_else(|| {
             let labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
@@ -327,332 +196,167 @@ pub fn select_run<'a>(runs: &'a [PerfRun], label: Option<&str>) -> Result<&'a Pe
     }
 }
 
-/// Knobs for a perf comparison.
+/// The bound a check's current value must satisfy.
 #[derive(Clone, Copy, PartialEq, Debug)]
-pub struct CompareOptions {
-    /// Allowed fractional blocks/sec loss before a mode counts as
-    /// regressed (0.10 = 10%).
-    pub tolerance: f64,
-    /// Gate on rates normalized by each run's own `native` mode instead of
-    /// raw blocks/sec, cancelling machine speed (for cross-host CI).
-    pub relative: bool,
+pub enum Limit {
+    /// `current >= x`.
+    AtLeast(f64),
+    /// `current <= x`.
+    AtMost(f64),
+    /// `current < x`.
+    Below(f64),
+    /// `current == x`.
+    Exactly(f64),
 }
 
-impl Default for CompareOptions {
-    fn default() -> Self {
-        CompareOptions {
-            tolerance: DEFAULT_TOLERANCE,
-            relative: false,
-        }
-    }
-}
-
-/// One mode's verdict.
+/// One gated metric: the row every gate reports.
 #[derive(Clone, PartialEq, Debug)]
-pub struct ModeDelta {
-    /// Mode name (`native`, `net`, …).
-    pub mode: String,
-    /// Baseline metric (blocks/sec, or native-relative fraction).
+pub struct Check {
+    /// Metric name, followed by the runs it spans when they differ from
+    /// the gate's.
+    pub name: String,
+    /// Reference value: the baseline run's, or what the gate expects.
     pub baseline: f64,
-    /// Current metric.
+    /// Value under test.
     pub current: f64,
-    /// `current / baseline`; below `1 - tolerance` means regressed.
-    pub ratio: f64,
-    /// Guard-exec counts, `(baseline, current)`, when both runs record
-    /// them for this mode.
-    pub guards: Option<(f64, f64)>,
-    /// Guard checks increased — a hard failure regardless of tolerance:
-    /// the counts are deterministic, so any increase means the optimizer
-    /// lost ground.
-    pub guards_regressed: bool,
-    /// Whether this mode regressed (throughput beyond the tolerance, or
-    /// a guard-count increase).
-    pub regressed: bool,
+    /// Bound `current` must satisfy.
+    pub limit: Limit,
+    /// Whether `current` satisfies `limit`.
+    pub pass: bool,
 }
 
-/// Outcome of comparing two perf runs.
-#[derive(Clone, PartialEq, Debug)]
-pub struct CompareReport {
-    /// Label of the baseline run.
-    pub baseline_label: String,
-    /// Label of the current run.
-    pub current_label: String,
-    /// The options the comparison ran under.
-    pub options: CompareOptions,
-    /// Per-mode verdicts, in baseline mode order.
-    pub deltas: Vec<ModeDelta>,
+impl Check {
+    /// Checks `current` against `limit`.
+    pub fn new(name: impl Into<String>, baseline: f64, current: f64, limit: Limit) -> Check {
+        let pass = match limit {
+            Limit::AtLeast(x) => current >= x,
+            Limit::AtMost(x) => current <= x,
+            Limit::Below(x) => current < x,
+            Limit::Exactly(x) => current == x,
+        };
+        Check {
+            name: name.into(),
+            baseline,
+            current,
+            limit,
+            pass,
+        }
+    }
 }
 
-impl CompareReport {
-    /// The modes that regressed beyond the tolerance.
-    pub fn regressions(&self) -> impl Iterator<Item = &ModeDelta> {
-        self.deltas.iter().filter(|d| d.regressed)
-    }
-
-    /// True when no mode regressed.
-    pub fn passed(&self) -> bool {
-        self.regressions().next().is_none()
-    }
-
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let metric = if self.options.relative {
-            "rate/native"
+/// Renders `checks` as one aligned table under `title`.
+pub fn render(title: &str, checks: &[Check]) -> String {
+    use std::fmt::Write as _;
+    let num = |v: f64| {
+        let places = if v.fract() == 0.0 || v.abs() >= 1e4 {
+            0
+        } else if v.abs() < 1.0 {
+            6
         } else {
-            "blocks/sec"
+            4
         };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "perf gate: `{}` -> `{}` ({metric}, tolerance {:.0}%)",
-            self.baseline_label,
-            self.current_label,
-            self.options.tolerance * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "{:<18} {:>14} {:>14} {:>8}  verdict",
-            "mode", "baseline", "current", "ratio"
-        );
-        for d in &self.deltas {
-            let verdict = if d.guards_regressed {
-                "REGRESSED (guard execs increased)"
-            } else if d.regressed {
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            let _ = writeln!(
-                out,
-                "{:<18} {:>14.3} {:>14.3} {:>7.3}x  {}",
-                d.mode, d.baseline, d.current, d.ratio, verdict
-            );
-            if let Some((b, c)) = d.guards {
-                let _ = writeln!(
-                    out,
-                    "{:<18} {:>14.0} {:>14.0}           guard execs",
-                    "", b, c
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Compares two perf runs mode-by-mode.
-///
-/// Modes present in only one run are skipped — the gate judges the shared
-/// surface. In relative mode the `native` row is reported (it is the
-/// normalizer, always 1.0) but never gated. When both runs record
-/// `guard_execs` for a mode, any increase is a regression outright —
-/// the counts are deterministic, so tolerance does not apply.
-///
-/// # Errors
-///
-/// Returns a message when relative mode is requested and either run lacks
-/// a `native` measurement (or carries a zero / non-finite one — nothing
-/// can be normalized by that), when a gated baseline or current metric is
-/// not a finite positive number (a NaN ratio would silently pass any
-/// `<` comparison), or when the runs share no modes.
-pub fn compare_perf(
-    baseline: &PerfRun,
-    current: &PerfRun,
-    options: CompareOptions,
-) -> Result<CompareReport, String> {
-    let normalizer = |run: &PerfRun| -> Result<f64, String> {
-        if !options.relative {
-            return Ok(1.0);
-        }
-        let native = run.mode("native").ok_or_else(|| {
-            format!(
-                "run `{}` has no `native` mode; relative mode needs one to normalize by",
-                run.label
-            )
-        })?;
-        let rate = native.blocks_per_sec;
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(format!(
-                "run `{}` has an unusable native rate ({rate}); cannot normalize by it",
-                run.label
-            ));
-        }
-        Ok(rate)
+        format!("{v:.places$}")
     };
-    let base_norm = normalizer(baseline)?;
-    let cur_norm = normalizer(current)?;
-    let mut deltas = Vec::new();
-    for (mode, base) in &baseline.modes {
-        let Some(cur) = current.mode(mode) else {
-            continue;
+    let width = checks.iter().map(|c| c.name.len()).max().unwrap_or(0);
+    let mut out = format!("{title}\n");
+    let _ = writeln!(
+        out,
+        "{:<width$} {:>14} {:>14} {:>8} {:>16}  verdict",
+        "metric", "baseline", "current", "ratio", "limit"
+    );
+    for c in checks {
+        let (op, x) = match c.limit {
+            Limit::AtLeast(x) => (">=", x),
+            Limit::AtMost(x) => ("<=", x),
+            Limit::Below(x) => ("<", x),
+            Limit::Exactly(x) => ("==", x),
         };
-        let base_metric = base.blocks_per_sec / base_norm;
-        let cur_metric = cur.blocks_per_sec / cur_norm;
-        if !(base_metric.is_finite() && base_metric > 0.0) {
-            return Err(format!(
-                "mode `{mode}` in baseline run `{}` has unusable metric {base_metric}",
-                baseline.label
-            ));
-        }
-        if !cur_metric.is_finite() {
-            return Err(format!(
-                "mode `{mode}` in current run `{}` has unusable metric {cur_metric}",
-                current.label
-            ));
-        }
-        let ratio = cur_metric / base_metric;
-        let gated = !(options.relative && mode == "native");
-        let guards = match (base.guard_execs, cur.guard_execs) {
-            (Some(b), Some(c)) => Some((b, c)),
-            _ => None,
+        let ratio = match c.baseline {
+            0.0 => "-".to_string(),
+            base => format!("{:.3}x", c.current / base),
         };
-        let guards_regressed = guards.is_some_and(|(b, c)| c > b);
-        deltas.push(ModeDelta {
-            mode: mode.clone(),
-            baseline: base_metric,
-            current: cur_metric,
+        let _ = writeln!(
+            out,
+            "{:<width$} {:>14} {:>14} {:>8} {:>16}  {}",
+            c.name,
+            num(c.baseline),
+            num(c.current),
             ratio,
-            guards,
-            guards_regressed,
-            regressed: (gated && ratio < 1.0 - options.tolerance) || guards_regressed,
-        });
+            format!("{op} {}", num(x)),
+            if c.pass { "ok" } else { "FAIL" }
+        );
     }
-    if deltas.is_empty() {
-        return Err(format!(
-            "runs `{}` and `{}` share no modes",
-            baseline.label, current.label
-        ));
-    }
-    Ok(CompareReport {
-        baseline_label: baseline.label.clone(),
-        current_label: current.label.clone(),
-        options,
-        deltas,
-    })
+    out
 }
 
-/// One mode's cumulative drift across a document's committed runs.
-#[derive(Clone, PartialEq, Debug)]
-pub struct TrendDrift {
-    /// Mode name.
-    pub mode: String,
-    /// Label of the earliest run recording this mode.
-    pub first_label: String,
-    /// Label of the latest run recording this mode.
-    pub last_label: String,
-    /// Native-relative rate in the earliest run.
-    pub first: f64,
-    /// Native-relative rate in the latest run.
-    pub last: f64,
-    /// `last / first`; below `1 - tolerance` draws a warning.
-    pub ratio: f64,
-    /// How many committed runs record this mode.
-    pub samples: usize,
-    /// Whether the cumulative drift exceeds the tolerance.
-    pub warned: bool,
-}
-
-/// Outcome of a cumulative-trend scan over a whole perf document.
+/// Compares two perf runs mode by mode, native-relative.
 ///
-/// The trend is *advisory*: the pairwise gate already fails hard on a
-/// single-step regression, so the trend's job is to catch slow bleed —
-/// each step inside tolerance, the sum well outside it — and it warns
-/// instead of failing.
-#[derive(Clone, PartialEq, Debug)]
-pub struct TrendReport {
-    /// Per-mode drift, in first-appearance order.
-    pub drifts: Vec<TrendDrift>,
-    /// The warning threshold the scan ran under.
-    pub tolerance: f64,
-}
-
-impl TrendReport {
-    /// The modes whose cumulative drift exceeds the tolerance.
-    pub fn warnings(&self) -> impl Iterator<Item = &TrendDrift> {
-        self.drifts.iter().filter(|d| d.warned)
-    }
-
-    /// Renders the scan as an aligned text table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "perf trend: cumulative drift across committed runs \
-             (native-relative, warn below {:.0}%)",
-            (1.0 - self.tolerance) * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "{:<20} {:>10} {:>10} {:>8} {:>8}  span",
-            "mode", "first", "last", "ratio", "runs"
-        );
-        for d in &self.drifts {
-            let _ = writeln!(
-                out,
-                "{:<20} {:>10.3} {:>10.3} {:>7.3}x {:>8}  {} -> {}{}",
-                d.mode,
-                d.first,
-                d.last,
-                d.ratio,
-                d.samples,
-                d.first_label,
-                d.last_label,
-                if d.warned {
-                    "  WARN: drifting down"
-                } else {
-                    ""
-                }
-            );
-        }
-        out
-    }
-}
-
-/// Scans every run in document order and reports each mode's cumulative
-/// drift: its native-relative rate in the earliest run that records it
-/// versus the latest. Normalizing by each run's own `native` rate makes
-/// runs recorded on different hosts comparable; runs without a usable
-/// `native` mode are skipped, and `native` itself (identically 1.0) is
-/// not reported.
+/// Every mode both runs record, except the `native` normalizer, gets a
+/// `blocks_per_sec` check: its rate divided by its run's own `native`
+/// rate may drop by at most `tolerance`. Modes present in only one run
+/// are skipped — the gate judges the shared surface. When both runs
+/// record a mode's `guard_execs` (`native` included), any increase fails
+/// outright: the counts are deterministic, so tolerance does not apply.
 ///
 /// # Errors
 ///
-/// Returns a message when fewer than two runs carry a usable `native`
-/// normalizer — there is no trend in a single sample.
-pub fn perf_trend(runs: &[PerfRun], tolerance: f64) -> Result<TrendReport, String> {
-    /// Accumulator: mode, first and last `(label, rate)` seen, samples.
-    type Series = (String, (String, f64), (String, f64), usize);
+/// Returns a message when either run lacks a positive `native` rate or a
+/// mode's rate, or a gated baseline rate is zero.
+pub fn compare_perf(baseline: &Run, current: &Run, tolerance: f64) -> Result<Vec<Check>, String> {
+    let (base_native, cur_native) = (baseline.positive(NATIVE)?, current.positive(NATIVE)?);
+    let current_modes = current.section("modes")?;
+    let mut checks = Vec::new();
+    for mode in baseline.section("modes")? {
+        if !current_modes.contains(mode) {
+            continue;
+        }
+        let rate = format!("modes.{mode}.blocks_per_sec");
+        if mode != "native" {
+            let base = baseline.positive(&rate)? / base_native;
+            let cur = current.need(&rate)? / cur_native;
+            let floor = Limit::AtLeast(base * (1.0 - tolerance));
+            checks.push(Check::new(rate, base, cur, floor));
+        }
+        let guards = format!("modes.{mode}.guard_execs");
+        if let (Some(base), Some(cur)) = (baseline.get(&guards), current.get(&guards)) {
+            checks.push(Check::new(guards, base, cur, Limit::AtMost(base)));
+        }
+    }
+    Ok(checks)
+}
+
+/// Reports each mode's cumulative drift across a document: its
+/// native-relative rate in the earliest run that records it against the
+/// latest. Runs without a positive `native` rate are skipped, and `native`
+/// itself is not reported. The result is advisory: the pairwise gate
+/// already fails a single-step regression, so the trend's job is slow
+/// bleed — each step inside `tolerance`, the sum well outside it.
+///
+/// # Errors
+///
+/// Returns a message when fewer than two runs carry a positive `native`
+/// rate — there is no trend in a single sample — or a mode lacks its rate.
+pub fn perf_trend(runs: &[Run], tolerance: f64) -> Result<Vec<Check>, String> {
+    /// Per mode: the first and last `(label, native-relative rate)` seen.
+    type Series<'a> = (&'a str, (&'a str, f64), (&'a str, f64));
     let mut series: Vec<Series> = Vec::new();
     let mut usable_runs = 0usize;
     for run in runs {
-        let Some(native) = run.mode("native") else {
+        let Ok(native) = run.positive(NATIVE) else {
             continue;
         };
-        let norm = native.blocks_per_sec;
-        if !(norm.is_finite() && norm > 0.0) {
-            continue;
-        }
         usable_runs += 1;
-        for (mode, perf) in &run.modes {
+        for mode in run.section("modes")? {
             if mode == "native" {
                 continue;
             }
-            let rate = perf.blocks_per_sec / norm;
-            if !rate.is_finite() {
-                continue;
-            }
-            match series.iter_mut().find(|(name, ..)| name == mode) {
-                Some((_, _, last, samples)) => {
-                    *last = (run.label.clone(), rate);
-                    *samples += 1;
-                }
-                None => series.push((
-                    mode.clone(),
-                    (run.label.clone(), rate),
-                    (run.label.clone(), rate),
-                    1,
-                )),
+            let point = (
+                run.label.as_str(),
+                run.need(&format!("modes.{mode}.blocks_per_sec"))? / native,
+            );
+            match series.iter_mut().find(|(name, ..)| *name == mode) {
+                Some((_, _, last)) => *last = point,
+                None => series.push((mode, point, point)),
             }
         }
     }
@@ -661,99 +365,33 @@ pub fn perf_trend(runs: &[PerfRun], tolerance: f64) -> Result<TrendReport, Strin
             "need at least two runs with a usable `native` mode to trend, have {usable_runs}"
         ));
     }
-    let drifts = series
+    Ok(series
         .into_iter()
-        .map(
-            |(mode, (first_label, first), (last_label, last), samples)| {
-                let ratio = last / first;
-                TrendDrift {
-                    mode,
-                    first_label,
-                    last_label,
-                    first,
-                    last,
-                    ratio,
-                    samples,
-                    warned: samples >= 2 && first > 0.0 && ratio < 1.0 - tolerance,
-                }
-            },
-        )
-        .collect();
-    Ok(TrendReport { drifts, tolerance })
+        .map(|(mode, (first_label, first), (last_label, last))| {
+            Check::new(
+                format!("modes.{mode}.blocks_per_sec ({first_label} -> {last_label})"),
+                first,
+                last,
+                Limit::AtLeast(first * (1.0 - tolerance)),
+            )
+        })
+        .collect())
 }
 
-/// Default sweep-curve floor: aggregate throughput at the largest scale
-/// must hold at least half the smallest-scale rate.
-pub const DEFAULT_CURVE_FLOOR: f64 = 0.5;
-
-/// One point on a committed scale-sweep curve.
-#[derive(Clone, PartialEq, Debug)]
-pub struct CurvePoint {
-    /// Concurrent sessions at this point.
-    pub sessions: f64,
-    /// The run's label (`PREFIX-nN`).
-    pub label: String,
-    /// Aggregate serving throughput, blocks/sec.
-    pub rate: f64,
-}
-
-/// Outcome of gating a scale-sweep curve.
-#[derive(Clone, PartialEq, Debug)]
-pub struct CurveReport {
-    /// The label prefix the points were collected under.
-    pub prefix: String,
-    /// Required `largest rate / smallest rate` fraction.
-    pub floor: f64,
-    /// The curve, sorted by session count (latest run per count wins).
-    pub points: Vec<CurvePoint>,
-    /// `rate(largest) / rate(smallest)`.
-    pub retention: f64,
-    /// Whether the retention clears the floor.
-    pub passed: bool,
-}
-
-impl CurveReport {
-    /// Renders the curve and verdict as text.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "sweep curve `{}-nN`: throughput retention floor {:.0}%",
-            self.prefix,
-            self.floor * 100.0
-        );
-        let _ = writeln!(out, "{:>10} {:>16}  label", "sessions", "blocks/sec");
-        for p in &self.points {
-            let _ = writeln!(out, "{:>10.0} {:>16.0}  {}", p.sessions, p.rate, p.label);
-        }
-        let _ = writeln!(
-            out,
-            "retention at scale: {:.3} ({})",
-            self.retention,
-            if self.passed { "ok" } else { "BELOW FLOOR" }
-        );
-        out
-    }
-}
-
-/// Gates a committed scale-sweep curve: collects every run labelled
-/// `PREFIX-nN` (session count from the run's `sessions` field, falling
-/// back to parsing the label suffix), keeps the latest run per count,
-/// and requires the `serve-aggregate` rate at the largest N to hold at
-/// least `floor` times the rate at the smallest N — throughput must
+/// Gates a committed scale-sweep curve. Collects every run labelled
+/// `PREFIX-nN` (session count from the run's `sessions` metric, else the
+/// label suffix), keeps the latest run per count, and requires the
+/// `serve-aggregate` rate at the largest count to hold at least
+/// [`CURVE_FLOOR`] times the rate at the smallest — throughput must
 /// degrade gracefully with concurrency, not collapse.
 ///
 /// # Errors
 ///
 /// Returns a message when fewer than two distinct session counts match,
-/// a matching run lacks a `serve-aggregate` mode or carries a
-/// non-finite/non-positive rate, or `floor` is not in `(0, 1]`.
-pub fn sweep_curve(runs: &[PerfRun], prefix: &str, floor: f64) -> Result<CurveReport, String> {
-    if !(floor > 0.0 && floor <= 1.0) {
-        return Err(format!("curve floor {floor} must be in (0, 1]"));
-    }
-    let mut points: Vec<CurvePoint> = Vec::new();
+/// or a matching run lacks a positive `serve-aggregate` rate.
+pub fn sweep_curve(runs: &[Run], prefix: &str) -> Result<Vec<Check>, String> {
+    // `(sessions, label, serve-aggregate rate)` per sweep point.
+    let mut points: Vec<(f64, &str, f64)> = Vec::new();
     for run in runs {
         let Some(suffix) = run
             .label
@@ -762,27 +400,17 @@ pub fn sweep_curve(runs: &[PerfRun], prefix: &str, floor: f64) -> Result<CurveRe
         else {
             continue;
         };
-        let sessions = match run.sessions {
+        let sessions = match run.get("sessions") {
             Some(n) => n,
             None => suffix
                 .parse::<f64>()
                 .map_err(|_| format!("run `{}`: unparsable session count", run.label))?,
         };
-        let aggregate = run
-            .mode("serve-aggregate")
-            .ok_or_else(|| format!("run `{}` has no `serve-aggregate` mode", run.label))?;
-        let rate = aggregate.blocks_per_sec;
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(format!("run `{}` has unusable rate {rate}", run.label));
-        }
-        let point = CurvePoint {
-            sessions,
-            label: run.label.clone(),
-            rate,
-        };
+        let rate = run.positive("modes.serve-aggregate.blocks_per_sec")?;
+        let point = (sessions, run.label.as_str(), rate);
         // Latest append per session count wins — documents accumulate
         // re-measurements under the same labels.
-        match points.iter_mut().find(|p| p.sessions == sessions) {
+        match points.iter_mut().find(|p| p.0 == sessions) {
             Some(existing) => *existing = point,
             None => points.push(point),
         }
@@ -793,531 +421,229 @@ pub fn sweep_curve(runs: &[PerfRun], prefix: &str, floor: f64) -> Result<CurveRe
             points.len()
         ));
     }
-    points.sort_by(|a, b| a.sessions.total_cmp(&b.sessions));
-    let (smallest, largest) = (&points[0], &points[points.len() - 1]);
-    let retention = largest.rate / smallest.rate;
-    Ok(CurveReport {
-        prefix: prefix.to_string(),
-        floor,
-        retention,
-        passed: retention >= floor,
-        points,
-    })
-}
-
-/// One workload's warm-start verdict.
-#[derive(Clone, PartialEq, Debug)]
-pub struct WarmStartVerdict {
-    /// The workload's cold/pre-warmed record.
-    pub point: WarmStartPoint,
-    /// Whether the pre-warmed count is strictly below the cold one.
-    pub passed: bool,
-}
-
-/// Outcome of gating one `loadgen --warm-start` run.
-#[derive(Clone, PartialEq, Debug)]
-pub struct WarmStartReport {
-    /// The gated run's label.
-    pub label: String,
-    /// The options the gate ran under.
-    pub options: CompareOptions,
-    /// Per-workload verdicts, in document order.
-    pub verdicts: Vec<WarmStartVerdict>,
-    /// Pre-warmed vs cold serving throughput within the run (baseline =
-    /// `serve-cold`, current = `serve-prewarmed`), normalized by the
-    /// run's own `native` rate under [`CompareOptions::relative`].
-    pub throughput: ModeDelta,
-}
-
-impl WarmStartReport {
-    /// True when every workload pre-warms strictly faster and the
-    /// pre-warmed throughput holds within the tolerance.
-    pub fn passed(&self) -> bool {
-        self.verdicts.iter().all(|v| v.passed) && !self.throughput.regressed
-    }
-
-    /// Renders the gate as an aligned text table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let metric = if self.options.relative {
-            "rate/native"
-        } else {
-            "blocks/sec"
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "warm-start gate: run `{}` (blocks to first trace; throughput \
-             in {metric}, tolerance {:.0}%)",
-            self.label,
-            self.options.tolerance * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "{:<12} {:>14} {:>14}  verdict",
-            "workload", "cold", "prewarmed"
-        );
-        for v in &self.verdicts {
-            let _ = writeln!(
-                out,
-                "{:<12} {:>14.0} {:>14.0}  {}",
-                v.point.workload,
-                v.point.cold_blocks_to_first_trace,
-                v.point.prewarmed_blocks_to_first_trace,
-                if v.passed { "ok" } else { "NOT BELOW COLD" }
-            );
-        }
-        let t = &self.throughput;
-        let _ = writeln!(
-            out,
-            "serve-prewarmed vs serve-cold throughput: {:.3} -> {:.3} \
-             ({:.3}x, {})",
-            t.baseline,
-            t.current,
-            t.ratio,
-            if t.regressed { "REGRESSED" } else { "ok" }
-        );
-        out
-    }
+    points.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let ((_, small, base), (_, large, cur)) = (points[0], points[points.len() - 1]);
+    Ok(vec![Check::new(
+        format!("modes.serve-aggregate.blocks_per_sec ({small} -> {large})"),
+        base,
+        cur,
+        Limit::AtLeast(CURVE_FLOOR * base),
+    )])
 }
 
 /// Gates a committed `loadgen --warm-start` run: every workload's
 /// pre-warmed blocks-to-first-trace must sit strictly below its cold
-/// number, and the `serve-prewarmed` throughput must hold within the
-/// tolerance of `serve-cold`. With [`CompareOptions::relative`] both
-/// rates are first normalized by the run's own `native` rate, making
-/// the throughput half of the gate portable across hosts (the
-/// first-trace counts are deterministic block counts and need no
-/// normalization).
+/// number, and the `serve-prewarmed` rate may trail `serve-cold` by at
+/// most `tolerance`. Both rates are divided by the run's `native` rate
+/// like every throughput check; the first-trace counts are deterministic
+/// block counts and need no normalization.
 ///
 /// # Errors
 ///
 /// Returns a message when the run records no `warm_start` section, a
-/// record carries a non-finite or non-positive cold count, either
-/// serving mode is missing or non-finite, or relative mode is requested
-/// without a usable `native` rate.
-pub fn warm_start_gate(run: &PerfRun, options: CompareOptions) -> Result<WarmStartReport, String> {
-    if run.warm_start.is_empty() {
-        return Err(format!(
-            "run `{}` records no warm_start section; re-measure with \
-             `loadgen --warm-start`",
-            run.label
+/// workload lacks a count or has a zero cold count, either serving rate
+/// or the `native` rate is missing or zero.
+pub fn warm_start_gate(run: &Run, tolerance: f64) -> Result<Vec<Check>, String> {
+    let mut checks = Vec::new();
+    for workload in run.section("warm_start")? {
+        let count = |which: &str| format!("warm_start.{workload}.{which}_blocks_to_first_trace");
+        let cold = run.positive(&count("cold"))?;
+        let warm = run.need(&count("prewarmed"))?;
+        checks.push(Check::new(
+            count("prewarmed"),
+            cold,
+            warm,
+            Limit::Below(cold),
         ));
     }
-    let norm = if options.relative {
-        let native = run.mode("native").ok_or_else(|| {
-            format!(
-                "run `{}` has no `native` mode; relative mode needs one to normalize by",
-                run.label
-            )
-        })?;
-        let rate = native.blocks_per_sec;
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(format!(
-                "run `{}` has an unusable native rate ({rate}); cannot normalize by it",
-                run.label
-            ));
-        }
-        rate
-    } else {
-        1.0
-    };
-    let verdicts = run
-        .warm_start
-        .iter()
-        .map(|point| {
-            let (cold, warm) = (
-                point.cold_blocks_to_first_trace,
-                point.prewarmed_blocks_to_first_trace,
-            );
-            if !(cold.is_finite() && cold > 0.0 && warm.is_finite() && warm >= 0.0) {
-                return Err(format!(
-                    "workload `{}` in run `{}` has unusable first-trace counts \
-                     (cold {cold}, prewarmed {warm})",
-                    point.workload, run.label
-                ));
-            }
-            Ok(WarmStartVerdict {
-                point: point.clone(),
-                passed: warm < cold,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let serving = |mode: &str| -> Result<f64, String> {
-        let perf = run
-            .mode(mode)
-            .ok_or_else(|| format!("run `{}` has no `{mode}` mode", run.label))?;
-        let metric = perf.blocks_per_sec / norm;
-        if !(metric.is_finite() && metric > 0.0) {
-            return Err(format!(
-                "run `{}` mode `{mode}` has unusable metric {metric}",
-                run.label
-            ));
-        }
-        Ok(metric)
-    };
-    let (cold_rate, warm_rate) = (serving("serve-cold")?, serving("serve-prewarmed")?);
-    let ratio = warm_rate / cold_rate;
-    let throughput = ModeDelta {
-        mode: "serve-prewarmed".to_string(),
-        baseline: cold_rate,
-        current: warm_rate,
-        ratio,
-        guards: None,
-        guards_regressed: false,
-        regressed: ratio < 1.0 - options.tolerance,
-    };
-    Ok(WarmStartReport {
-        label: run.label.clone(),
-        options,
-        verdicts,
-        throughput,
-    })
-}
-
-/// Outcome of gating one `loadgen --chaos` run.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ChaosReport {
-    /// The gated run's label.
-    pub label: String,
-    /// The run's fault-injection record.
-    pub section: ChaosSection,
-    /// Sessions the run was expected to complete (the run's `sessions`
-    /// count when recorded, else the section's own `completed`).
-    pub expected_sessions: f64,
-}
-
-impl ChaosReport {
-    /// True when every session completed bit-identical, nothing leaked,
-    /// and the pass visibly absorbed at least one injected fault.
-    pub fn passed(&self) -> bool {
-        let s = &self.section;
-        s.leaked == 0.0
-            && s.divergent == 0.0
-            && s.completed >= self.expected_sessions
-            && s.completed > 0.0
-            && s.faults_observed() > 0.0
-    }
-
-    /// Renders the gate as text.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let s = &self.section;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "chaos gate: run `{}` (fault rate {})",
-            self.label, s.rate
-        );
-        let verdict = |ok: bool| if ok { "ok" } else { "FAILED" };
-        let _ = writeln!(
-            out,
-            "  completed  {:>8} / {:<8} {}",
-            s.completed,
-            self.expected_sessions,
-            verdict(s.completed >= self.expected_sessions && s.completed > 0.0)
-        );
-        let _ = writeln!(
-            out,
-            "  leaked     {:>8}            {}",
-            s.leaked,
-            verdict(s.leaked == 0.0)
-        );
-        let _ = writeln!(
-            out,
-            "  divergent  {:>8}            {}",
-            s.divergent,
-            verdict(s.divergent == 0.0)
-        );
-        let _ = writeln!(
-            out,
-            "  absorbed: {} retries, {} reconnects, {} shard restarts \
-             ({} sessions re-admitted), {} quarantined publishes  {}",
-            s.client_retries,
-            s.client_reconnects,
-            s.shards_restarted,
-            s.sessions_readmitted,
-            s.profiles_quarantined,
-            verdict(s.faults_observed() > 0.0)
-        );
-        out
-    }
+    let native = run.positive(NATIVE)?;
+    let cold = run.positive("modes.serve-cold.blocks_per_sec")? / native;
+    let warm = run.positive("modes.serve-prewarmed.blocks_per_sec")? / native;
+    checks.push(Check::new(
+        "modes.serve-prewarmed.blocks_per_sec",
+        cold,
+        warm,
+        Limit::AtLeast(cold * (1.0 - tolerance)),
+    ));
+    Ok(checks)
 }
 
 /// Gates a committed `loadgen --chaos` run: every driven session must
-/// have completed with statistics bit-identical to the native run
+/// have completed (the run's `sessions`, else the section's own
+/// `completed`) with statistics bit-identical to the native run
 /// (`divergent == 0`), the server's session tables must have returned to
 /// their pre-run size (`leaked == 0`), and the pass must have visibly
-/// absorbed at least one injected fault (retry, reconnect, shard
-/// restart, or quarantined publish) — a chaos run that dodged every
-/// fault proves nothing.
+/// absorbed at least one injected fault (retry, reconnect, shard restart,
+/// or quarantined publish) — a chaos run that dodged every fault proves
+/// nothing.
 ///
 /// # Errors
 ///
-/// Returns a message when the run records no `chaos` section or the
-/// recorded fault rate is not in `(0, 1]`.
-pub fn chaos_gate(run: &PerfRun) -> Result<ChaosReport, String> {
-    let section = run.chaos.clone().ok_or_else(|| {
-        format!(
-            "run `{}` records no chaos section; re-measure with `loadgen --chaos`",
-            run.label
-        )
-    })?;
-    if !(section.rate.is_finite() && section.rate > 0.0 && section.rate <= 1.0) {
+/// Returns a message when the run records no `chaos` section, lacks one
+/// of its counters, or records a fault rate outside `(0, 1]`.
+pub fn chaos_gate(run: &Run) -> Result<Vec<Check>, String> {
+    run.section("chaos")?;
+    let rate = run.need("chaos.rate")?;
+    if !(rate > 0.0 && rate <= 1.0) {
         return Err(format!(
-            "run `{}` records an unusable chaos rate ({}); expected (0, 1]",
-            run.label, section.rate
+            "run `{}` records an unusable chaos rate ({rate}); expected (0, 1]",
+            run.label
         ));
     }
-    Ok(ChaosReport {
-        label: run.label.clone(),
-        expected_sessions: run.sessions.unwrap_or(section.completed),
-        section,
-    })
-}
-
-/// One per-block allocation metric's verdict inside an [`AllocReport`].
-#[derive(Clone, PartialEq, Debug)]
-pub struct AllocDelta {
-    /// Metric name (`bytes_per_block` or `allocs_per_block`).
-    pub metric: &'static str,
-    /// The baseline run's value.
-    pub baseline: f64,
-    /// The current run's value.
-    pub current: f64,
-    /// `current / baseline`; above `1 + tolerance` means regressed —
-    /// allocation gates invert the throughput convention because more
-    /// heap traffic is the failure direction.
-    pub ratio: f64,
-    /// Whether the increase exceeds the tolerance.
-    pub regressed: bool,
-}
-
-/// Outcome of gating a serve-path allocation profile.
-#[derive(Clone, PartialEq, Debug)]
-pub struct AllocReport {
-    /// Label of the baseline run.
-    pub baseline_label: String,
-    /// Label of the current run.
-    pub current_label: String,
-    /// Allowed fractional per-block increase (0.10 = 10%).
-    pub tolerance: f64,
-    /// Verdicts for both per-block metrics.
-    pub deltas: Vec<AllocDelta>,
-    /// The current run's per-stage `(name, bytes, count)` breakdown,
-    /// echoed for the report.
-    pub stages: Vec<(String, f64, f64)>,
-}
-
-impl AllocReport {
-    /// True when neither per-block metric grew beyond the tolerance.
-    pub fn passed(&self) -> bool {
-        self.deltas.iter().all(|d| !d.regressed)
-    }
-
-    /// Renders the gate as an aligned text table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "alloc gate: `{}` -> `{}` (serve-path per-block, tolerance +{:.0}%)",
-            self.baseline_label,
-            self.current_label,
-            self.tolerance * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "{:<18} {:>14} {:>14} {:>8}  verdict",
-            "metric", "baseline", "current", "ratio"
-        );
-        for d in &self.deltas {
-            let _ = writeln!(
-                out,
-                "{:<18} {:>14.4} {:>14.4} {:>7.3}x  {}",
-                d.metric,
-                d.baseline,
-                d.current,
-                d.ratio,
-                if d.regressed { "REGRESSED" } else { "ok" }
-            );
-        }
-        if !self.stages.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<18} {:>14} {:>14}  (current run)",
-                "stage", "bytes", "allocs"
-            );
-            for (name, bytes, count) in &self.stages {
-                let _ = writeln!(out, "{:<18} {:>14.0} {:>14.0}", name, bytes, count);
-            }
-        }
-        out
-    }
+    let completed = run.need("chaos.completed")?;
+    let expected = run.get("sessions").unwrap_or(completed);
+    let absorbed = [
+        "chaos.client_retries",
+        "chaos.client_reconnects",
+        "chaos.shards_restarted",
+        "chaos.profiles_quarantined",
+    ]
+    .into_iter()
+    .map(|name| run.need(name))
+    .sum::<Result<f64, String>>()?;
+    Ok(vec![
+        // Counts are whole, so `>= 1` is `> 0`.
+        Check::new(
+            "chaos.completed",
+            expected,
+            completed,
+            Limit::AtLeast(expected.max(1.0)),
+        ),
+        Check::new(
+            "chaos.leaked",
+            0.0,
+            run.need("chaos.leaked")?,
+            Limit::Exactly(0.0),
+        ),
+        Check::new(
+            "chaos.divergent",
+            0.0,
+            run.need("chaos.divergent")?,
+            Limit::Exactly(0.0),
+        ),
+        Check::new("chaos.faults_absorbed", 1.0, absorbed, Limit::AtLeast(1.0)),
+    ])
 }
 
 /// Gates a serve-path allocation profile: the current run's heap bytes
-/// and allocator calls per interpreted block must not exceed the
-/// baseline's by more than `tolerance` (more allocation is the failure
-/// direction, so the gate trips on *increases*). Both counts come from
-/// the measuring allocator's per-stage attribution, so they are
-/// deterministic for a fixed build and workload set and portable across
-/// hosts — no normalization is needed. Gating a run against itself
-/// (`baseline == current`) validates that the committed section exists
-/// and is well-formed, which is how CI self-checks the document.
+/// and allocator calls per interpreted block (`alloc.bytes_per_block`,
+/// `alloc.allocs_per_block`) must not exceed the baseline's by more than
+/// `tolerance` (more allocation is the failure direction, so the gate
+/// trips on *increases*). Both counts come from the measuring allocator's
+/// per-stage attribution, so they are deterministic for a fixed build and
+/// workload set and portable across hosts — no normalization is needed.
+/// Gating a run against itself (`baseline == current`) validates that
+/// the committed section exists and is well-formed, which is how CI
+/// self-checks the document.
 ///
 /// # Errors
 ///
-/// Returns a message when either run records no `alloc` section (the
-/// run was measured without a `selfprof-alloc` build) or carries a
-/// non-finite or non-positive per-block metric — an alloc-free serve
-/// path means the attribution hooks were compiled out, not that the
-/// path is perfect.
-pub fn alloc_gate(
-    baseline: &PerfRun,
-    current: &PerfRun,
-    tolerance: f64,
-) -> Result<AllocReport, String> {
-    let section = |run: &PerfRun| -> Result<AllocSection, String> {
-        run.alloc.clone().ok_or_else(|| {
-            format!(
-                "run `{}` records no alloc section; re-measure with a \
-                 `--features selfprof-alloc` loadgen build",
-                run.label
+/// Returns a message when either run records no `alloc` section (the run
+/// was measured without a `selfprof-alloc` build), lacks a per-block
+/// metric, or carries a zero baseline — an alloc-free serve path means
+/// the attribution hooks were compiled out, not that the path is perfect.
+pub fn alloc_gate(baseline: &Run, current: &Run, tolerance: f64) -> Result<Vec<Check>, String> {
+    for run in [baseline, current] {
+        run.section("alloc")?;
+    }
+    ["alloc.bytes_per_block", "alloc.allocs_per_block"]
+        .into_iter()
+        .map(|name| {
+            let base = baseline
+                .positive(name)
+                .map_err(|e| format!("{e}; a zero means the measuring allocator was off"))?;
+            let cur = current.need(name)?;
+            Ok(Check::new(
+                name,
+                base,
+                cur,
+                Limit::AtMost(base * (1.0 + tolerance)),
+            ))
+        })
+        .collect()
+}
+
+/// Diffs the `events` counts of two `telemetry.json` documents exactly;
+/// an event kind absent from one side counts 0 there. Wall clock
+/// (`timings`) is nondeterministic by contract and not compared.
+///
+/// # Errors
+///
+/// Returns a message when either document is not a telemetry document or
+/// holds a count that is not a whole non-negative number.
+pub fn compare_telemetry(baseline: &str, current: &str) -> Result<Vec<Check>, String> {
+    let events = |text: &str, which: &str| -> Result<Run, String> {
+        let (DocKind::Telemetry, mut runs) =
+            read_runs(text).map_err(|e| format!("{which}: {e}"))?
+        else {
+            return Err(format!("{which}: not a telemetry document"));
+        };
+        let run = runs.pop().expect("a telemetry document reads as one run");
+        if let Some((name, n)) = run.metrics.iter().find(|(_, n)| n.fract() != 0.0) {
+            return Err(format!("{which}: `{name}` = {n} is not an event count"));
+        }
+        Ok(run)
+    };
+    let (base, cur) = (events(baseline, "baseline")?, events(current, "current")?);
+    let names: BTreeSet<&String> = base.metrics.keys().chain(cur.metrics.keys()).collect();
+    Ok(names
+        .into_iter()
+        .map(|name| {
+            let count = base.get(name).unwrap_or(0.0);
+            Check::new(
+                name.as_str(),
+                count,
+                cur.get(name).unwrap_or(0.0),
+                Limit::Exactly(count),
             )
         })
-    };
-    let (base, cur) = (section(baseline)?, section(current)?);
-    let metric =
-        |name: &'static str, pick: &dyn Fn(&AllocSection) -> f64| -> Result<AllocDelta, String> {
-            let (b, c) = (pick(&base), pick(&cur));
-            if !(b.is_finite() && b > 0.0) {
-                return Err(format!(
-                    "run `{}` has unusable {name} {b}; a zero serve-path \
-                 allocation count means the measuring allocator was not active",
-                    baseline.label
-                ));
-            }
-            if !(c.is_finite() && c >= 0.0) {
-                return Err(format!("run `{}` has unusable {name} {c}", current.label));
-            }
-            let ratio = c / b;
-            Ok(AllocDelta {
-                metric: name,
-                baseline: b,
-                current: c,
-                ratio,
-                regressed: ratio > 1.0 + tolerance,
-            })
-        };
-    let deltas = vec![
-        metric("bytes_per_block", &|s| s.bytes_per_block)?,
-        metric("allocs_per_block", &|s| s.allocs_per_block)?,
-    ];
-    Ok(AllocReport {
-        baseline_label: baseline.label.clone(),
-        current_label: current.label.clone(),
-        tolerance,
-        deltas,
-        stages: cur.stages,
-    })
-}
-
-/// One event kind whose count differs between two telemetry summaries.
-#[derive(Clone, PartialEq, Debug)]
-pub struct EventDelta {
-    /// The event kind tag.
-    pub kind: String,
-    /// Count in the baseline summary (0 when absent).
-    pub baseline: u64,
-    /// Count in the current summary (0 when absent).
-    pub current: u64,
-}
-
-/// Outcome of diffing two `telemetry.json` summaries.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct TelemetryDiff {
-    /// Event kinds whose counts differ, in tag order.
-    pub changed: Vec<EventDelta>,
-}
-
-impl TelemetryDiff {
-    /// True when every event count matches.
-    pub fn passed(&self) -> bool {
-        self.changed.is_empty()
-    }
-
-    /// Renders the diff as text.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if self.passed() {
-            out.push_str("telemetry gate: event counts identical\n");
-            return out;
-        }
-        let _ = writeln!(
-            out,
-            "telemetry gate: {} event kind(s) differ",
-            self.changed.len()
-        );
-        let _ = writeln!(out, "{:<24} {:>12} {:>12}", "event", "baseline", "current");
-        for d in &self.changed {
-            let _ = writeln!(out, "{:<24} {:>12} {:>12}", d.kind, d.baseline, d.current);
-        }
-        out
-    }
-}
-
-/// Diffs the `events` sections of two `telemetry.json` documents. Wall
-/// clock (`timings`) is nondeterministic by contract and not compared.
-///
-/// # Errors
-///
-/// Returns a message when either document fails to parse or lacks an
-/// `events` object.
-pub fn compare_telemetry(baseline: &str, current: &str) -> Result<TelemetryDiff, String> {
-    let counts = |text: &str, which: &str| -> Result<Vec<(String, u64)>, String> {
-        let value = JsonValue::parse(text).map_err(|e| format!("{which}: {e}"))?;
-        let events = value
-            .get("events")
-            .and_then(|e| e.as_obj())
-            .ok_or_else(|| format!("{which}: missing \"events\" object"))?;
-        Ok(events
-            .iter()
-            .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(0.0) as u64))
-            .collect())
-    };
-    let base = counts(baseline, "baseline")?;
-    let cur = counts(current, "current")?;
-    let mut kinds: Vec<&str> = base
-        .iter()
-        .chain(cur.iter())
-        .map(|(k, _)| k.as_str())
-        .collect();
-    kinds.sort_unstable();
-    kinds.dedup();
-    let lookup = |set: &[(String, u64)], kind: &str| {
-        set.iter().find(|(k, _)| k == kind).map_or(0, |&(_, n)| n)
-    };
-    let changed = kinds
-        .into_iter()
-        .filter_map(|kind| {
-            let (b, c) = (lookup(&base, kind), lookup(&cur, kind));
-            (b != c).then(|| EventDelta {
-                kind: kind.to_string(),
-                baseline: b,
-                current: c,
-            })
-        })
-        .collect();
-    Ok(TelemetryDiff { changed })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn perf_doc(label: &str, net_rate: f64) -> String {
+    /// The runs of `text`, which must read cleanly.
+    fn runs(text: &str) -> Vec<Run> {
+        read_runs(text).expect("document reads").1
+    }
+
+    /// The single run of `text`.
+    fn run(text: &str) -> Run {
+        runs(text).remove(0)
+    }
+
+    /// `run` relabelled, with `name` set to `value`.
+    fn with(run: &Run, label: &str, name: &str, value: f64) -> Run {
+        let mut run = run.clone();
+        run.label = label.to_string();
+        run.metrics.insert(name.to_string(), value);
+        run
+    }
+
+    /// `run` without the metrics under `section`.
+    fn without(run: &Run, section: &str) -> Run {
+        let mut run = run.clone();
+        let prefix = format!("{section}.");
+        run.metrics.retain(|name, _| !name.starts_with(&prefix));
+        run
+    }
+
+    /// Names of the checks that failed.
+    fn failing(checks: &[Check]) -> Vec<&str> {
+        checks
+            .iter()
+            .filter(|c| !c.pass)
+            .map(|c| c.name.as_str())
+            .collect()
+    }
+
+    fn committed() -> Vec<Run> {
+        runs(include_str!("../../../BENCH_perf.json"))
+    }
+
+    fn perf_doc(label: &str, native_rate: f64, net_rate: f64) -> String {
         format!(
             r#"{{
   "runs": [
@@ -1327,41 +653,57 @@ mod tests {
       "reps": 3,
       "total_blocks": 1000000,
       "modes": {{
-        "native": {{"secs": 1.0, "blocks_per_sec": 1000000}},
+        "native": {{"secs": 1.0, "blocks_per_sec": {native_rate}}},
         "net": {{"secs": 2.0, "blocks_per_sec": {net_rate}}},
-        "dynamo": {{"secs": 4.0, "blocks_per_sec": 250000}}
+        "dynamo": {{"secs": 4.0, "blocks_per_sec": {}}}
       }}
     }}
   ]
-}}"#
+}}"#,
+            native_rate / 4.0
         )
     }
 
     #[test]
     fn detects_document_kinds() {
-        assert_eq!(detect_kind(&perf_doc("a", 1.0)), Ok(DocKind::Perf));
+        let kind = |text: &str| read_runs(text).map(|(kind, _)| kind);
+        assert_eq!(kind(&perf_doc("a", 1e6, 1.0)), Ok(DocKind::Perf));
         assert_eq!(
-            detect_kind(r#"{"label": "x", "events": {"vm_halt": 1}}"#),
+            kind(r#"{"label": "x", "events": {"vm_halt": 1}}"#),
             Ok(DocKind::Telemetry)
         );
-        assert!(detect_kind(r#"{"something": 1}"#).is_err());
-        assert!(detect_kind("not json").is_err());
+        assert!(kind(r#"{"something": 1}"#).is_err());
+        assert!(kind("not json").is_err());
     }
 
     #[test]
     fn parses_perf_runs() {
-        let runs = parse_perf_runs(&perf_doc("base", 500000.0)).unwrap();
+        let runs = runs(&perf_doc("base", 1e6, 500000.0));
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].label, "base");
-        assert_eq!(runs[0].total_blocks, 1000000.0);
-        assert_eq!(runs[0].mode("net").unwrap().blocks_per_sec, 500000.0);
-        assert!(runs[0].mode("bogus").is_none());
+        assert_eq!(runs[0].get("total_blocks"), Some(1000000.0));
+        assert_eq!(runs[0].get("reps"), Some(3.0));
+        assert_eq!(runs[0].get("modes.net.blocks_per_sec"), Some(500000.0));
+        assert_eq!(runs[0].get("modes.bogus.blocks_per_sec"), None);
+        assert_eq!(runs[0].get("scale"), None, "scale is metadata");
+        let modes: Vec<&str> = runs[0].section("modes").unwrap().into_iter().collect();
+        assert_eq!(modes, ["dynamo", "native", "net"]);
+        // Every other leaf must be a finite non-negative number: strings,
+        // nulls, booleans, arrays, negative and overflowing numbers are
+        // errors.
+        for bad in ["\"2.0\"", "null", "true", "[2.0]", "-2.0", "1e999"] {
+            let doc = perf_doc("base", 1e6, 500000.0)
+                .replace("\"secs\": 2.0", &format!("\"secs\": {bad}"));
+            let err = read_runs(&doc).unwrap_err();
+            assert!(err.contains("modes.net.secs"), "{bad}: {err}");
+        }
+        let unlabelled = perf_doc("base", 1e6, 1.0).replace("\"label\": \"base\",", "");
+        assert!(read_runs(&unlabelled).unwrap_err().contains("label"));
     }
 
     #[test]
     fn select_run_by_label_and_default_last() {
-        let text = perf_doc("only", 1.0);
-        let runs = parse_perf_runs(&text).unwrap();
+        let runs = runs(&perf_doc("only", 1e6, 1.0));
         assert_eq!(select_run(&runs, None).unwrap().label, "only");
         assert_eq!(select_run(&runs, Some("only")).unwrap().label, "only");
         let err = select_run(&runs, Some("missing")).unwrap_err();
@@ -1370,178 +712,135 @@ mod tests {
 
     #[test]
     fn identical_runs_pass() {
-        let runs = parse_perf_runs(&perf_doc("a", 500000.0)).unwrap();
-        let report = compare_perf(&runs[0], &runs[0], CompareOptions::default()).unwrap();
-        assert!(report.passed());
-        assert!(report.deltas.iter().all(|d| (d.ratio - 1.0).abs() < 1e-12));
+        let a = run(&perf_doc("a", 1e6, 500000.0));
+        let checks = compare_perf(&a, &a, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(checks.len(), 2, "net and dynamo are gated");
+        assert!(failing(&checks).is_empty());
+        assert!(checks.iter().all(|c| c.baseline == c.current));
     }
 
     #[test]
     fn fifteen_percent_regression_fails_the_default_gate() {
         // The acceptance scenario: a synthetic 15% net-mode throughput loss
         // must trip the default 10% tolerance.
-        let base = &parse_perf_runs(&perf_doc("base", 500000.0)).unwrap()[0];
-        let cur = &parse_perf_runs(&perf_doc("cur", 425000.0)).unwrap()[0];
-        let report = compare_perf(base, cur, CompareOptions::default()).unwrap();
-        assert!(!report.passed());
-        let regressed: Vec<&str> = report.regressions().map(|d| d.mode.as_str()).collect();
-        assert_eq!(regressed, ["net"]);
+        let base = run(&perf_doc("base", 1e6, 500000.0));
+        let cur = run(&perf_doc("cur", 1e6, 425000.0));
+        let checks = compare_perf(&base, &cur, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(failing(&checks), ["modes.net.blocks_per_sec"]);
         // A 20% tolerance absorbs it.
-        let loose = compare_perf(
-            base,
-            cur,
-            CompareOptions {
-                tolerance: 0.20,
-                relative: false,
-            },
-        )
-        .unwrap();
-        assert!(loose.passed());
+        let loose = compare_perf(&base, &cur, 0.20).unwrap();
+        assert!(failing(&loose).is_empty());
     }
 
     #[test]
     fn relative_mode_cancels_machine_speed() {
         // The "current" machine is uniformly 2x slower: every absolute rate
-        // halves, which the raw gate flags but the relative gate forgives.
-        let base = &parse_perf_runs(&perf_doc("base", 500000.0)).unwrap()[0];
-        let mut cur = base.clone();
-        cur.label = "cur".into();
-        for (_, m) in &mut cur.modes {
-            m.blocks_per_sec /= 2.0;
-            m.secs *= 2.0;
-        }
-        let raw = compare_perf(base, &cur, CompareOptions::default()).unwrap();
-        assert!(!raw.passed());
-        let rel = compare_perf(
-            base,
-            &cur,
-            CompareOptions {
-                tolerance: DEFAULT_TOLERANCE,
-                relative: true,
-            },
-        )
-        .unwrap();
-        assert!(rel.passed(), "{}", rel.render());
+        // halves, which the native-relative gate forgives.
+        let base = run(&perf_doc("base", 1e6, 500000.0));
+        let cur = run(&perf_doc("cur", 5e5, 250000.0));
+        let checks = compare_perf(&base, &cur, DEFAULT_TOLERANCE).unwrap();
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
         // But a genuine 15% net-only loss still trips it.
-        let mut slow_net = cur.clone();
-        slow_net.modes[1].1.blocks_per_sec *= 0.85;
-        let rel = compare_perf(
-            base,
-            &slow_net,
-            CompareOptions {
-                tolerance: DEFAULT_TOLERANCE,
-                relative: true,
-            },
-        )
-        .unwrap();
-        assert!(!rel.passed());
-        assert_eq!(
-            rel.regressions()
-                .map(|d| d.mode.as_str())
-                .collect::<Vec<_>>(),
-            ["net"]
-        );
+        let slow_net = run(&perf_doc("cur", 5e5, 212500.0));
+        let checks = compare_perf(&base, &slow_net, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(failing(&checks), ["modes.net.blocks_per_sec"]);
     }
 
     #[test]
     fn relative_mode_never_gates_native() {
-        // Native is the normalizer — always exactly 1.0 on both sides.
-        let base = &parse_perf_runs(&perf_doc("base", 500000.0)).unwrap()[0];
-        let report = compare_perf(
-            base,
-            base,
-            CompareOptions {
-                tolerance: 0.0,
-                relative: true,
-            },
-        )
-        .unwrap();
-        let native = report.deltas.iter().find(|d| d.mode == "native").unwrap();
-        assert_eq!(native.baseline, 1.0);
-        assert!(!native.regressed);
+        // Native is the normalizer — always exactly 1.0 on both sides, so
+        // it gets no check of its own, even at zero tolerance.
+        let base = run(&perf_doc("base", 1e6, 500000.0));
+        let checks = compare_perf(&base, &base, 0.0).unwrap();
+        assert!(checks.iter().all(|c| !c.name.contains("native")));
+        assert!(failing(&checks).is_empty());
     }
 
     #[test]
     fn relative_mode_rejects_absent_native() {
-        let base = &parse_perf_runs(&perf_doc("base", 500000.0)).unwrap()[0];
-        let mut no_native = base.clone();
+        let base = run(&perf_doc("base", 1e6, 500000.0));
+        let mut no_native = without(&base, "modes.native");
         no_native.label = "headless".into();
-        no_native.modes.retain(|(name, _)| name != "native");
-        let options = CompareOptions {
-            tolerance: DEFAULT_TOLERANCE,
-            relative: true,
-        };
-        let err = compare_perf(base, &no_native, options).unwrap_err();
-        assert!(err.contains("no `native` mode"), "{err}");
-        assert!(err.contains("headless"), "{err}");
-        // Raw mode is unaffected: the shared modes still compare.
-        assert!(compare_perf(base, &no_native, CompareOptions::default()).is_ok());
-    }
-
-    #[test]
-    fn relative_mode_rejects_zero_or_nonfinite_native() {
-        let base = &parse_perf_runs(&perf_doc("base", 500000.0)).unwrap()[0];
-        let options = CompareOptions {
-            tolerance: DEFAULT_TOLERANCE,
-            relative: true,
-        };
-        for bad in [0.0, f64::NAN, f64::INFINITY, -1.0] {
-            let mut cur = base.clone();
-            cur.label = "bad".into();
-            cur.modes[0].1.blocks_per_sec = bad;
-            let err = compare_perf(base, &cur, options).unwrap_err();
-            assert!(err.contains("unusable native rate"), "{bad}: {err}");
+        for (b, c) in [(&base, &no_native), (&no_native, &base)] {
+            let err = compare_perf(b, c, DEFAULT_TOLERANCE).unwrap_err();
+            assert!(err.contains("no `modes.native.blocks_per_sec`"), "{err}");
+            assert!(err.contains("headless"), "{err}");
         }
     }
 
     #[test]
+    fn relative_mode_rejects_zero_or_nonfinite_native() {
+        let base = run(&perf_doc("base", 1e6, 500000.0));
+        for bad in [0.0, -1.0] {
+            let cur = with(&base, "bad", "modes.native.blocks_per_sec", bad);
+            let err = compare_perf(&base, &cur, DEFAULT_TOLERANCE).unwrap_err();
+            assert!(
+                err.contains("unusable `modes.native.blocks_per_sec`"),
+                "{bad}: {err}"
+            );
+        }
+        // JSON has no NaN; an overflowing literal is the only non-finite
+        // input, and the reader refuses it.
+        let err = read_runs(&perf_doc("bad", 1e6, 1.0).replace("1000000}", "1e999}")).unwrap_err();
+        assert!(err.contains("modes.native.blocks_per_sec"), "{err}");
+    }
+
+    #[test]
     fn nonfinite_metrics_error_instead_of_passing_as_nan() {
-        // `NaN < 1 - tolerance` is false: without the explicit check a NaN
-        // ratio would sail through the gate. It must be a hard error.
-        let base = &parse_perf_runs(&perf_doc("base", 500000.0)).unwrap()[0];
-        let mut zero_base = base.clone();
-        zero_base.modes[1].1.blocks_per_sec = 0.0;
-        let err = compare_perf(&zero_base, base, CompareOptions::default()).unwrap_err();
-        assert!(err.contains("baseline"), "{err}");
-        let mut nan_cur = base.clone();
-        nan_cur.modes[1].1.blocks_per_sec = f64::NAN;
-        let err = compare_perf(base, &nan_cur, CompareOptions::default()).unwrap_err();
-        assert!(err.contains("current"), "{err}");
+        // `NaN < limit` is false: a NaN would sail through any check. The
+        // reader rejects non-finite values, and a zero baseline rate —
+        // which would make every ratio infinite — is a hard error.
+        let base = run(&perf_doc("base", 1e6, 500000.0));
+        let zero_base = with(&base, "zero", "modes.net.blocks_per_sec", 0.0);
+        let err = compare_perf(&zero_base, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("run `zero`"), "{err}");
+        let err =
+            read_runs(&perf_doc("cur", 1e6, 500000.0).replace("500000}", "1e999}")).unwrap_err();
+        assert!(err.contains("modes.net.blocks_per_sec"), "{err}");
     }
 
     #[test]
     fn telemetry_diff_reports_changed_counts() {
         let base = r#"{"label": "a", "events": {"vm_halt": 8, "path_completed": 100}}"#;
         let same = compare_telemetry(base, base).unwrap();
-        assert!(same.passed());
+        assert_eq!(same.len(), 2);
+        assert!(failing(&same).is_empty());
         let cur =
             r#"{"label": "b", "events": {"vm_halt": 8, "path_completed": 101, "bailout": 1}}"#;
         let diff = compare_telemetry(base, cur).unwrap();
-        assert!(!diff.passed());
-        let kinds: Vec<&str> = diff.changed.iter().map(|d| d.kind.as_str()).collect();
-        assert_eq!(kinds, ["bailout", "path_completed"]);
-        assert_eq!(diff.changed[0].baseline, 0);
-        assert_eq!(diff.changed[0].current, 1);
+        assert_eq!(failing(&diff), ["events.bailout", "events.path_completed"]);
+        assert_eq!((diff[0].baseline, diff[0].current), (0.0, 1.0));
+        // A perf document on either side is refused.
+        let perf = perf_doc("p", 1e6, 1.0);
+        assert!(compare_telemetry(base, &perf)
+            .unwrap_err()
+            .contains("current"));
+        assert!(compare_telemetry(&perf, base)
+            .unwrap_err()
+            .contains("baseline"));
+    }
+
+    #[test]
+    fn telemetry_counts_must_be_whole_non_negative_numbers() {
+        // A string, null, negative or fractional count is malformed input,
+        // never a silent 0 or a truncated count.
+        for (bad, other) in [("\"12\"", 0), ("null", 0), ("-1", 0), ("1.5", 1)] {
+            let good = format!(r#"{{"label": "a", "events": {{"x": {other}}}}}"#);
+            let malformed = format!(r#"{{"label": "b", "events": {{"x": {bad}}}}}"#);
+            assert!(compare_telemetry(&good, &malformed).is_err(), "{bad}");
+            assert!(compare_telemetry(&malformed, &good).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn committed_bench_doc_parses_and_self_compares_clean() {
         // The repo's own BENCH_perf.json must stay loadable and must pass
         // the gate against itself — this is what CI's perf-gate step does.
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).expect("committed BENCH_perf.json parses");
+        let runs = committed();
         assert!(!runs.is_empty());
         let last = select_run(&runs, None).unwrap();
-        let report = compare_perf(
-            last,
-            last,
-            CompareOptions {
-                tolerance: DEFAULT_TOLERANCE,
-                relative: true,
-            },
-        )
-        .unwrap();
-        assert!(report.passed(), "{}", report.render());
+        let checks = compare_perf(last, last, DEFAULT_TOLERANCE).unwrap();
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
     }
 
     #[test]
@@ -1550,14 +849,11 @@ mod tests {
         // paths as compiled superblocks must beat the simulated dynamo
         // mode by a wide margin. The committed measurement pins it at
         // >= 1.5x blocks/sec.
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).unwrap();
+        let runs = committed();
         let run = select_run(&runs, Some("trace-exec")).expect("trace-exec run is committed");
-        let dynamo = run.mode("dynamo").expect("dynamo mode recorded");
-        let linked = run
-            .mode("dynamo-linked")
-            .expect("dynamo-linked mode recorded");
-        let ratio = linked.blocks_per_sec / dynamo.blocks_per_sec;
+        let dynamo = run.need("modes.dynamo.blocks_per_sec").unwrap();
+        let linked = run.need("modes.dynamo-linked.blocks_per_sec").unwrap();
+        let ratio = linked / dynamo;
         assert!(
             ratio >= 1.5,
             "dynamo-linked must run >= 1.5x the simulated dynamo mode, got {ratio:.2}x"
@@ -1570,28 +866,22 @@ mod tests {
         // execution must land within 10% of native block throughput,
         // beat unoptimized linked execution, and never execute more
         // guards than it.
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).unwrap();
+        let runs = committed();
         let run = select_run(&runs, Some("trace-opt")).expect("trace-opt run is committed");
-        let native = run.mode("native").expect("native mode recorded");
-        let linked = run
-            .mode("dynamo-linked")
-            .expect("dynamo-linked mode recorded");
-        let opt = run
-            .mode("dynamo-linked-opt")
-            .expect("dynamo-linked-opt mode recorded");
-        let vs_native = opt.blocks_per_sec / native.blocks_per_sec;
+        let metric = |name: &str| run.need(name).unwrap();
+        let opt = metric("modes.dynamo-linked-opt.blocks_per_sec");
+        let vs_native = opt / metric("modes.native.blocks_per_sec");
         assert!(
             vs_native >= 0.9,
             "dynamo-linked-opt must be within 10% of native, got {vs_native:.3}"
         );
         assert!(
-            opt.blocks_per_sec > linked.blocks_per_sec,
+            opt > metric("modes.dynamo-linked.blocks_per_sec"),
             "the optimizer must beat unoptimized linked execution"
         );
         let (linked_guards, opt_guards) = (
-            linked.guard_execs.expect("linked guard_execs recorded"),
-            opt.guard_execs.expect("opt guard_execs recorded"),
+            metric("modes.dynamo-linked.guard_execs"),
+            metric("modes.dynamo-linked-opt.guard_execs"),
         );
         assert!(
             opt_guards <= linked_guards,
@@ -1621,43 +911,42 @@ mod tests {
 
     #[test]
     fn guard_exec_counts_parse_and_are_optional() {
-        let with = &parse_perf_runs(&guard_doc("g", 30000)).unwrap()[0];
+        let with_guards = run(&guard_doc("g", 30000));
         assert_eq!(
-            with.mode("dynamo-linked-opt").unwrap().guard_execs,
+            with_guards.get("modes.dynamo-linked-opt.guard_execs"),
             Some(30000.0)
         );
-        // Documents predating the field still parse, with no guard gate.
-        let without = &parse_perf_runs(&perf_doc("old", 500000.0)).unwrap()[0];
-        assert_eq!(without.mode("net").unwrap().guard_execs, None);
-        let report = compare_perf(without, with, CompareOptions::default()).unwrap();
-        assert!(report.deltas.iter().all(|d| d.guards.is_none()));
+        // Documents predating the field still read, with no guard gate.
+        let old = run(&perf_doc("old", 1e6, 500000.0));
+        assert_eq!(old.get("modes.net.guard_execs"), None);
+        let checks = compare_perf(&old, &with_guards, DEFAULT_TOLERANCE).unwrap();
+        assert!(checks.iter().all(|c| !c.name.ends_with("guard_execs")));
     }
 
     #[test]
     fn guard_exec_increases_trip_the_gate_regardless_of_tolerance() {
-        let base = &parse_perf_runs(&guard_doc("base", 30000)).unwrap()[0];
-        let same = compare_perf(base, base, CompareOptions::default()).unwrap();
-        assert!(same.passed(), "{}", same.render());
+        let base = run(&guard_doc("base", 30000));
+        let same = compare_perf(&base, &base, DEFAULT_TOLERANCE).unwrap();
+        assert!(failing(&same).is_empty(), "{}", render("", &same));
         // Throughput identical, guard count up: still a regression, even
         // under an absurdly loose tolerance.
-        let worse = &parse_perf_runs(&guard_doc("cur", 30001)).unwrap()[0];
-        let report = compare_perf(
-            base,
-            worse,
-            CompareOptions {
-                tolerance: 0.99,
-                relative: false,
-            },
-        )
-        .unwrap();
-        assert!(!report.passed());
-        let regressed: Vec<&str> = report.regressions().map(|d| d.mode.as_str()).collect();
-        assert_eq!(regressed, ["dynamo-linked-opt"]);
-        assert!(report.render().contains("guard execs increased"));
+        let worse = run(&guard_doc("cur", 30001));
+        let checks = compare_perf(&base, &worse, 0.99).unwrap();
+        assert_eq!(failing(&checks), ["modes.dynamo-linked-opt.guard_execs"]);
+        let table = render("perf gate", &checks);
+        let row = table
+            .lines()
+            .find(|l| l.starts_with("modes.dynamo-linked-opt.guard_execs"))
+            .unwrap();
+        assert!(row.contains("<= 30000") && row.ends_with("FAIL"), "{table}");
+        // The native normalizer's own guard count is gated like any other.
+        let native = with(&base, "cur", "modes.native.guard_execs", 1.0);
+        let checks = compare_perf(&base, &native, 0.99).unwrap();
+        assert_eq!(failing(&checks), ["modes.native.guard_execs"]);
         // Decreases are improvements, never regressions.
-        let better = &parse_perf_runs(&guard_doc("cur", 20000)).unwrap()[0];
-        let report = compare_perf(base, better, CompareOptions::default()).unwrap();
-        assert!(report.passed(), "{}", report.render());
+        let better = run(&guard_doc("cur", 20000));
+        let checks = compare_perf(&base, &better, DEFAULT_TOLERANCE).unwrap();
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
     }
 
     fn serve_doc(label: &str, aggregate_rate: f64) -> String {
@@ -1687,39 +976,23 @@ mod tests {
         // loadgen documents gate exactly like perf_baseline ones: a 15%
         // aggregate-throughput loss fails the default 10% tolerance while
         // the untouched modes stay green.
-        let base = &parse_perf_runs(&serve_doc("base", 40000000.0)).unwrap()[0];
-        let cur = &parse_perf_runs(&serve_doc("cur", 34000000.0)).unwrap()[0];
-        let report = compare_perf(base, cur, CompareOptions::default()).unwrap();
-        assert!(!report.passed());
-        let regressed: Vec<&str> = report.regressions().map(|d| d.mode.as_str()).collect();
-        assert_eq!(regressed, ["serve-aggregate"]);
-        // Relative mode works too — loadgen always records `native`.
-        let rel = compare_perf(
-            base,
-            cur,
-            CompareOptions {
-                tolerance: DEFAULT_TOLERANCE,
-                relative: true,
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            rel.regressions()
-                .map(|d| d.mode.as_str())
-                .collect::<Vec<_>>(),
-            ["serve-aggregate"]
-        );
+        let base = run(&serve_doc("base", 40000000.0));
+        let cur = run(&serve_doc("cur", 34000000.0));
+        let checks = compare_perf(&base, &cur, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(failing(&checks), ["modes.serve-aggregate.blocks_per_sec"]);
     }
 
     #[test]
     fn serve_and_baseline_runs_compare_over_their_shared_surface() {
-        // A loadgen run and a perf_baseline run share only `native`; the
-        // gate judges that shared mode instead of erroring out.
-        let baseline = &parse_perf_runs(&perf_doc("pipeline", 500000.0)).unwrap()[0];
-        let serve = &parse_perf_runs(&serve_doc("serve", 40000000.0)).unwrap()[0];
-        let report = compare_perf(baseline, serve, CompareOptions::default()).unwrap();
-        let modes: Vec<&str> = report.deltas.iter().map(|d| d.mode.as_str()).collect();
-        assert_eq!(modes, ["native"]);
+        // A loadgen run and a perf_baseline run share only `native`, the
+        // normalizer; the gate judges that empty shared surface instead of
+        // erroring out.
+        let baseline = run(&perf_doc("pipeline", 1e6, 500000.0));
+        let serve = run(&serve_doc("serve", 40000000.0));
+        assert_eq!(
+            compare_perf(&baseline, &serve, DEFAULT_TOLERANCE),
+            Ok(vec![])
+        );
     }
 
     /// A one-run document with a native normalizer, one extra mode, and
@@ -1744,36 +1017,27 @@ mod tests {
     fn trend_warns_on_cumulative_drift_that_each_step_hides() {
         // Three steps each losing ~7% — every pairwise gate at 10%
         // passes, but first-to-last is a 20% loss the trend must flag.
-        let doc = multi_doc(&[
+        let history = runs(&multi_doc(&[
             run_obj("a", "net", 500000.0, None),
             run_obj("b", "net", 465000.0, None),
             run_obj("c", "net", 432000.0, None),
             run_obj("d", "net", 400000.0, None),
-        ]);
-        let runs = parse_perf_runs(&doc).unwrap();
-        for pair in runs.windows(2) {
-            let step = compare_perf(&pair[0], &pair[1], CompareOptions::default()).unwrap();
-            assert!(step.passed(), "{}", step.render());
+        ]));
+        for pair in history.windows(2) {
+            let step = compare_perf(&pair[0], &pair[1], DEFAULT_TOLERANCE).unwrap();
+            assert!(failing(&step).is_empty(), "{}", render("", &step));
         }
-        let trend = perf_trend(&runs, DEFAULT_TOLERANCE).unwrap();
-        let warned: Vec<&str> = trend.warnings().map(|d| d.mode.as_str()).collect();
-        assert_eq!(warned, ["net"]);
-        let drift = &trend.drifts[0];
-        assert_eq!(drift.samples, 4);
-        assert_eq!(
-            (drift.first_label.as_str(), drift.last_label.as_str()),
-            ("a", "d")
-        );
-        assert!((drift.ratio - 0.8).abs() < 1e-9, "{}", drift.ratio);
-        assert!(trend.render().contains("WARN"), "{}", trend.render());
+        let trend = perf_trend(&history, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(failing(&trend), ["modes.net.blocks_per_sec (a -> d)"]);
+        let ratio = trend[0].current / trend[0].baseline;
+        assert!((ratio - 0.8).abs() < 1e-9, "{ratio}");
         // A flat document draws no warnings.
-        let flat = parse_perf_runs(&multi_doc(&[
+        let flat = runs(&multi_doc(&[
             run_obj("a", "net", 500000.0, None),
             run_obj("b", "net", 500000.0, None),
-        ]))
-        .unwrap();
+        ]));
         let trend = perf_trend(&flat, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(trend.warnings().count(), 0);
+        assert!(failing(&trend).is_empty());
     }
 
     #[test]
@@ -1784,77 +1048,83 @@ mod tests {
             run_obj("fast-host", "net", 500000.0, None),
             run_obj("slow-host", "net", 250000.0, None),
         ]);
-        let mut runs = parse_perf_runs(&doc).unwrap();
-        // Halve the second run's native rate too — the whole host is
-        // uniformly 2x slower, so the relative rate is unchanged at 0.5.
-        runs[1].modes[0].1.blocks_per_sec = 500000.0;
+        let mut runs = runs(&doc);
+        runs[1] = with(
+            &runs[1],
+            "slow-host",
+            "modes.native.blocks_per_sec",
+            500000.0,
+        );
         let trend = perf_trend(&runs, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(trend.warnings().count(), 0, "{}", trend.render());
+        assert!(failing(&trend).is_empty(), "{}", render("", &trend));
         let err = perf_trend(&runs[..1], DEFAULT_TOLERANCE).unwrap_err();
         assert!(err.contains("at least two"), "{err}");
     }
 
     #[test]
     fn curve_gates_retention_between_smallest_and_largest_scale() {
-        let doc = multi_doc(&[
-            run_obj("sweep-n100", "serve-aggregate", 1000000.0, Some(100)),
-            run_obj("sweep-n1000", "serve-aggregate", 800000.0, Some(1000)),
-            run_obj("sweep-n10000", "serve-aggregate", 600000.0, Some(10000)),
-            run_obj("other", "serve-aggregate", 1.0, None),
-        ]);
-        let runs = parse_perf_runs(&doc).unwrap();
-        let report = sweep_curve(&runs, "sweep", DEFAULT_CURVE_FLOOR).unwrap();
-        assert!(report.passed, "{}", report.render());
-        assert_eq!(report.points.len(), 3);
-        assert!((report.retention - 0.6).abs() < 1e-9);
-        // A tighter floor fails the same curve.
-        let strict = sweep_curve(&runs, "sweep", 0.7).unwrap();
-        assert!(!strict.passed);
-        assert!(strict.render().contains("BELOW FLOOR"));
+        let curve = |largest: f64| {
+            runs(&multi_doc(&[
+                run_obj("sweep-n100", "serve-aggregate", 1000000.0, Some(100)),
+                run_obj("sweep-n1000", "serve-aggregate", 800000.0, Some(1000)),
+                run_obj("sweep-n10000", "serve-aggregate", largest, Some(10000)),
+                run_obj("other", "serve-aggregate", 1.0, None),
+            ]))
+        };
+        let checks = sweep_curve(&curve(600000.0), "sweep").unwrap();
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
+        assert_eq!(
+            checks[0].name,
+            "modes.serve-aggregate.blocks_per_sec (sweep-n100 -> sweep-n10000)"
+        );
+        assert!((checks[0].current / checks[0].baseline - 0.6).abs() < 1e-9);
+        // Retention below the 0.5 floor fails.
+        let collapsed = sweep_curve(&curve(400000.0), "sweep").unwrap();
+        assert_eq!(collapsed.len(), 1);
+        assert!(!collapsed[0].pass);
     }
 
     #[test]
     fn curve_keeps_the_latest_run_per_session_count() {
         // Documents accumulate: a re-measured point under the same label
         // must supersede the stale one.
-        let doc = multi_doc(&[
+        let runs = runs(&multi_doc(&[
             run_obj("sweep-n100", "serve-aggregate", 1000000.0, Some(100)),
             run_obj("sweep-n10000", "serve-aggregate", 100000.0, Some(10000)),
             run_obj("sweep-n10000", "serve-aggregate", 900000.0, Some(10000)),
-        ]);
-        let runs = parse_perf_runs(&doc).unwrap();
-        let report = sweep_curve(&runs, "sweep", DEFAULT_CURVE_FLOOR).unwrap();
-        assert!(report.passed, "{}", report.render());
-        assert_eq!(report.points[1].rate, 900000.0);
+        ]));
+        let checks = sweep_curve(&runs, "sweep").unwrap();
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
+        assert_eq!(checks[0].current, 900000.0);
     }
 
     #[test]
     fn curve_rejects_thin_or_malformed_input() {
-        let one = parse_perf_runs(&multi_doc(&[run_obj(
+        let one = runs(&multi_doc(&[run_obj(
             "sweep-n100",
             "serve-aggregate",
             1000000.0,
             Some(100),
-        )]))
-        .unwrap();
-        assert!(sweep_curve(&one, "sweep", 0.5)
+        )]));
+        assert!(sweep_curve(&one, "sweep")
             .unwrap_err()
             .contains("at least two"));
-        assert!(sweep_curve(&one, "sweep", 0.0)
-            .unwrap_err()
-            .contains("floor"));
-        assert!(sweep_curve(&one, "sweep", 1.5)
-            .unwrap_err()
-            .contains("floor"));
         // A matching label without serve-aggregate is an error, not a skip.
-        let wrong = parse_perf_runs(&multi_doc(&[
+        let wrong = runs(&multi_doc(&[
             run_obj("sweep-n100", "net", 1.0, Some(100)),
             run_obj("sweep-n1000", "serve-aggregate", 1.0, Some(1000)),
-        ]))
-        .unwrap();
-        assert!(sweep_curve(&wrong, "sweep", 0.5)
+        ]));
+        assert!(sweep_curve(&wrong, "sweep")
             .unwrap_err()
             .contains("serve-aggregate"));
+        // So is a zero rate, which no retention can be measured against.
+        let zero = runs(&multi_doc(&[
+            run_obj("sweep-n100", "serve-aggregate", 0.0, Some(100)),
+            run_obj("sweep-n1000", "serve-aggregate", 1.0, Some(1000)),
+        ]));
+        assert!(sweep_curve(&zero, "sweep")
+            .unwrap_err()
+            .contains("unusable `modes.serve-aggregate.blocks_per_sec`"));
     }
 
     fn warm_doc(label: &str, li_prewarmed: f64, warm_rate: f64) -> String {
@@ -1885,57 +1155,52 @@ mod tests {
 
     #[test]
     fn warm_start_records_parse_and_default_empty() {
-        let runs = parse_perf_runs(&warm_doc("w", 0.0, 40000000.0)).unwrap();
-        assert_eq!(runs[0].warm_start.len(), 2);
-        assert_eq!(runs[0].warm_start[0].workload, "compress");
-        assert_eq!(runs[0].warm_start[1].cold_blocks_to_first_trace, 256.0);
-        assert_eq!(runs[0].warm_start[1].prewarmed_blocks_to_first_trace, 0.0);
-        // Documents without the section still parse, with no records.
-        let old = parse_perf_runs(&perf_doc("old", 500000.0)).unwrap();
-        assert!(old[0].warm_start.is_empty());
+        let run = run(&warm_doc("w", 0.0, 40000000.0));
+        let workloads: Vec<&str> = run.section("warm_start").unwrap().into_iter().collect();
+        assert_eq!(workloads, ["compress", "li"]);
+        assert_eq!(
+            run.get("warm_start.li.cold_blocks_to_first_trace"),
+            Some(256.0)
+        );
+        assert_eq!(
+            run.get("warm_start.li.prewarmed_blocks_to_first_trace"),
+            Some(0.0)
+        );
+        // Documents without the section still read, with no records.
+        let old = runs(&perf_doc("old", 1e6, 500000.0));
+        assert!(old[0].section("warm_start").is_err());
     }
 
     #[test]
     fn warm_start_gate_requires_strictly_fewer_blocks_to_first_trace() {
-        let good = &parse_perf_runs(&warm_doc("w", 0.0, 40000000.0)).unwrap()[0];
-        let report = warm_start_gate(good, CompareOptions::default()).unwrap();
-        assert!(report.passed(), "{}", report.render());
+        let good = run(&warm_doc("w", 0.0, 40000000.0));
+        let checks = warm_start_gate(&good, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(checks.len(), 3, "two workloads and the throughput check");
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
         // Equal counts are not strictly below: the gate must fail.
-        let tie = &parse_perf_runs(&warm_doc("w", 256.0, 40000000.0)).unwrap()[0];
-        let report = warm_start_gate(tie, CompareOptions::default()).unwrap();
-        assert!(!report.passed());
-        assert!(
-            report.render().contains("NOT BELOW COLD"),
-            "{}",
-            report.render()
+        let tie = run(&warm_doc("w", 256.0, 40000000.0));
+        let checks = warm_start_gate(&tie, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(
+            failing(&checks),
+            ["warm_start.li.prewarmed_blocks_to_first_trace"]
         );
         // And a run without warm-start data cannot be gated at all.
-        let old = &parse_perf_runs(&perf_doc("old", 500000.0)).unwrap()[0];
-        let err = warm_start_gate(old, CompareOptions::default()).unwrap_err();
-        assert!(err.contains("no warm_start section"), "{err}");
+        let old = run(&perf_doc("old", 1e6, 500000.0));
+        let err = warm_start_gate(&old, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("no `warm_start` section"), "{err}");
     }
 
     #[test]
     fn warm_start_gate_trips_on_prewarmed_throughput_loss() {
         // Pre-warmed serving 15% under cold fails the default 10%
         // tolerance; first-trace counts alone cannot save the run.
-        let slow = &parse_perf_runs(&warm_doc("w", 0.0, 29750000.0)).unwrap()[0];
-        let report = warm_start_gate(slow, CompareOptions::default()).unwrap();
-        assert!(report.verdicts.iter().all(|v| v.passed));
-        assert!(report.throughput.regressed);
-        assert!(!report.passed());
-        // Relative mode normalizes both serving rates by the same native
-        // rate, so the within-run verdict is unchanged.
-        let rel = warm_start_gate(
-            slow,
-            CompareOptions {
-                tolerance: DEFAULT_TOLERANCE,
-                relative: true,
-            },
-        )
-        .unwrap();
-        assert!((rel.throughput.ratio - report.throughput.ratio).abs() < 1e-12);
-        assert!(!rel.passed());
+        let slow = run(&warm_doc("w", 0.0, 29750000.0));
+        let checks = warm_start_gate(&slow, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(failing(&checks), ["modes.serve-prewarmed.blocks_per_sec"]);
+        // Both serving rates are divided by the same native rate, so the
+        // within-run ratio is the raw one.
+        let throughput = checks.last().unwrap();
+        assert!((throughput.current / throughput.baseline - 0.85).abs() < 1e-12);
     }
 
     #[test]
@@ -1952,23 +1217,30 @@ mod tests {
     }
   ]
 }"#;
-        let run = &parse_perf_runs(zero_cold).unwrap()[0];
-        let err = warm_start_gate(run, CompareOptions::default()).unwrap_err();
-        assert!(err.contains("unusable first-trace counts"), "{err}");
+        let err = warm_start_gate(&run(zero_cold), DEFAULT_TOLERANCE).unwrap_err();
+        assert!(
+            err.contains("unusable `warm_start.li.cold_blocks_to_first_trace`"),
+            "{err}"
+        );
+        let good = run(&warm_doc("w", 0.0, 40000000.0));
         // A warm-start run missing a serving mode is an error, not a pass.
-        let mut no_mode = parse_perf_runs(&warm_doc("w", 0.0, 40000000.0)).unwrap()[0].clone();
-        no_mode.modes.retain(|(name, _)| name != "serve-prewarmed");
-        let err = warm_start_gate(&no_mode, CompareOptions::default()).unwrap_err();
+        let no_mode = without(&good, "modes.serve-prewarmed");
+        let err = warm_start_gate(&no_mode, DEFAULT_TOLERANCE).unwrap_err();
         assert!(err.contains("serve-prewarmed"), "{err}");
-        // Relative mode needs the native normalizer.
-        let mut no_native = parse_perf_runs(&warm_doc("w", 0.0, 40000000.0)).unwrap()[0].clone();
-        no_native.modes.retain(|(name, _)| name != "native");
-        let options = CompareOptions {
-            tolerance: DEFAULT_TOLERANCE,
-            relative: true,
-        };
-        let err = warm_start_gate(&no_native, options).unwrap_err();
-        assert!(err.contains("no `native` mode"), "{err}");
+        // The throughput check needs the native normalizer.
+        let no_native = without(&good, "modes.native");
+        let err = warm_start_gate(&no_native, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("no `modes.native.blocks_per_sec`"), "{err}");
+        // A workload with only one of its two counts is an error too.
+        let half = without(&good, "warm_start.li");
+        let half = with(
+            &half,
+            "w",
+            "warm_start.li.cold_blocks_to_first_trace",
+            256.0,
+        );
+        let err = warm_start_gate(&half, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("warm_start.li.prewarmed"), "{err}");
     }
 
     #[test]
@@ -1978,48 +1250,30 @@ mod tests {
         // strictly fewer blocks pre-warmed than cold, and the pre-warmed
         // serving throughput must hold within the default tolerance —
         // this is what CI's warmstart-smoke job re-measures.
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).unwrap();
+        let runs = committed();
         let run = select_run(&runs, Some("warmstart")).expect("warmstart run is committed");
+        let workloads = run.section("warm_start").unwrap().len();
         assert!(
-            run.warm_start.len() >= 9,
-            "warm-start run covers the whole suite, got {}",
-            run.warm_start.len()
+            workloads >= 9,
+            "warm-start run covers the whole suite, got {workloads}"
         );
-        let report = warm_start_gate(
-            run,
-            CompareOptions {
-                tolerance: DEFAULT_TOLERANCE,
-                relative: true,
-            },
-        )
-        .unwrap();
-        assert!(report.passed(), "{}", report.render());
-        for v in &report.verdicts {
-            assert!(
-                v.point.prewarmed_blocks_to_first_trace < v.point.cold_blocks_to_first_trace,
-                "{}: prewarmed {} not strictly below cold {}",
-                v.point.workload,
-                v.point.prewarmed_blocks_to_first_trace,
-                v.point.cold_blocks_to_first_trace
-            );
-        }
+        let checks = warm_start_gate(run, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(checks.len(), workloads + 1);
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
     }
 
     #[test]
     fn committed_document_trends_clean() {
         // The repo's own history must not show cumulative native-relative
         // drift — this is what `bench_compare --trend` gates in CI.
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).unwrap();
-        let trend = perf_trend(&runs, DEFAULT_TOLERANCE).unwrap();
-        for warn in trend.warnings() {
+        let trend = perf_trend(&committed(), DEFAULT_TOLERANCE).unwrap();
+        for name in failing(&trend) {
             // Aggregate serving throughput legitimately varies with the
             // recording host's core count; everything else must hold.
             assert!(
-                warn.mode.starts_with("serve"),
+                name.starts_with("modes.serve"),
                 "unexpected drift: {}",
-                trend.render()
+                render("", &trend)
             );
         }
     }
@@ -2028,50 +1282,40 @@ mod tests {
     fn committed_serve_run_records_aggregate_throughput() {
         // The repo's own BENCH_perf.json carries a loadgen run labelled
         // `serve` with all three serving modes, usable as a gate baseline
-        // (relative mode included — it has the `native` normalizer).
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).unwrap();
+        // (it has the `native` normalizer).
+        let runs = committed();
         let run = select_run(&runs, Some("serve")).expect("serve run is committed");
         for mode in ["native", "serve-single", "serve-aggregate"] {
-            let perf = run
-                .mode(mode)
-                .unwrap_or_else(|| panic!("{mode} mode recorded"));
-            assert!(
-                perf.blocks_per_sec.is_finite() && perf.blocks_per_sec > 0.0,
-                "{mode}: unusable rate {}",
-                perf.blocks_per_sec
-            );
+            let rate = run.need(&format!("modes.{mode}.blocks_per_sec")).unwrap();
+            assert!(rate > 0.0, "{mode}: unusable rate {rate}");
         }
-        let report = compare_perf(
-            run,
-            run,
-            CompareOptions {
-                tolerance: DEFAULT_TOLERANCE,
-                relative: true,
-            },
-        )
-        .unwrap();
-        assert!(report.passed(), "{}", report.render());
+        let checks = compare_perf(run, run, DEFAULT_TOLERANCE).unwrap();
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
     }
 
     #[test]
     fn committed_scale_sweep_curve_holds_the_floor() {
         // The repo's own BENCH_perf.json carries the reactor scale curve
         // (runs `scale-n100` / `scale-n1000` / `scale-n10000`): every
-        // point parses with a session count and a peak-RSS record, and
+        // point reads with a session count and a peak-RSS record, and
         // throughput retention from the smallest to the largest point
-        // clears the default floor — this is what the nightly sweep and
+        // clears the floor — this is what the nightly sweep and
         // `bench_compare --curve` gate against fresh measurements.
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).unwrap();
-        let report =
-            sweep_curve(&runs, "scale", DEFAULT_CURVE_FLOOR).expect("committed scale sweep parses");
-        assert!(report.passed, "{}", report.render());
-        assert!(report.points.len() >= 3, "curve spans at least 3 scales");
-        assert_eq!(
-            report.points.last().map(|p| p.sessions),
-            Some(10_000.0),
-            "curve reaches 10K concurrent sessions"
+        let runs = committed();
+        let points: Vec<&Run> = runs
+            .iter()
+            .filter(|r| r.label.starts_with("scale-n"))
+            .collect();
+        assert!(points.len() >= 3, "curve spans at least 3 scales");
+        for point in points {
+            assert!(point.get("sessions").is_some() && point.get("rss_max_bytes").is_some());
+        }
+        let checks = sweep_curve(&runs, "scale").expect("committed scale sweep reads");
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
+        assert!(
+            checks[0].name.ends_with("-> scale-n10000)"),
+            "curve reaches 10K concurrent sessions: {}",
+            checks[0].name
         );
     }
 
@@ -2109,44 +1353,57 @@ mod tests {
 
     #[test]
     fn chaos_section_parses_and_defaults_absent() {
-        let runs = parse_perf_runs(&chaos_doc(0, 0, 100, 3)).unwrap();
-        let section = runs[0].chaos.as_ref().expect("chaos section parsed");
-        assert_eq!(section.rate, 0.05);
-        assert_eq!(section.completed, 18.0);
-        assert_eq!(section.client_retries, 100.0);
-        assert_eq!(section.faults_observed(), 104.0);
-        // Documents without the section still parse, with no record.
-        let old = parse_perf_runs(&perf_doc("old", 500000.0)).unwrap();
-        assert!(old[0].chaos.is_none());
+        let run = run(&chaos_doc(0, 0, 100, 3));
+        assert_eq!(run.get("chaos.rate"), Some(0.05));
+        assert_eq!(run.get("chaos.completed"), Some(18.0));
+        assert_eq!(run.get("chaos.client_retries"), Some(100.0));
+        let checks = chaos_gate(&run).unwrap();
+        let absorbed = checks
+            .iter()
+            .find(|c| c.name == "chaos.faults_absorbed")
+            .unwrap();
+        assert_eq!(absorbed.current, 104.0);
+        // Documents without the section still read, with no record.
+        let old = runs(&perf_doc("old", 1e6, 500000.0));
+        assert!(old[0].section("chaos").is_err());
         // A section missing a counter is an error, not a default.
         let broken = chaos_doc(0, 0, 1, 1).replace("\"leaked\": 0,\n", "");
-        let err = parse_perf_runs(&broken).unwrap_err();
+        let err = chaos_gate(&runs(&broken)[0]).unwrap_err();
         assert!(err.contains("leaked"), "{err}");
+        // So is a fault rate outside (0, 1].
+        let calm = chaos_doc(0, 0, 1, 1).replace("\"rate\": 0.05", "\"rate\": 0");
+        let err = chaos_gate(&runs(&calm)[0]).unwrap_err();
+        assert!(err.contains("chaos rate"), "{err}");
     }
 
     #[test]
     fn chaos_gate_requires_clean_completion_and_observed_faults() {
-        let good = &parse_perf_runs(&chaos_doc(0, 0, 100, 3)).unwrap()[0];
-        let report = chaos_gate(good).unwrap();
-        assert!(report.passed(), "{}", report.render());
+        let good = run(&chaos_doc(0, 0, 100, 3));
+        let checks = chaos_gate(&good).unwrap();
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
         // A leaked session fails the gate.
-        let leaky = &parse_perf_runs(&chaos_doc(1, 0, 100, 3)).unwrap()[0];
-        assert!(!chaos_gate(leaky).unwrap().passed());
+        let leaky = run(&chaos_doc(1, 0, 100, 3));
+        assert_eq!(failing(&chaos_gate(&leaky).unwrap()), ["chaos.leaked"]);
         // A divergent session fails the gate.
-        let divergent = &parse_perf_runs(&chaos_doc(0, 2, 100, 3)).unwrap()[0];
-        assert!(!chaos_gate(divergent).unwrap().passed());
+        let divergent = run(&chaos_doc(0, 2, 100, 3));
+        assert_eq!(
+            failing(&chaos_gate(&divergent).unwrap()),
+            ["chaos.divergent"]
+        );
+        // Fewer completions than sessions driven fails the gate.
+        let short = with(&good, "chaos", "chaos.completed", 17.0);
+        assert_eq!(failing(&chaos_gate(&short).unwrap()), ["chaos.completed"]);
         // A run that dodged every fault proves nothing; quarantine and
         // readmission counts alone cannot save it here because this doc
         // zeroes retries/restarts only — so rebuild with all zero.
         let calm = chaos_doc(0, 0, 0, 0)
             .replace("\"profiles_quarantined\": 1", "\"profiles_quarantined\": 0");
-        let calm = &parse_perf_runs(&calm).unwrap()[0];
-        let report = chaos_gate(calm).unwrap();
-        assert!(!report.passed(), "{}", report.render());
+        let checks = chaos_gate(&run(&calm)).unwrap();
+        assert_eq!(failing(&checks), ["chaos.faults_absorbed"]);
         // And a run without a chaos section cannot be gated at all.
-        let old = &parse_perf_runs(&perf_doc("old", 500000.0)).unwrap()[0];
-        let err = chaos_gate(old).unwrap_err();
-        assert!(err.contains("no chaos section"), "{err}");
+        let old = run(&perf_doc("old", 1e6, 500000.0));
+        let err = chaos_gate(&old).unwrap_err();
+        assert!(err.contains("no `chaos` section"), "{err}");
     }
 
     fn alloc_doc(label: &str, bytes_per_block: f64, allocs_per_block: f64) -> String {
@@ -2185,63 +1442,54 @@ mod tests {
 
     #[test]
     fn alloc_section_parses_and_defaults_absent() {
-        let runs = parse_perf_runs(&alloc_doc("a", 44.87, 0.785)).unwrap();
-        let section = runs[0].alloc.as_ref().expect("alloc section parsed");
-        assert_eq!(section.bytes_per_block, 44.87);
-        assert_eq!(section.allocs_per_block, 0.785);
-        assert_eq!(section.served_blocks, 1158966.0);
-        assert_eq!(section.stages.len(), 3);
-        assert_eq!(section.stages[0].0, "frame_decode");
-        assert_eq!(section.stages[0].1, 21000000.0);
-        // Documents without the section still parse, with no record.
-        let old = parse_perf_runs(&perf_doc("old", 500000.0)).unwrap();
-        assert!(old[0].alloc.is_none());
+        let run = run(&alloc_doc("a", 44.87, 0.785));
+        assert_eq!(run.get("alloc.bytes_per_block"), Some(44.87));
+        assert_eq!(run.get("alloc.allocs_per_block"), Some(0.785));
+        assert_eq!(run.get("alloc.served_blocks"), Some(1158966.0));
+        let stages: Vec<&str> = run.section("alloc.stages").unwrap().into_iter().collect();
+        assert_eq!(stages, ["frame_decode", "shard_dispatch", "vm_slice"]);
+        assert_eq!(run.get("alloc.stages.frame_decode.bytes"), Some(21000000.0));
+        // Documents without the section still read, with no record.
+        let old = runs(&perf_doc("old", 1e6, 500000.0));
+        assert!(old[0].section("alloc").is_err());
         // A section missing a per-block ratio is an error, not a default.
-        let broken = alloc_doc("a", 1.0, 1.0).replace("\"allocs_per_block\": 1,\n", "");
-        let err = parse_perf_runs(&broken).unwrap_err();
+        let broken = runs(&alloc_doc("a", 1.0, 1.0).replace("\"allocs_per_block\": 1,\n", ""));
+        let err = alloc_gate(&broken[0], &broken[0], DEFAULT_TOLERANCE).unwrap_err();
         assert!(err.contains("allocs_per_block"), "{err}");
     }
 
     #[test]
     fn alloc_gate_trips_on_per_block_increases_only() {
-        let base = &parse_perf_runs(&alloc_doc("base", 100.0, 1.0)).unwrap()[0];
+        let base = run(&alloc_doc("base", 100.0, 1.0));
         // Self-comparison validates the committed section and passes.
-        let same = alloc_gate(base, base, DEFAULT_TOLERANCE).unwrap();
-        assert!(same.passed(), "{}", same.render());
+        let same = alloc_gate(&base, &base, DEFAULT_TOLERANCE).unwrap();
+        assert!(failing(&same).is_empty(), "{}", render("", &same));
         // A 15% bytes-per-block increase fails the default 10% tolerance.
-        let fat = &parse_perf_runs(&alloc_doc("fat", 115.0, 1.0)).unwrap()[0];
-        let report = alloc_gate(base, fat, DEFAULT_TOLERANCE).unwrap();
-        assert!(!report.passed());
-        let regressed: Vec<&str> = report
-            .deltas
-            .iter()
-            .filter(|d| d.regressed)
-            .map(|d| d.metric)
-            .collect();
-        assert_eq!(regressed, ["bytes_per_block"]);
-        assert!(report.render().contains("REGRESSED"), "{}", report.render());
+        let fat = run(&alloc_doc("fat", 115.0, 1.0));
+        let checks = alloc_gate(&base, &fat, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(failing(&checks), ["alloc.bytes_per_block"]);
         // So does a 15% allocation-count increase at flat bytes.
-        let chatty = &parse_perf_runs(&alloc_doc("chatty", 100.0, 1.15)).unwrap()[0];
-        assert!(!alloc_gate(base, chatty, DEFAULT_TOLERANCE)
-            .unwrap()
-            .passed());
+        let chatty = run(&alloc_doc("chatty", 100.0, 1.15));
+        let checks = alloc_gate(&base, &chatty, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(failing(&checks), ["alloc.allocs_per_block"]);
         // Decreases are improvements — a near-alloc-free current run passes.
-        let lean = &parse_perf_runs(&alloc_doc("lean", 1.0, 0.01)).unwrap()[0];
-        assert!(alloc_gate(base, lean, DEFAULT_TOLERANCE).unwrap().passed());
+        let lean = run(&alloc_doc("lean", 1.0, 0.01));
+        let checks = alloc_gate(&base, &lean, DEFAULT_TOLERANCE).unwrap();
+        assert!(failing(&checks).is_empty());
     }
 
     #[test]
     fn alloc_gate_rejects_missing_or_hollow_sections() {
-        let base = &parse_perf_runs(&alloc_doc("base", 100.0, 1.0)).unwrap()[0];
+        let base = run(&alloc_doc("base", 100.0, 1.0));
         // A run measured without the measuring allocator cannot be gated.
-        let old = &parse_perf_runs(&perf_doc("old", 500000.0)).unwrap()[0];
-        let err = alloc_gate(base, old, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("no alloc section"), "{err}");
-        let err = alloc_gate(old, base, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("no alloc section"), "{err}");
+        let old = run(&perf_doc("old", 1e6, 500000.0));
+        let err = alloc_gate(&base, &old, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("no `alloc` section"), "{err}");
+        let err = alloc_gate(&old, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("no `alloc` section"), "{err}");
         // A zero baseline means the hooks were compiled out, not perfection.
-        let hollow = &parse_perf_runs(&alloc_doc("hollow", 0.0, 0.0)).unwrap()[0];
-        let err = alloc_gate(hollow, base, DEFAULT_TOLERANCE).unwrap_err();
+        let hollow = run(&alloc_doc("hollow", 0.0, 0.0));
+        let err = alloc_gate(&hollow, &base, DEFAULT_TOLERANCE).unwrap_err();
         assert!(err.contains("measuring allocator"), "{err}");
     }
 
@@ -2251,17 +1499,16 @@ mod tests {
         // under a selfprof-alloc build: its serve-path allocation profile
         // must exist, be well-formed, and pass the gate against itself —
         // this is what CI's selfprof-smoke job re-measures.
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).unwrap();
+        let runs = committed();
         let run = select_run(&runs, Some("selfprof")).expect("selfprof run is committed");
-        let report = alloc_gate(run, run, DEFAULT_TOLERANCE).unwrap();
-        assert!(report.passed(), "{}", report.render());
-        let section = run.alloc.as_ref().unwrap();
+        let checks = alloc_gate(run, run, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(checks.len(), 2);
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
         assert!(
-            !section.stages.is_empty(),
+            run.section("alloc.stages").is_ok(),
             "committed alloc profile must break down by stage"
         );
-        assert!(section.served_blocks > 0.0);
+        assert!(run.need("alloc.served_blocks").unwrap() > 0.0);
     }
 
     #[test]
@@ -2270,18 +1517,16 @@ mod tests {
         // every session completed bit-identical under injected wire and
         // shard faults, nothing leaked, and the pass visibly absorbed
         // faults — this is what CI's chaos-smoke job re-measures.
-        let text = include_str!("../../../BENCH_perf.json");
-        let runs = parse_perf_runs(text).unwrap();
+        let runs = committed();
         let run = select_run(&runs, Some("chaos")).expect("chaos run is committed");
-        let report = chaos_gate(run).unwrap();
-        assert!(report.passed(), "{}", report.render());
-        let section = run.chaos.as_ref().unwrap();
+        let checks = chaos_gate(run).unwrap();
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
         assert!(
-            section.shards_restarted > 0.0,
+            run.need("chaos.shards_restarted").unwrap() > 0.0,
             "committed chaos run must exercise shard supervision"
         );
         assert!(
-            section.profiles_quarantined > 0.0,
+            run.need("chaos.profiles_quarantined").unwrap() > 0.0,
             "committed chaos run must exercise profile quarantine"
         );
     }

@@ -47,8 +47,8 @@ rm -f "$ART_DIR/bench_smoke.json" "$ART_DIR/telemetry_smoke.json"
 ./target/release/perf_baseline --scale smoke --reps 1 --label verify-smoke \
     --json "$ART_DIR/bench_smoke.json" --telemetry "$ART_DIR/telemetry_smoke.json"
 
-echo "== bench_compare self-gate (committed baseline, relative mode) =="
-./target/release/bench_compare BENCH_perf.json BENCH_perf.json --relative
+echo "== bench_compare self-gate (committed baseline) =="
+./target/release/bench_compare BENCH_perf.json BENCH_perf.json
 
 echo "== serve TCP smoke (spawn server, drive sessions, snapshot check) =="
 rm -f "$ART_DIR/serve_out.txt" "$ART_DIR/serve_smoke.json"
@@ -113,9 +113,8 @@ fi
     --shards 4 --label verify-warmstart --shutdown \
     --json "$ART_DIR/warmstart.json"
 wait "$WARM_PID"   # --shutdown must stop the server cleanly (exit 0)
-./target/release/bench_compare --warmstart verify-warmstart \
-    "$ART_DIR/warmstart.json" --relative
-./target/release/bench_compare --warmstart warmstart BENCH_perf.json --relative
+./target/release/bench_compare --warmstart verify-warmstart "$ART_DIR/warmstart.json"
+./target/release/bench_compare --warmstart warmstart BENCH_perf.json
 
 echo "== chaos smoke (wire + shard faults armed, bit-identity under chaos) =="
 rm -f "$ART_DIR/chaos.json"
@@ -131,7 +130,7 @@ echo "== profile_sim (merge policies replayed offline, order-independent) =="
 echo "== selfprof disabled-overhead gate (committed selfprof-off vs trace-opt) =="
 # Committed-vs-committed across recording hosts: use the CI perf-gate
 # tolerance (0.25) rather than the same-host default.
-./target/release/bench_compare BENCH_perf.json BENCH_perf.json --relative \
+./target/release/bench_compare BENCH_perf.json BENCH_perf.json \
     --baseline-label trace-opt --current-label selfprof-off --tolerance 0.25
 
 echo "== selfprof alloc self-gate (committed serve-path allocation profile) =="
