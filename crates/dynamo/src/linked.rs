@@ -173,6 +173,9 @@ pub struct LinkedEngine {
     watchdog: Option<Watchdog>,
     /// Blocks of the interpreted path currently being accumulated.
     cur_blocks: Vec<u32>,
+    /// An empty buffer that replaces `cur_blocks` when a path completes,
+    /// so completing a path allocates nothing.
+    spare_blocks: Vec<u32>,
     cur_insts: u32,
     /// Set after every excursion: the next interpreted block restarts path
     /// extraction (the pre-excursion path tail ran in trace-land,
@@ -214,6 +217,7 @@ impl LinkedEngine {
             cached_paths: Vec::new(),
             watchdog,
             cur_blocks: Vec::with_capacity(64),
+            spare_blocks: Vec::with_capacity(64),
             cur_insts: 0,
             resume_pending: false,
             bailed: false,
@@ -556,14 +560,18 @@ impl ExecutionObserver for LinkedEngine {
         let completed = self.extractor.sink_mut().0.take();
         let mut finished: Option<(Vec<u32>, u32)> = None;
         if completed.is_some() {
-            finished = Some((std::mem::take(&mut self.cur_blocks), self.cur_insts));
+            let spare = std::mem::take(&mut self.spare_blocks);
+            let blocks = std::mem::replace(&mut self.cur_blocks, spare);
+            finished = Some((blocks, self.cur_insts));
             self.cur_insts = 0;
         }
         self.cur_blocks.push(event.block.as_u32());
         self.cur_insts += event.block_size;
 
-        if let (Some(exec), Some((blocks, insts))) = (completed, finished) {
+        if let (Some(exec), Some((mut blocks, insts))) = (completed, finished) {
             self.on_completed_path(&exec, &blocks, insts);
+            blocks.clear();
+            self.spare_blocks = blocks;
             if self.bailed {
                 self.cycles.native += size * cost.native_per_inst;
                 return;

@@ -209,8 +209,8 @@ pub struct PathExtractor<S> {
 }
 
 impl<S: PathSink> PathExtractor<S> {
-    /// Creates an extractor feeding `sink` with the default cap and
-    /// [`BackwardRule::BranchesOnly`].
+    /// Creates an extractor feeding `sink` with the default cap and the
+    /// default rule, [`BackwardRule::AllTransfers`].
     pub fn new(sink: S) -> Self {
         Self::with_options(sink, DEFAULT_PATH_CAP, BackwardRule::default())
     }

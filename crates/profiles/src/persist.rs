@@ -12,6 +12,7 @@ use std::io::{self, Read, Write};
 
 use hotpath_ir::BlockId;
 
+use crate::path::PathStartKind;
 use crate::signature::{PathInfo, PathSignature, PathTable};
 use crate::stream::PathStream;
 
@@ -77,37 +78,54 @@ pub fn save_run<W: Write>(w: &mut W, stream: &PathStream, table: &PathTable) -> 
     Ok(())
 }
 
+/// Entries [`load_run`] reserves room for up front; longer runs grow as
+/// they are read, so a corrupt count cannot demand memory the file does
+/// not back.
+const MAX_RESERVE: usize = 1 << 16;
+
+fn invalid(msg: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
 /// Reads a recorded run written by [`save_run`].
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on a bad magic number or malformed contents, and
-/// propagates I/O errors.
+/// Returns `InvalidData` on a bad magic number, malformed contents, or a
+/// file that ends before the entries it declares, and propagates other I/O
+/// errors.
 pub fn load_run<R: Read>(r: &mut R) -> io::Result<(PathStream, PathTable)> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a hotpath run file (bad magic)",
-        ));
+        return Err(invalid("not a hotpath run file (bad magic)"));
     }
-    let n = r_u64(r)? as usize;
+    load_body(r).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => invalid("run file ends before its declared entries"),
+        _ => e,
+    })
+}
+
+fn load_body<R: Read>(r: &mut R) -> io::Result<(PathStream, PathTable)> {
+    let n = usize::try_from(r_u64(r)?).map_err(|_| invalid("stream length overflows"))?;
     let mut ended_b = [0u8; 1];
     r.read_exact(&mut ended_b)?;
-    let mut ids = Vec::with_capacity(n);
+    let mut ids = Vec::with_capacity(n.min(MAX_RESERVE));
     for _ in 0..n {
         ids.push(r_u32(r)?);
     }
-    let mut kinds = Vec::with_capacity(n);
+    let mut kinds = Vec::with_capacity(n.min(MAX_RESERVE));
     for _ in 0..n {
         let mut b = [0u8; 1];
         r.read_exact(&mut b)?;
+        if PathStartKind::from_tag(b[0] & 0b11).is_none() {
+            return Err(invalid("bad path start kind in run file"));
+        }
         kinds.push(b[0]);
     }
     let stream = PathStream::from_raw(ids, kinds, ended_b[0] != 0);
 
-    let paths = r_u64(r)? as usize;
+    let paths = r_u64(r)?;
     let mut table = PathTable::new();
     for k in 0..paths {
         let head = BlockId::new(r_u32(r)?);
@@ -118,14 +136,11 @@ pub fn load_run<R: Read>(r: &mut R) -> io::Result<(PathStream, PathTable)> {
         let start = BlockId::new(r_u32(r)?);
         let hlen = r_u32(r)?;
         let mut sig = PathSignature::new(start);
-        let words = hlen.div_ceil(64);
-        let mut history = Vec::with_capacity(words as usize);
-        for _ in 0..words {
-            history.push(r_u64(r)?);
-        }
-        for i in 0..hlen {
-            let word = history[(i / 64) as usize];
-            sig.push_bit(word >> (i % 64) & 1 == 1);
+        for w in 0..hlen.div_ceil(64) {
+            let word = r_u64(r)?;
+            for i in 0..(hlen - w * 64).min(64) {
+                sig.push_bit(word >> i & 1 == 1);
+            }
         }
         let ilen = r_u32(r)?;
         for _ in 0..ilen {
@@ -141,20 +156,14 @@ pub fn load_run<R: Read>(r: &mut R) -> io::Result<(PathStream, PathTable)> {
                 indirects,
             },
         );
-        if id.index() != k {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "duplicate signature in run file",
-            ));
+        if id.index() as u64 != k {
+            return Err(invalid("duplicate signature in run file"));
         }
     }
     // All stream ids must be covered by the table.
     for i in 0..stream.len() {
         if stream.path(i).index() >= table.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream references a path missing from the table",
-            ));
+            return Err(invalid("stream references a path missing from the table"));
         }
     }
     Ok((stream, table))
@@ -233,11 +242,107 @@ mod tests {
     }
 
     #[test]
+    fn bad_start_kind_is_invalid_data() {
+        let (stream, table) = record();
+        let mut buf = Vec::new();
+        save_run(&mut buf, &stream, &table).unwrap();
+        // The first kind byte follows the magic, the length, the ended
+        // flag and the ids.
+        buf[17 + 4 * stream.len()] = 0b11;
+        let err = load_run(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
     fn truncated_file_is_an_error() {
         let (stream, table) = record();
         let mut buf = Vec::new();
         save_run(&mut buf, &stream, &table).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(load_run(&mut buf.as_slice()).is_err());
+    }
+
+    /// A run file with an empty stream and one table entry per signature.
+    fn run_file(sigs: &[PathSignature]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.push(1);
+        buf.extend_from_slice(&(sigs.len() as u64).to_le_bytes());
+        for sig in sigs {
+            let fields = [
+                sig.start().as_u32(),
+                1,
+                1,
+                sig.history_len(),
+                sig.indirect_len() as u32,
+                sig.start().as_u32(),
+                sig.history_len(),
+            ];
+            for v in fields {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+            for i in 0..sig.history_len().div_ceil(64) {
+                buf.extend_from_slice(&sig.history_word(i as usize).to_le_bytes());
+            }
+            buf.extend_from_slice(&(sig.indirect_len() as u32).to_le_bytes());
+            for i in 0..sig.indirect_len() {
+                let t = sig.indirect_target(i).unwrap().as_u32();
+                buf.extend_from_slice(&t.to_le_bytes());
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn inflated_counts_are_invalid_data() {
+        // Stream length.
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&(u64::MAX / 2).to_le_bytes());
+        buf.push(0);
+        buf.extend_from_slice(&[0; 64]);
+        let err = load_run(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // Table length.
+        let mut buf = run_file(&[PathSignature::new(BlockId::new(3))]);
+        buf[17..25].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        let err = load_run(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // History length.
+        let mut buf = run_file(&[PathSignature::new(BlockId::new(3))]);
+        let hlen_at = buf.len() - 8;
+        buf[hlen_at..hlen_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = load_run(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn duplicate_signatures_are_rejected() {
+        let short = {
+            let mut s = PathSignature::new(BlockId::new(2));
+            s.push_bit(true);
+            s.push_indirect(BlockId::new(5));
+            s
+        };
+        let long = {
+            let mut s = PathSignature::new(BlockId::new(2));
+            for i in 0..100 {
+                s.push_bit(i % 7 == 0);
+            }
+            for t in 0..5 {
+                s.push_indirect(BlockId::new(t));
+            }
+            s
+        };
+        // Distinct signatures load; a repeat of either, inline-keyed or
+        // not, is rejected.
+        let (_, table) =
+            load_run(&mut run_file(&[short.clone(), long.clone()]).as_slice()).unwrap();
+        assert_eq!(table.len(), 2);
+        for dup in [&short, &long] {
+            let buf = run_file(&[short.clone(), long.clone(), dup.clone()]);
+            let err = load_run(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("duplicate signature"), "{err}");
+        }
     }
 }

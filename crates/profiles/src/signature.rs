@@ -9,8 +9,9 @@
 //! identity.
 
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 
-use hotpath_ir::fasthash::FxHashMap;
+use hotpath_ir::fasthash::{FxBuildHasher, FxHashMap};
 use hotpath_ir::BlockId;
 
 /// Dense identifier for an interned path.
@@ -159,14 +160,70 @@ pub struct PathInfo {
     pub indirects: u32,
 }
 
+/// Fixed-width interning key of a [`PathSignature`] (see [`PathTable`]).
+///
+/// A signature with at most [`KEY_BITS`] history bits and [`KEY_INDIRECTS`]
+/// indirect targets is its key exactly: word 0 holds the start block, the
+/// history length and the indirect count, word 1 the history bits, words 2
+/// and 3 the indirect targets. Any other signature's key sets [`SPILLED`]
+/// in word 0 and holds a hash of the whole signature in word 1; a probe
+/// counter in word 3 steps past hash collisions.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Key([u64; 4]);
+
+/// History bits an exact [`Key`] holds.
+const KEY_BITS: u32 = 64;
+
+/// Indirect targets an exact [`Key`] holds.
+const KEY_INDIRECTS: usize = 3;
+
+/// Flag in key word 0 of a signature that does not fit a key exactly.
+const SPILLED: u64 = 1 << 63;
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d] = self.0;
+        // One word into the table's hasher, folded so that every key bit
+        // reaches the low bits the table indexes by.
+        let h = FxBuildHasher::default().hash_one((a, b, c, d));
+        state.write_u64(h ^ (h >> 32));
+    }
+}
+
+impl PathSignature {
+    /// This signature's interning key.
+    fn key(&self) -> Key {
+        let shape = u64::from(self.start)
+            | u64::from(self.history_len) << 32
+            | (self.indirect.len() as u64) << 48;
+        if self.history_len > KEY_BITS || self.indirect.len() > KEY_INDIRECTS {
+            let hash = FxBuildHasher::default().hash_one(self);
+            return Key([shape | SPILLED, hash, 0, 0]);
+        }
+        let target = |i: usize| self.indirect.get(i).map_or(0, |&t| u64::from(t));
+        Key([
+            shape,
+            self.history_word(0),
+            target(0) | target(1) << 32,
+            target(2),
+        ])
+    }
+}
+
 /// Interns [`PathSignature`]s to dense [`PathId`]s.
 ///
 /// The table is the "path table" of the paper's bit-tracing scheme: upon
 /// reaching the end of a path, the signature indexes the table to bump the
 /// path's counter. Here the table also records [`PathInfo`] for metrics.
+///
+/// Lookups go through a fixed-width key built from the live signature, so
+/// a path that has been seen before costs one hash of four words, with no
+/// allocation and no visit to a stored signature. Nearly every executed
+/// path fits a key exactly; the rest are keyed by a hash and compared with
+/// the stored signature. Each signature is stored once, on first sight.
 #[derive(Clone, Default, Debug)]
 pub struct PathTable {
-    map: FxHashMap<PathSignature, PathId>,
+    map: FxHashMap<Key, PathId>,
     infos: Vec<PathInfo>,
     sigs: Vec<PathSignature>,
 }
@@ -180,14 +237,28 @@ impl PathTable {
     /// Returns the id for `sig`, interning it with `info` if new. The
     /// signature is only cloned on first sight.
     pub fn intern(&mut self, sig: &PathSignature, info: PathInfo) -> PathId {
-        if let Some(&id) = self.map.get(sig) {
-            return id;
+        match self.find(sig) {
+            Ok(id) => id,
+            Err(key) => {
+                let id = PathId(self.infos.len() as u32);
+                self.map.insert(key, id);
+                self.infos.push(info);
+                self.sigs.push(sig.clone());
+                id
+            }
         }
-        let id = PathId(self.infos.len() as u32);
-        self.infos.push(info);
-        self.sigs.push(sig.clone());
-        self.map.insert(sig.clone(), id);
-        id
+    }
+
+    /// The id of `sig`, or the free key to file it under if it is new.
+    fn find(&self, sig: &PathSignature) -> Result<PathId, Key> {
+        let mut key = sig.key();
+        while let Some(&id) = self.map.get(&key) {
+            if key.0[0] & SPILLED == 0 || self.sigs[id.index()] == *sig {
+                return Ok(id);
+            }
+            key.0[3] += 1;
+        }
+        Err(key)
     }
 
     /// The signature behind an interned id, if produced by this table.
@@ -197,7 +268,7 @@ impl PathTable {
 
     /// Looks up a signature without interning.
     pub fn get(&self, sig: &PathSignature) -> Option<PathId> {
-        self.map.get(sig).copied()
+        self.find(sig).ok()
     }
 
     /// Info for an interned path.
@@ -358,5 +429,35 @@ mod tests {
         }
         assert_eq!(table.len(), 3);
         assert_eq!(table.unique_heads(), 2);
+    }
+
+    #[test]
+    fn colliding_spilled_keys_probe_to_distinct_ids() {
+        let long = |last: bool| {
+            let mut s = PathSignature::new(b(1));
+            for i in 0..70 {
+                s.push_bit(i == 69 && last);
+            }
+            s
+        };
+        let (a, c) = (long(true), long(false));
+        let info = PathInfo {
+            head: b(1),
+            blocks: 70,
+            insts: 70,
+            cond_branches: 70,
+            indirects: 0,
+        };
+        let mut table = PathTable::new();
+        let ia = table.intern(&a, info);
+        // Make `c`'s hashed key collide with `a`'s entry.
+        table.map.insert(c.key(), ia);
+        let ic = table.intern(&c, info);
+        assert_ne!(ia, ic);
+        assert_eq!(table.intern(&c, info), ic);
+        assert_eq!(table.get(&c), Some(ic));
+        assert_eq!(table.get(&a), Some(ia));
+        assert_eq!(table.signature(ic), Some(&c));
+        assert_eq!(table.len(), 2);
     }
 }
