@@ -50,16 +50,15 @@
 //! gates.
 //!
 //! `--chaos` switches to fault-injection mode: the full suite runs
-//! against both front-ends (reactor and blocking) with every serve
-//! fault seam armed at `--chaos-rate` — torn/short writes, mid-frame
-//! resets, corrupted length prefixes and payloads, stalled peers,
-//! shard panics, poisoned publishes — plus one directed
-//! `PublishPoison` pass. Clients retry with the real `RetryPolicy`;
-//! the mode asserts zero session leaks, exact open counts (re-sent
-//! opens must dedup through the replay cache), and final statistics
-//! bit-identical to the native reference on every session, then
-//! appends one run with a `chaos` section — the document
-//! `bench_compare --chaos` gates.
+//! against the TCP front-end with every serve fault seam armed at
+//! `--chaos-rate` — torn/short writes, mid-frame resets, corrupted
+//! length prefixes and payloads, stalled peers, shard panics, poisoned
+//! publishes — plus one directed `PublishPoison` pass. Clients retry
+//! with the real `RetryPolicy`; the mode asserts zero session leaks,
+//! exact open counts (re-sent opens must dedup through the replay
+//! cache), and final statistics bit-identical to the native reference
+//! on every session, then appends one run with a `chaos` section — the
+//! document `bench_compare --chaos` gates.
 //!
 //! `--console` redraws the self-profiler's stage table on stderr every
 //! ~400ms during the default three-mode measurement (build with
@@ -82,8 +81,8 @@ use std::time::Instant;
 use hotpath_core::rng::Rng64;
 use hotpath_selfprof as selfprof;
 use hotpath_serve::{
-    serve, serve_blocking, Client, ClientError, FaultPlan, FaultPoint, PrewarmOutcome, Request,
-    Response, RetryPolicy, ServeConfig, ServerHandle, ServerStats, SessionConfig, SessionManager,
+    serve, Client, ClientError, FaultPlan, FaultPoint, PrewarmOutcome, Request, Response,
+    RetryPolicy, ServeConfig, ServerHandle, ServerStats, SessionConfig, SessionManager,
     SessionSnapshot,
 };
 use hotpath_vm::{NullObserver, RunStats, Vm};
@@ -829,7 +828,7 @@ fn chaos_drive(
     }
 }
 
-/// Aggregate outcome of one chaos pass over a front-end.
+/// Aggregate outcome of one chaos pass.
 struct ChaosOutcome {
     secs: f64,
     blocks: u64,
@@ -840,17 +839,12 @@ struct ChaosOutcome {
     profiles_quarantined: u64,
 }
 
-/// One chaos pass: the full suite against one front-end, one driver
-/// thread per workload, every connection and shard fault-armed. Asserts
-/// zero session leaks, an exact open count (the replay cache must absorb
-/// every re-sent open), and per-workload final statistics bit-identical
-/// to the native reference.
-fn chaos_front(
-    front: &str,
-    mut handle: ServerHandle,
-    args: &Args,
-    reference: &[RunStats],
-) -> ChaosOutcome {
+/// One chaos pass: the full suite against the server behind `handle`,
+/// one driver thread per workload, every connection and shard
+/// fault-armed. Asserts zero session leaks, an exact open count (the
+/// replay cache must absorb every re-sent open), and per-workload final
+/// statistics bit-identical to the native reference.
+fn chaos_pass(mut handle: ServerHandle, args: &Args, reference: &[RunStats]) -> ChaosOutcome {
     let addr = handle.addr();
     let mut control =
         Client::connect_with(addr, RetryPolicy::default().with_seed(args.seed ^ 0xC0C0))
@@ -875,25 +869,25 @@ fn chaos_front(
     for ((result, expect), name) in results.iter().zip(reference).zip(ALL_WORKLOADS) {
         assert_eq!(
             &result.stats, expect,
-            "{front}: {name} diverged from the native run under chaos"
+            "{name} diverged from the native run under chaos"
         );
     }
 
     let after = control.stats().expect("stats after");
     assert_eq!(
         after.live_sessions, before.live_sessions,
-        "{front}: session leak under chaos ({} live before, {} after)",
+        "session leak under chaos ({} live before, {} after)",
         before.live_sessions, after.live_sessions
     );
     assert_eq!(
         after.sessions_opened - before.sessions_opened,
         ALL_WORKLOADS.len() as u64,
-        "{front}: open count drifted under chaos (re-sent opens must dedup)"
+        "open count drifted under chaos (re-sent opens must dedup)"
     );
     let quarantined_seen = results.iter().filter(|r| r.quarantined).count() as u64;
     assert_eq!(
         after.profiles_quarantined, quarantined_seen,
-        "{front}: quarantine bucket disagrees with client-observed quarantined publishes"
+        "quarantine bucket disagrees with client-observed quarantined publishes"
     );
     let (retries, reconnects) = (control.retries(), control.reconnects());
     drop(control);
@@ -941,7 +935,7 @@ fn chaos_poison_check(args: &Args) -> u64 {
     stats.profiles_quarantined
 }
 
-/// Chaos mode: the full suite against both front-ends with every serve
+/// Chaos mode: the full suite against the TCP front-end with every serve
 /// fault seam armed (torn/short writes, mid-frame resets, corrupted
 /// frames, stalled peers, shard panics, poisoned publishes), plus a
 /// directed `PublishPoison` pass. Asserts zero session leaks, exact open
@@ -994,7 +988,7 @@ fn run_chaos(args: &Args) {
     }));
 
     let plan = FaultPlan::chaos(args.seed, args.chaos_rate);
-    let config = || ServeConfig {
+    let config = ServeConfig {
         shards: args.shards,
         chaos: Some(plan),
         ..ServeConfig::default()
@@ -1006,41 +1000,22 @@ fn run_chaos(args: &Args) {
         args.shards,
         scale_name(args.scale)
     );
-    let fronts = [
-        (
-            "serve-reactor",
-            chaos_front(
-                "serve-reactor",
-                serve("127.0.0.1:0", config()).expect("bind reactor front"),
-                args,
-                &reference,
-            ),
-        ),
-        (
-            "serve-blocking",
-            chaos_front(
-                "serve-blocking",
-                serve_blocking("127.0.0.1:0", config()).expect("bind blocking front"),
-                args,
-                &reference,
-            ),
-        ),
-    ];
-    let forced_quarantine = chaos_poison_check(args);
-
-    let secs: f64 = fronts.iter().map(|(_, o)| o.secs).sum();
-    let blocks: u64 = fronts.iter().map(|(_, o)| o.blocks).sum();
-    let retries: u64 = fronts.iter().map(|(_, o)| o.retries).sum();
-    let reconnects: u64 = fronts.iter().map(|(_, o)| o.reconnects).sum();
-    let shards_restarted: u64 = fronts.iter().map(|(_, o)| o.shards_restarted).sum();
-    let sessions_readmitted: u64 = fronts.iter().map(|(_, o)| o.sessions_readmitted).sum();
-    let profiles_quarantined: u64 = fronts
-        .iter()
-        .map(|(_, o)| o.profiles_quarantined)
-        .sum::<u64>()
-        + forced_quarantine;
-    let completed = 2 * ALL_WORKLOADS.len() as u64;
-    assert_eq!(blocks, 2 * suite_blocks, "chaos block total drifted");
+    let ChaosOutcome {
+        secs,
+        blocks,
+        retries,
+        reconnects,
+        shards_restarted,
+        sessions_readmitted,
+        profiles_quarantined,
+    } = chaos_pass(
+        serve("127.0.0.1:0", config).expect("bind chaos server"),
+        args,
+        &reference,
+    );
+    let profiles_quarantined = profiles_quarantined + chaos_poison_check(args);
+    let completed = ALL_WORKLOADS.len() as u64;
+    assert_eq!(blocks, suite_blocks, "chaos block total drifted");
     assert!(
         retries + reconnects + shards_restarted + profiles_quarantined > 0,
         "chaos pass observed no injected faults — raise --chaos-rate"
@@ -1055,21 +1030,18 @@ fn run_chaos(args: &Args) {
         args.chaos_rate
     );
     println!(
-        "{:<16} {:>8} {:>14} {:>8} {:>10} {:>9} {:>11}",
-        "front", "secs", "blocks/sec", "retries", "reconnects", "restarts", "readmitted"
+        "{:>8} {:>14} {:>8} {:>10} {:>9} {:>11}",
+        "secs", "blocks/sec", "retries", "reconnects", "restarts", "readmitted"
     );
-    for (front, o) in &fronts {
-        println!(
-            "{:<16} {:>8.3} {:>14.0} {:>8} {:>10} {:>9} {:>11}",
-            front,
-            o.secs,
-            o.blocks as f64 / o.secs,
-            o.retries,
-            o.reconnects,
-            o.shards_restarted,
-            o.sessions_readmitted
-        );
-    }
+    println!(
+        "{:>8.3} {:>14.0} {:>8} {:>10} {:>9} {:>11}",
+        secs,
+        blocks as f64 / secs,
+        retries,
+        reconnects,
+        shards_restarted,
+        sessions_readmitted
+    );
     println!(
         "{} sessions completed bit-identical, 0 leaked, {} publish(es) quarantined",
         completed, profiles_quarantined

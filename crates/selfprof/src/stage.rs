@@ -12,7 +12,7 @@
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum Stage {
-    /// Decoding a request frame off the wire (reactor and blocking paths).
+    /// Decoding a request frame off the wire (the reactor's dispatch path).
     FrameDecode = 0,
     /// A shard worker handling one dispatched request.
     ShardDispatch = 1,

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--shards N] [--queue-depth N] [--max-sessions N]
-//!       [--reactors N] [--write-buf BYTES] [--snapshot-dir DIR] [--blocking]
+//!       [--reactors N] [--write-buf BYTES] [--snapshot-dir DIR]
 //!       [--drain-deadline-ms MS] [--chaos-seed SEED] [--chaos-rate RATE]
 //!       [--selfprof-port PORT]
 //! ```
@@ -16,13 +16,15 @@
 //! in-flight work, flushes replies, closes connections — and, when
 //! `--snapshot-dir` is set, writes every still-open session's warm state
 //! to `DIR/session-<id>.hpss` before exiting 0.
+//!
+//! Unix-only, like the crate's TCP front-end it wraps.
 
-use hotpath_serve::{serve, serve_blocking, FaultPlan, ServeConfig, ServerHandle};
+use hotpath_serve::{serve, FaultPlan, ServeConfig, ServerHandle};
 
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--shards N] [--queue-depth N] [--max-sessions N]\n\
-         \x20            [--reactors N] [--write-buf BYTES] [--snapshot-dir DIR] [--blocking]\n\
+         \x20            [--reactors N] [--write-buf BYTES] [--snapshot-dir DIR]\n\
          \x20            [--drain-deadline-ms MS] [--chaos-seed SEED] [--chaos-rate RATE]\n\
          \x20            [--selfprof-port PORT]"
     );
@@ -47,7 +49,6 @@ fn main() {
     let mut addr = "127.0.0.1:0".to_string();
     let mut config = ServeConfig::default();
     let mut snapshot_dir: Option<String> = None;
-    let mut blocking = false;
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_rate: f64 = 0.02;
     let mut selfprof_port: Option<u16> = None;
@@ -61,7 +62,6 @@ fn main() {
             "--reactors" => config.reactors = parse(&arg, args.next()),
             "--write-buf" => config.write_buf_limit = parse(&arg, args.next()),
             "--snapshot-dir" => snapshot_dir = Some(parse(&arg, args.next())),
-            "--blocking" => blocking = true,
             "--drain-deadline-ms" => config.drain_deadline_ms = parse(&arg, args.next()),
             "--chaos-seed" => chaos_seed = Some(parse(&arg, args.next())),
             "--chaos-rate" => chaos_rate = parse(&arg, args.next()),
@@ -85,12 +85,7 @@ fn main() {
         config.chaos = Some(FaultPlan::chaos(seed, chaos_rate));
         eprintln!("chaos armed: seed {seed}, rate {chaos_rate}");
     }
-    let bound = if blocking {
-        serve_blocking(&addr, config)
-    } else {
-        serve(&addr, config)
-    };
-    let mut handle = match bound {
+    let mut handle = match serve(&addr, config) {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("bind {addr}: {e}");
@@ -121,9 +116,7 @@ fn main() {
 }
 
 /// Installs SIGINT/SIGTERM handlers and a watcher thread that fires a
-/// graceful drain when either arrives. No-op where the platform has no
-/// signals to watch.
-#[cfg(unix)]
+/// graceful drain when either arrives.
 fn spawn_signal_watcher(handle: &ServerHandle) {
     let trigger = handle.drain_trigger();
     match hotpath_serve::install_drain_signals() {
@@ -140,9 +133,6 @@ fn spawn_signal_watcher(handle: &ServerHandle) {
         Err(e) => eprintln!("signal handlers unavailable ({e}); drain via Shutdown only"),
     }
 }
-
-#[cfg(not(unix))]
-fn spawn_signal_watcher(_handle: &ServerHandle) {}
 
 /// Writes every still-open session to `dir/session-<id>.hpss`.
 fn save_snapshots(handle: &ServerHandle, dir: &str) {

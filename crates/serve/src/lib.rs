@@ -8,9 +8,10 @@
 //! sessions over them. Two front-ends share one request enum:
 //!
 //! * **in-process** — call [`SessionManager::request`] directly;
-//! * **TCP** — [`serve`] binds a listener and speaks the same
+//! * **TCP** (unix only) — `serve` binds a listener and speaks the same
 //!   [`Request`]/[`Response`] pairs as length-prefixed binary frames
-//!   ([`protocol`]); [`Client`] is the matching blocking client.
+//!   ([`protocol`]) from a nonblocking reactor; [`Client`] is the
+//!   matching blocking client.
 //!
 //! Admission control is explicit rather than elastic: bounded shard
 //! queues and session tables answer [`Response::Busy`] instead of
@@ -34,15 +35,20 @@ mod client;
 mod manager;
 pub mod profile_store;
 pub mod protocol;
-#[cfg(unix)]
-mod reactor;
-mod server;
 mod session;
 mod shard;
 pub mod snapshot;
+mod wire;
+
+// The TCP front-end (server, its reactor, and their OS bindings) is
+// unix-only; everything else, the in-process `SessionManager` API
+// included, builds anywhere.
+#[cfg(unix)]
+mod reactor;
+#[cfg(unix)]
+mod server;
 #[cfg(unix)]
 mod sys;
-mod wire;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use hotpath_faultinject::{FaultPlan, FaultPoint};
@@ -57,7 +63,8 @@ pub use protocol::{
 };
 #[cfg(unix)]
 pub use reactor::{ConnError, ConnLimits, ConnState};
-pub use server::{serve, serve_blocking, DrainTrigger, ServerHandle};
+#[cfg(unix)]
+pub use server::{serve, DrainTrigger, ServerHandle};
 pub use session::{Session, SessionConfig, SessionStatus};
 pub use snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 #[cfg(unix)]

@@ -54,20 +54,19 @@ pub struct ServeConfig {
     /// Live sessions a shard holds before refusing opens with `Busy`.
     pub max_sessions_per_shard: usize,
     /// Reactor event-loop threads for the TCP front-end (ignored by the
-    /// in-process API and the blocking fallback front-end).
+    /// in-process API).
     pub reactors: u32,
     /// Soft per-connection write-buffer bound: a connection holding more
     /// than this many unflushed response bytes answers new requests with
     /// [`Response::Busy`] until the peer drains it. The hard bound (4x)
     /// stops reading from the socket entirely.
     pub write_buf_limit: usize,
-    /// How long a draining front-end waits for in-flight work before
-    /// closing connections that still owe responses. Both fronts honor
-    /// it: the reactor converts it to drain ticks, the blocking front
-    /// bounds its per-connection read timeout with it.
+    /// How long a draining TCP front-end waits for in-flight work before
+    /// closing connections that still owe responses (the reactor counts
+    /// it off in drain ticks).
     pub drain_deadline_ms: u64,
-    /// Fault plan armed across the serve stack (wire seams on both
-    /// fronts, shard panic injection, publish poisoning). `None` — the
+    /// Fault plan armed across the serve stack (the TCP front-end's wire
+    /// seams, shard panic injection, publish poisoning). `None` — the
     /// default — compiles the hooks in but leaves every probe one
     /// untaken branch.
     pub chaos: Option<FaultPlan>,
@@ -251,9 +250,9 @@ impl SessionManager {
         &self.config
     }
 
-    /// Serves one request — the in-process API and the blocking
-    /// front-end's single entry point. Never blocks on a full queue:
-    /// backpressure surfaces as [`Response::Busy`].
+    /// Serves one request — the in-process API's single entry point.
+    /// Never blocks on a full queue: backpressure surfaces as
+    /// [`Response::Busy`].
     pub fn request(&self, request: Request) -> Response {
         match self.prepare(request) {
             Prepared::Immediate(response) => response,

@@ -68,9 +68,8 @@ pub const PROFILE_VERSION: u16 = 1;
 
 /// The configuration coordinates profiles aggregate under. Two sessions
 /// share an aggregate iff their workload, scale, scheme, and delay all
-/// match; fuel budgets and trace optimization levels are admission and
-/// speed knobs that never change what the engine learns, so they are
-/// deliberately excluded.
+/// match; the fuel budget and prewarm bit are admission knobs that never
+/// change what the engine learns, so they are deliberately excluded.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ProfileKey {
     /// Workload the sessions execute; `None` groups ingest sessions.
@@ -947,6 +946,32 @@ mod tests {
             SessionProfile::decode(&trailing),
             Err(ProfileError::Malformed("trailing bytes"))
         );
+    }
+
+    #[test]
+    fn inflated_counts_are_malformed_not_allocated() {
+        let mut w = warm(&[(&[3, 4, 5], 17), (&[9], 2)], &[(3, 12)]);
+        w.exit_counts = vec![(6, 41)];
+        w.armed = vec![6];
+        let p = profile(7, w);
+        let blob = p.encode();
+        // Magic, version, key (workload, scale, scheme, delay), epoch.
+        let warm_at = 4 + 2 + 3 + 8 + 8;
+        for at in crate::wire::warm_count_offsets(&p.warm) {
+            let mut inflated = blob.clone();
+            let at = warm_at + at;
+            inflated[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let len = inflated.len();
+            let seal = fnv1a64(&inflated[..len - 8]);
+            inflated[len - 8..].copy_from_slice(&seal.to_le_bytes());
+            assert!(
+                matches!(
+                    SessionProfile::decode(&inflated),
+                    Err(ProfileError::Malformed(_))
+                ),
+                "count at byte {at} inflated to u32::MAX was not refused as malformed"
+            );
+        }
     }
 
     #[test]

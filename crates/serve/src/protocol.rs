@@ -25,10 +25,12 @@
 use std::io::{self, Read, Write};
 
 use hotpath_vm::{decode_events, encode_events, BlockEvent, RunStats};
-use hotpath_workloads::Scale;
 
 use crate::session::{SessionConfig, SessionStatus};
-use crate::wire::{put_bytes, put_stats, put_str, put_u32, put_u64, ReadError, Reader};
+use crate::wire::{
+    put_bytes, put_config, put_stats, put_str, put_u32, put_u64, read_config, ReadError, Reader,
+    NO_FUEL,
+};
 
 /// Largest accepted frame payload (64 MiB) — far above any legitimate
 /// message, small enough to bound a malicious length prefix.
@@ -169,8 +171,8 @@ pub struct ServerStats {
     pub sessions_opened: u64,
     /// Sessions closed over the server's lifetime.
     pub sessions_closed: u64,
-    /// Connections currently open on the reactor front-end (0 for the
-    /// in-process or blocking front-ends).
+    /// Connections currently open on the TCP front-end (0 for the
+    /// in-process API).
     pub connections: u64,
     /// Connections accepted over the server's lifetime.
     pub conns_accepted: u64,
@@ -297,86 +299,6 @@ impl From<ReadError> for ProtocolError {
     fn from(e: ReadError) -> Self {
         ProtocolError::Malformed(e.0)
     }
-}
-
-/// `fuel: None` on the wire.
-const NO_FUEL: u64 = u64::MAX;
-
-fn put_config(out: &mut Vec<u8>, config: &SessionConfig) {
-    out.push(config.workload.map_or(0xFF, |w| {
-        hotpath_workloads::ALL_WORKLOADS
-            .iter()
-            .position(|&x| x == w)
-            .unwrap() as u8
-    }));
-    out.push(match config.scale {
-        Scale::Smoke => 0,
-        Scale::Small => 1,
-        Scale::Full => 2,
-    });
-    out.push(match config.scheme {
-        hotpath_dynamo::Scheme::Net => 0,
-        hotpath_dynamo::Scheme::PathProfile => 1,
-    });
-    put_u64(out, config.delay);
-    put_u64(out, config.fuel_budget.unwrap_or(NO_FUEL));
-    out.push(match config.opt_level {
-        hotpath_vm::OptLevel::None => 0,
-        hotpath_vm::OptLevel::Guards => 1,
-        hotpath_vm::OptLevel::Full => 2,
-    });
-    out.push(u8::from(config.prewarm));
-}
-
-fn read_config(r: &mut Reader<'_>) -> Result<SessionConfig, ProtocolError> {
-    let workload = match r.u8("workload")? {
-        0xFF => None,
-        idx => Some(
-            hotpath_workloads::ALL_WORKLOADS
-                .get(idx as usize)
-                .copied()
-                .ok_or(ProtocolError::Malformed("workload"))?,
-        ),
-    };
-    let scale = match r.u8("scale")? {
-        0 => Scale::Smoke,
-        1 => Scale::Small,
-        2 => Scale::Full,
-        _ => return Err(ProtocolError::Malformed("scale")),
-    };
-    let scheme = match r.u8("scheme")? {
-        0 => hotpath_dynamo::Scheme::Net,
-        1 => hotpath_dynamo::Scheme::PathProfile,
-        _ => return Err(ProtocolError::Malformed("scheme")),
-    };
-    let delay = r.u64("delay")?;
-    if delay == 0 {
-        return Err(ProtocolError::Malformed("delay"));
-    }
-    let fuel_budget = match r.u64("fuel_budget")? {
-        NO_FUEL => None,
-        budget => Some(budget),
-    };
-    let opt_level = match r.u8("opt_level")? {
-        0 => hotpath_vm::OptLevel::None,
-        1 => hotpath_vm::OptLevel::Guards,
-        2 => hotpath_vm::OptLevel::Full,
-        _ => return Err(ProtocolError::Malformed("opt_level")),
-    };
-    let prewarm = match r.u8("prewarm")? {
-        0 => false,
-        1 => true,
-        _ => return Err(ProtocolError::Malformed("prewarm")),
-    };
-    Ok(SessionConfig {
-        workload,
-        scale,
-        scheme,
-        delay,
-        fuel_budget,
-        opt_level,
-        prewarm,
-    })
 }
 
 fn put_prewarm(out: &mut Vec<u8>, outcome: &PrewarmOutcome) {
@@ -785,7 +707,7 @@ mod tests {
     use super::*;
     use hotpath_ir::BlockId;
     use hotpath_vm::TransferKind;
-    use hotpath_workloads::WorkloadName;
+    use hotpath_workloads::{Scale, WorkloadName};
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -993,6 +915,31 @@ mod tests {
             Request::decode(&payload),
             Err(ProtocolError::Malformed("trailing bytes"))
         );
+    }
+
+    /// `Open` (and `FetchProfile`) frames in the layout that still
+    /// carried an opt-level byte ahead of the prewarm bit: whatever the
+    /// two bytes hold, the decoder refuses the frame instead of reading
+    /// the opt byte as the prewarm bit.
+    #[test]
+    fn config_frames_with_the_old_opt_level_byte_are_malformed() {
+        for opt in 0..=2u8 {
+            for prewarm in [false, true] {
+                let config =
+                    SessionConfig::exec(WorkloadName::Compress, Scale::Smoke).with_prewarm(prewarm);
+                let open = Request::Open {
+                    config: config.clone(),
+                };
+                for request in [open, Request::FetchProfile { config }] {
+                    let mut old = request.encode();
+                    old.insert(old.len() - 1, opt);
+                    assert!(
+                        matches!(Request::decode(&old), Err(ProtocolError::Malformed(_))),
+                        "opt {opt} prewarm {prewarm}: old-layout {request:?} decoded"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,17 +5,16 @@
 //! Each connection is a pure state machine ([`ConnState`]): partial
 //! reads accumulate until a whole u32-LE length-prefixed frame is
 //! present, parsed frames queue in arrival order, and exactly one
-//! request per connection is in flight on a shard at a time (preserving
-//! the blocking front-end's reply ordering). Backpressure is explicit at
-//! every layer:
+//! request per connection is in flight on a shard at a time (so replies
+//! leave in request order). Backpressure is explicit at every layer:
 //!
 //! * a frame arriving while [`ConnLimits::max_queued`] frames already
 //!   wait — or while the write buffer is past its soft bound — is
 //!   answered [`Response::Busy`] in order, without dispatching;
 //! * a write buffer past its hard bound (4x soft) stops socket reads
 //!   entirely until the peer drains it;
-//! * shard-queue refusals surface as the same `Busy` the blocking
-//!   front-end returns.
+//! * shard-queue refusals surface as the same `Busy` the in-process API
+//!   returns.
 //!
 //! Shard workers never block the loop: completions ride an mpsc queue
 //! and a self-pipe ([`WakePipe`]) wake, tagged with a generation token
@@ -41,9 +40,12 @@ use hotpath_telemetry as telemetry;
 
 use crate::manager::{Prepared, RequestNote, SessionManager};
 use crate::protocol::{Request, Response, MAX_FRAME_BYTES};
-use crate::server::{note_wire_fault, WIRE_CONN_SALT};
 use crate::shard::ReplyTo;
 use crate::sys::{Interest, PollEvent, Poller, WakePipe};
+
+/// Salt domain for per-connection wire-fault streams ("WIRE" in the high
+/// half), disjoint from the shard ids the shard workers salt with.
+const WIRE_CONN_SALT: u64 = 0x5749_5245 << 32;
 
 /// Token reserved for the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -236,7 +238,7 @@ impl ConnState {
     /// # Errors
     ///
     /// [`ConnError::Oversize`] when a length prefix exceeds the cap —
-    /// the connection must be closed, mirroring the blocking path.
+    /// the connection must be closed, mirroring [`read_frame`](crate::read_frame).
     pub fn ingest(&mut self, bytes: &[u8]) -> Result<(), ConnError> {
         self.read_buf.extend_from_slice(bytes);
         let mut consumed = 0;
@@ -297,8 +299,8 @@ impl ConnState {
     /// # Errors
     ///
     /// [`ConnError::ResponseOversize`] when the payload exceeds the cap
-    /// — the connection must be closed (the blocking path's
-    /// `write_frame` refuses identically).
+    /// — the connection must be closed ([`write_frame`](crate::write_frame)
+    /// refuses identically).
     pub fn respond(&mut self, payload: &[u8]) -> Result<(), ConnError> {
         debug_assert!(self.in_flight, "respond without a dispatch in flight");
         if payload.len() > self.limits.max_frame {
@@ -647,7 +649,7 @@ impl Reactor {
                 Ok(n) => {
                     if conn.state.ingest(&buf[..n]).is_err() {
                         // Oversize frame: kill the connection, exactly
-                        // like the blocking path's read_frame error.
+                        // like read_frame's error.
                         self.close_conn(idx);
                         return false;
                     }
@@ -923,6 +925,13 @@ impl Reactor {
             }
         }
     }
+}
+
+fn note_wire_fault(point: FaultPoint, conn: u64) {
+    telemetry::emit!(telemetry::Event::WireFaultInjected {
+        point: point.as_str(),
+        conn,
+    });
 }
 
 #[cfg(test)]

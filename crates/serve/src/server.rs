@@ -1,116 +1,64 @@
-//! The TCP front-ends: a nonblocking reactor (default on unix) and the
-//! original blocking thread-per-connection loop (fallback elsewhere,
-//! and available everywhere as [`serve_blocking`] for parity testing).
+//! The TCP front-end: a nonblocking reactor ([`crate::reactor`]) that
+//! holds every connection in one readiness loop per reactor thread — the
+//! shape that carries 10K concurrent sessions — over the dependency-free
+//! OS bindings in [`crate::sys`]. Unix-only, like those two modules; the
+//! in-process API builds everywhere.
 //!
-//! Both transports add nothing to the in-process API: every frame
-//! decodes to a [`Request`], goes through the [`SessionManager`], and
-//! the [`Response`] is framed straight back. The only requests the
-//! transport itself interprets are [`Request::Shutdown`] (stop the
-//! server) and, on the reactor, [`Request::Stats`] (overlay connection
-//! counts on the manager's counters).
+//! The transport adds nothing to the in-process API: every frame decodes
+//! to a [`Request`](crate::Request), goes through the
+//! [`SessionManager`], and the [`Response`](crate::Response) is framed
+//! straight back. The only requests the transport itself interprets are
+//! `Shutdown` (stop the server) and `Stats` (overlay connection counts
+//! on the manager's counters).
 //!
-//! The reactor front-end ([`crate::reactor`]) holds every connection in
-//! one readiness loop per reactor thread — the shape that carries 10K
-//! concurrent sessions — and supports graceful drain: stop accepting,
-//! answer queued requests with `ShuttingDown`, finish in-flight shard
-//! work, flush, close. [`ServerHandle::drain_trigger`] hands out a
-//! [`DrainTrigger`] that a signal watcher can fire from any thread.
+//! Graceful drain: stop accepting, answer queued requests with
+//! `ShuttingDown`, finish in-flight shard work, flush, close.
+//! [`ServerHandle::drain_trigger`] hands out a [`DrainTrigger`] that a
+//! signal watcher can fire from any thread.
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-use hotpath_faultinject::{FaultInjector, FaultPoint};
-use hotpath_selfprof as selfprof;
-use hotpath_telemetry as telemetry;
 
 use crate::manager::{ServeConfig, SessionManager};
-use crate::protocol::{read_frame, write_frame, Request, Response};
-
-/// Salt domain for per-connection wire-fault streams ("WIRE" in the high
-/// half), disjoint from the shard ids the shard workers salt with.
-pub(crate) const WIRE_CONN_SALT: u64 = 0x5749_5245 << 32;
+use crate::reactor::{spawn_reactor, ConnLimits, ConnTotals, DrainFanout};
 
 /// A running server: the bound address, the shared manager, and the
-/// front-end threads. Dropping the handle stops the server and joins
+/// reactor threads. Dropping the handle stops the server and joins
 /// every thread it spawned.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     manager: Arc<SessionManager>,
-    front: Front,
-}
-
-#[derive(Debug)]
-enum Front {
-    Blocking {
-        stop: Arc<AtomicBool>,
-        accept: Option<JoinHandle<()>>,
-    },
-    #[cfg(unix)]
-    Reactor {
-        fanout: crate::reactor::DrainFanout,
-        joins: Vec<JoinHandle<()>>,
-    },
+    fanout: DrainFanout,
+    joins: Vec<JoinHandle<()>>,
 }
 
 /// Fires a graceful drain of a running server from any thread: stop
 /// accepting, flush in-flight replies, close connections, exit the
-/// front-end threads. Cloneable and `Send`, so a signal watcher can own
+/// reactor threads. Cloneable and `Send`, so a signal watcher can own
 /// one. Firing twice is harmless.
 #[derive(Clone, Debug)]
 pub struct DrainTrigger {
-    inner: TriggerInner,
-}
-
-#[derive(Clone, Debug)]
-enum TriggerInner {
-    Blocking {
-        stop: Arc<AtomicBool>,
-        addr: SocketAddr,
-    },
-    #[cfg(unix)]
-    Reactor(crate::reactor::DrainFanout),
+    fanout: DrainFanout,
 }
 
 impl DrainTrigger {
     /// Starts the drain. Idempotent.
     pub fn fire(&self) {
-        match &self.inner {
-            TriggerInner::Blocking { stop, addr } => request_stop(stop, *addr),
-            #[cfg(unix)]
-            TriggerInner::Reactor(fanout) => fanout.fire(),
-        }
+        self.fanout.fire();
     }
 }
 
 /// Binds `addr` (use port 0 for an OS-assigned port) and starts serving
-/// a fresh session pool shaped by `config`. On unix this is the
-/// nonblocking reactor front-end with `config.reactors` event-loop
-/// threads; elsewhere it falls back to [`serve_blocking`].
+/// a fresh session pool shaped by `config`, with `config.reactors`
+/// event-loop threads.
 ///
 /// # Errors
 ///
 /// Propagates bind failures.
 pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<ServerHandle> {
-    #[cfg(unix)]
-    {
-        serve_reactor(addr, config)
-    }
-    #[cfg(not(unix))]
-    {
-        serve_blocking(addr, config)
-    }
-}
-
-#[cfg(unix)]
-fn serve_reactor<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<ServerHandle> {
-    use crate::reactor::{spawn_reactor, ConnTotals, DrainFanout};
-    use crate::ConnLimits;
-
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let manager = Arc::new(SessionManager::new(config));
@@ -134,37 +82,8 @@ fn serve_reactor<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<S
     Ok(ServerHandle {
         addr,
         manager,
-        front: Front::Reactor { fanout, joins },
-    })
-}
-
-/// Binds `addr` and serves with the original blocking
-/// thread-per-connection front-end. Kept for non-unix platforms and for
-/// differential testing against the reactor.
-///
-/// # Errors
-///
-/// Propagates bind failures.
-pub fn serve_blocking<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let manager = Arc::new(SessionManager::new(config));
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept = {
-        let manager = Arc::clone(&manager);
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("hotpath-accept".to_string())
-            .spawn(move || accept_loop(&listener, addr, &manager, &stop))
-            .expect("spawn accept thread")
-    };
-    Ok(ServerHandle {
-        addr,
-        manager,
-        front: Front::Blocking {
-            stop,
-            accept: Some(accept),
-        },
+        fanout,
+        joins,
     })
 }
 
@@ -181,54 +100,38 @@ impl ServerHandle {
 
     /// A handle that starts a graceful drain from any thread.
     pub fn drain_trigger(&self) -> DrainTrigger {
-        let inner = match &self.front {
-            Front::Blocking { stop, .. } => TriggerInner::Blocking {
-                stop: Arc::clone(stop),
-                addr: self.addr,
-            },
-            #[cfg(unix)]
-            Front::Reactor { fanout, .. } => TriggerInner::Reactor(fanout.clone()),
-        };
-        DrainTrigger { inner }
+        DrainTrigger {
+            fanout: self.fanout.clone(),
+        }
     }
 
     /// Starts a graceful drain without blocking (use
     /// [`join_front`](ServerHandle::join_front) or
     /// [`wait`](ServerHandle::wait) to observe completion).
     pub fn drain(&self) {
-        self.drain_trigger().fire();
+        self.fanout.fire();
     }
 
-    /// Joins the front-end threads once they exit (after a drain, a
-    /// client `Shutdown`, or a stop). The shard pool stays up, so warm
-    /// sessions can still be snapshotted via
-    /// [`manager`](ServerHandle::manager) before teardown.
+    /// Joins the reactor threads once they exit (after a drain, a client
+    /// `Shutdown`, or a stop). The shard pool stays up, so warm sessions
+    /// can still be snapshotted via [`manager`](ServerHandle::manager)
+    /// before teardown.
     pub fn join_front(&mut self) {
-        match &mut self.front {
-            Front::Blocking { accept, .. } => {
-                if let Some(accept) = accept.take() {
-                    let _ = accept.join();
-                }
-            }
-            #[cfg(unix)]
-            Front::Reactor { joins, .. } => {
-                for join in joins.drain(..) {
-                    let _ = join.join();
-                }
-            }
+        for join in self.joins.drain(..) {
+            let _ = join.join();
         }
     }
 
     /// Blocks until the server stops (a client sent
-    /// [`Request::Shutdown`], a [`DrainTrigger`] fired, or
-    /// [`ServerHandle::stop`] was called from another thread), then
-    /// tears down the shard pool.
+    /// [`Request::Shutdown`](crate::Request::Shutdown), a
+    /// [`DrainTrigger`] fired, or [`ServerHandle::stop`] was called from
+    /// another thread), then tears down the shard pool.
     pub fn wait(mut self) {
         self.join_front();
         self.manager.shutdown();
     }
 
-    /// Stops the server: drain, join the front-end, shut the shard pool
+    /// Stops the server: drain, join the reactors, shut the shard pool
     /// down. Idempotent.
     pub fn stop(&mut self) {
         self.drain();
@@ -241,186 +144,4 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// Flags the blocking accept loop to exit and wakes it with a throwaway
-/// connection (accept has no timeout; a self-connect is the portable way
-/// to unblock it).
-fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
-    if stop.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    let _ = TcpStream::connect(addr);
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    addr: SocketAddr,
-    manager: &Arc<SessionManager>,
-    stop: &Arc<AtomicBool>,
-) {
-    let chaos = manager.config().chaos;
-    let mut accepted: u64 = 0;
-    for stream in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        accepted += 1;
-        let conn = accepted;
-        let injector = match chaos {
-            Some(plan) => FaultInjector::new(plan.derive(WIRE_CONN_SALT | conn)),
-            None => FaultInjector::disabled(),
-        };
-        let manager = Arc::clone(manager);
-        let stop = Arc::clone(stop);
-        // Connection threads are not joined: they serve until their
-        // peer leaves or the stop flag turns their next request into a
-        // ShuttingDown refusal. Joining here would hold the drain
-        // hostage to every idle client. The shard pool stays up — warm
-        // sessions remain snapshottable until the handle tears it down.
-        let _ = std::thread::Builder::new()
-            .name("hotpath-conn".to_string())
-            .spawn(move || {
-                let _ = connection(stream, addr, &manager, &stop, conn, injector);
-            })
-            .expect("spawn connection thread");
-    }
-}
-
-/// Serves one connection until the peer disconnects, the server starts
-/// draining, or the peer asks the whole server to shut down.
-fn connection(
-    stream: TcpStream,
-    addr: SocketAddr,
-    manager: &SessionManager,
-    stop: &AtomicBool,
-    conn: u64,
-    mut injector: FaultInjector,
-) -> io::Result<()> {
-    // A blocking read would hold this thread hostage to an idle peer
-    // across a drain; waking at the drain deadline bounds how long a
-    // stalled or silent connection can outlive one.
-    let drain_deadline = Duration::from_millis(manager.config().drain_deadline_ms.max(1));
-    stream.set_read_timeout(Some(drain_deadline))?;
-    let mut reader = io::BufReader::new(stream.try_clone()?);
-    let mut writer = io::BufWriter::new(stream);
-    loop {
-        if injector.armed() && injector.fire(FaultPoint::WireDelayRead) {
-            note_wire_fault(FaultPoint::WireDelayRead, conn);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return Ok(()),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        // Draining: refuse with ShuttingDown and close, mirroring the
-        // reactor's treatment of frames queued behind a drain.
-        if stop.load(Ordering::Acquire) {
-            write_frame(&mut writer, &Response::ShuttingDown.encode())?;
-            return Ok(());
-        }
-        let decoded = selfprof::stage!(selfprof::Stage::FrameDecode, Request::decode(&payload));
-        let response = match decoded {
-            Ok(Request::Shutdown) => {
-                write_frame(&mut writer, &Response::ShuttingDown.encode())?;
-                request_stop(stop, addr);
-                return Ok(());
-            }
-            Ok(request) => manager.request(request),
-            Err(e) => Response::Error {
-                message: e.to_string(),
-            },
-        };
-        if !send_response(&mut writer, &response.encode(), &mut injector, conn)? {
-            return Ok(());
-        }
-    }
-}
-
-/// Writes one response frame, possibly mangled by the connection's
-/// wire-fault plan. Returns `false` when the injected fault requires the
-/// connection to drop (reset, or a corrupted length prefix that leaves
-/// the stream desynced for good).
-fn send_response<W: Write>(
-    writer: &mut W,
-    payload: &[u8],
-    injector: &mut FaultInjector,
-    conn: u64,
-) -> io::Result<bool> {
-    if !injector.armed() {
-        write_frame(writer, payload)?;
-        return Ok(true);
-    }
-    // Draw every outbound point in fixed order so the per-point fault
-    // streams stay aligned no matter which fault wins precedence.
-    let reset = injector.fire(FaultPoint::WireReset);
-    let corrupt_len = injector.fire(FaultPoint::WireCorruptLen);
-    let corrupt_payload = injector.fire(FaultPoint::WireCorruptPayload);
-    let torn = injector.fire(FaultPoint::WireTornWrite);
-    let stall = injector.fire(FaultPoint::WireStall);
-    if stall {
-        note_wire_fault(FaultPoint::WireStall, conn);
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    if reset {
-        note_wire_fault(FaultPoint::WireReset, conn);
-        writer.write_all(&frame[..frame.len() / 2])?;
-        writer.flush()?;
-        return Ok(false);
-    }
-    if corrupt_len {
-        note_wire_fault(FaultPoint::WireCorruptLen, conn);
-        // Bit 30 pushes the length past MAX_FRAME_BYTES, so the client
-        // rejects the frame instantly instead of waiting out a bogus
-        // read for bytes that will never come.
-        frame[3] ^= 0x40;
-        writer.write_all(&frame)?;
-        writer.flush()?;
-        return Ok(false);
-    }
-    if corrupt_payload {
-        note_wire_fault(FaultPoint::WireCorruptPayload, conn);
-        // Flip a high bit of the opcode: every response opcode lands in
-        // 0x80..=0x8B, so the result is always invalid and the client
-        // sees a decode error — never silently wrong data.
-        frame[4] ^= 0x40;
-        writer.write_all(&frame)?;
-        writer.flush()?;
-        return Ok(true);
-    }
-    if torn {
-        note_wire_fault(FaultPoint::WireTornWrite, conn);
-        let mid = frame.len() / 2;
-        writer.write_all(&frame[..mid])?;
-        writer.flush()?;
-        std::thread::sleep(Duration::from_micros(200));
-        writer.write_all(&frame[mid..])?;
-    } else {
-        writer.write_all(&frame)?;
-    }
-    writer.flush()?;
-    Ok(true)
-}
-
-pub(crate) fn note_wire_fault(point: FaultPoint, conn: u64) {
-    telemetry::emit!(telemetry::Event::WireFaultInjected {
-        point: point.as_str(),
-        conn,
-    });
 }

@@ -18,10 +18,17 @@
 //! including a forced flush — cannot perturb another's results.
 
 use hotpath_dynamo::{DynamoConfig, LinkedEngine, Scheme};
-use hotpath_vm::{BlockEvent, ExecutionObserver, RunStats, StepOutcome, TraceController, Vm};
+use hotpath_vm::{
+    BlockEvent, ExecutionObserver, OptLevel, RunStats, StepOutcome, TraceController, Vm,
+};
 use hotpath_workloads::{build, Scale, WorkloadName};
 
 use crate::snapshot::SessionSnapshot;
+
+/// The trace-optimizer level every session's engine and VM install
+/// fragments at. Every level is bit-identical in results, so this sets
+/// speed only, and it is not part of a session's configuration.
+const OPT_LEVEL: OptLevel = OptLevel::Full;
 
 /// Everything needed to (re)create a session.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -39,9 +46,6 @@ pub struct SessionConfig {
     /// calls; `None` is unlimited. Exhausting the budget fails further
     /// `run` requests — the per-session half of admission control.
     pub fuel_budget: Option<u64>,
-    /// Trace optimization level for exec sessions (ignored for ingest,
-    /// which executes nothing). Affects speed only, never results.
-    pub opt_level: hotpath_vm::OptLevel,
     /// Ask admission to pre-warm the session from the fleet profile
     /// store's aggregate for this configuration. Warm state is policy
     /// only, so pre-warming affects warm-up speed, never results.
@@ -57,7 +61,6 @@ impl SessionConfig {
             scheme: Scheme::Net,
             delay: 50,
             fuel_budget: None,
-            opt_level: hotpath_vm::OptLevel::None,
             prewarm: false,
         }
     }
@@ -70,15 +73,8 @@ impl SessionConfig {
             scheme: Scheme::Net,
             delay: 50,
             fuel_budget: None,
-            opt_level: hotpath_vm::OptLevel::None,
             prewarm: false,
         }
-    }
-
-    /// Returns the configuration with the trace optimization level set.
-    pub fn with_opt_level(mut self, level: hotpath_vm::OptLevel) -> Self {
-        self.opt_level = level;
-        self
     }
 
     /// Returns the configuration with pre-warm-at-admission set.
@@ -94,7 +90,7 @@ impl SessionConfig {
     }
 
     fn dynamo(&self) -> DynamoConfig {
-        DynamoConfig::new(self.scheme, self.delay).with_opt_level(self.opt_level)
+        DynamoConfig::new(self.scheme, self.delay).with_opt_level(OPT_LEVEL)
     }
 }
 
@@ -150,7 +146,7 @@ impl Session {
         let engine = LinkedEngine::new(config.dynamo());
         let exec = config.workload.map(|name| {
             let program = build(name, config.scale).program;
-            let vm = Vm::new(&program).with_opt_level(config.opt_level);
+            let vm = Vm::new(&program).with_opt_level(OPT_LEVEL);
             let state = vm.start_linked();
             Exec { vm, state }
         });

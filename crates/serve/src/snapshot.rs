@@ -22,12 +22,12 @@
 //!
 //! ```text
 //! "HPSS"            magic, 4 bytes
-//! version: u16      currently 3
+//! version: u16      currently 4
 //! flags:   u16      bit 0 = machine-state section present
 //!                   bit 1 = profile-store section present
 //! config  section   workload u8 (0xFF = ingest) · scale u8 · scheme u8 ·
 //!                   delay u64 · fuel_budget u64 (u64::MAX = none) ·
-//!                   opt_level u8 · prewarm u8
+//!                   prewarm u8
 //! warm    section   counted arrays: fragments (insts u32, blocks [u32]),
 //!                   exit counters (u32, u64), armed targets u32,
 //!                   NET counters (u32, u64)
@@ -52,13 +52,12 @@
 
 use hotpath_dynamo::EngineWarmState;
 use hotpath_vm::{decode_events, encode_event, SavedFrame, SavedLinkedState, EVENT_WIRE_BYTES};
-use hotpath_workloads::{Scale, ALL_WORKLOADS};
 
 use crate::profile_store::SessionProfile;
 use crate::session::SessionConfig;
 use crate::wire::{
-    fnv1a64, put_bytes, put_i64, put_stats, put_u32, put_u64, put_warm, read_warm, ReadError,
-    Reader,
+    fnv1a64, put_bytes, put_config, put_i64, put_stats, put_u32, put_u64, put_warm, read_config,
+    read_warm, ReadError, Reader,
 };
 
 /// Magic bytes opening every snapshot ("Hot Path Session Snapshot").
@@ -66,8 +65,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HPSS";
 
 /// The format version this build writes and the only one it reads.
 /// Version 2 added the config's trace optimization level; version 3
-/// added the config's prewarm bit and the profile-store section.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// added the config's prewarm bit and the profile-store section;
+/// version 4 dropped the optimization level again (sessions always run
+/// the full trace optimizer).
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Flag bit: the machine-state section is present.
 const FLAG_MACHINE: u16 = 1;
@@ -162,27 +163,7 @@ impl SessionSnapshot {
         out.extend_from_slice(&flags.to_le_bytes());
 
         // Config section.
-        let workload = self.config.workload.map_or(0xFF, |w| {
-            ALL_WORKLOADS.iter().position(|&x| x == w).unwrap() as u8
-        });
-        out.push(workload);
-        out.push(match self.config.scale {
-            Scale::Smoke => 0,
-            Scale::Small => 1,
-            Scale::Full => 2,
-        });
-        out.push(match self.config.scheme {
-            hotpath_dynamo::Scheme::Net => 0,
-            hotpath_dynamo::Scheme::PathProfile => 1,
-        });
-        put_u64(&mut out, self.config.delay);
-        put_u64(&mut out, self.config.fuel_budget.unwrap_or(u64::MAX));
-        out.push(match self.config.opt_level {
-            hotpath_vm::OptLevel::None => 0,
-            hotpath_vm::OptLevel::Guards => 1,
-            hotpath_vm::OptLevel::Full => 2,
-        });
-        out.push(u8::from(self.config.prewarm));
+        put_config(&mut out, &self.config);
 
         // Warm section.
         put_warm(&mut out, &self.warm);
@@ -253,51 +234,7 @@ impl SessionSnapshot {
             return Err(SnapshotError::UnknownFlags(flags));
         }
 
-        let workload = match r.u8("workload")? {
-            0xFF => None,
-            idx => Some(
-                ALL_WORKLOADS
-                    .get(idx as usize)
-                    .copied()
-                    .ok_or(SnapshotError::Malformed("workload"))?,
-            ),
-        };
-        let scale = match r.u8("scale")? {
-            0 => Scale::Smoke,
-            1 => Scale::Small,
-            2 => Scale::Full,
-            _ => return Err(SnapshotError::Malformed("scale")),
-        };
-        let scheme = match r.u8("scheme")? {
-            0 => hotpath_dynamo::Scheme::Net,
-            1 => hotpath_dynamo::Scheme::PathProfile,
-            _ => return Err(SnapshotError::Malformed("scheme")),
-        };
-        let delay = r.u64("delay")?;
-        let fuel_budget = match r.u64("fuel_budget")? {
-            u64::MAX => None,
-            budget => Some(budget),
-        };
-        let opt_level = match r.u8("opt_level")? {
-            0 => hotpath_vm::OptLevel::None,
-            1 => hotpath_vm::OptLevel::Guards,
-            2 => hotpath_vm::OptLevel::Full,
-            _ => return Err(SnapshotError::Malformed("opt_level")),
-        };
-        let prewarm = match r.u8("prewarm")? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("prewarm")),
-        };
-        let config = SessionConfig {
-            workload,
-            scale,
-            scheme,
-            delay,
-            fuel_budget,
-            opt_level,
-            prewarm,
-        };
+        let config = read_config(&mut r)?;
 
         let warm = read_warm(&mut r)?;
 
@@ -374,8 +311,19 @@ impl SessionSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::warm_count_offsets;
     use hotpath_dynamo::FragmentRecord;
-    use hotpath_workloads::WorkloadName;
+    use hotpath_workloads::{Scale, WorkloadName};
+
+    /// Header (magic, version, flags) plus the config section.
+    const WARM_AT: usize = 4 + 2 + 2 + 3 + 8 + 8 + 1;
+
+    fn reseal(mut blob: Vec<u8>) -> Vec<u8> {
+        let len = blob.len();
+        let seal = fnv1a64(&blob[..len - 8]);
+        blob[len - 8..].copy_from_slice(&seal.to_le_bytes());
+        blob
+    }
 
     fn sample() -> SessionSnapshot {
         SessionSnapshot {
@@ -385,7 +333,6 @@ mod tests {
                 scheme: hotpath_dynamo::Scheme::Net,
                 delay: 50,
                 fuel_budget: Some(1_000_000),
-                opt_level: hotpath_vm::OptLevel::Full,
                 prewarm: false,
             },
             warm: EngineWarmState {
@@ -497,6 +444,80 @@ mod tests {
         assert_eq!(
             SessionSnapshot::decode(&blob),
             Err(SnapshotError::UnsupportedVersion(2))
+        );
+    }
+
+    #[test]
+    fn v3_snapshots_with_the_opt_level_byte_are_refused() {
+        // A genuine v3 image: version 3 and the opt-level byte (Full)
+        // ahead of the prewarm bit.
+        let mut blob = sample().encode();
+        blob[4] = 3;
+        blob.insert(WARM_AT - 1, 2);
+        assert_eq!(
+            SessionSnapshot::decode(&reseal(blob)),
+            Err(SnapshotError::UnsupportedVersion(3))
+        );
+    }
+
+    /// Every count in a real exec session's snapshot — warm section and
+    /// machine section — inflated to `u32::MAX` and resealed is refused
+    /// as malformed, never a huge allocation.
+    #[test]
+    fn inflated_counts_are_malformed_not_allocated() {
+        let mut session = crate::Session::open(
+            1,
+            0,
+            SessionConfig::exec(WorkloadName::Compress, Scale::Smoke),
+        );
+        session.run(Some(20_000)).unwrap();
+        let snap = session.snapshot();
+        let blob = snap.encode();
+        assert_eq!(SessionSnapshot::decode(&blob).unwrap(), snap);
+        let vm = snap.vm.as_ref().unwrap();
+        assert!(
+            !snap.warm.fragments.is_empty(),
+            "run long enough to install traces"
+        );
+
+        let mut offsets: Vec<usize> = warm_count_offsets(&snap.warm)
+            .into_iter()
+            .map(|at| WARM_AT + at)
+            .collect();
+        let mut warm = Vec::new();
+        put_warm(&mut warm, &snap.warm);
+        let regs_at = WARM_AT + warm.len() + 57;
+        let frames_at = regs_at + 4 + 8 * vm.regs.len();
+        let memory_at = frames_at + 4 + 16 * vm.frames.len() + 8 + EVENT_WIRE_BYTES + 4;
+        let globals_at = memory_at + 4 + 8 * vm.memory.len();
+        let count_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+        assert_eq!(count_at(regs_at) as usize, vm.regs.len());
+        assert_eq!(count_at(frames_at) as usize, vm.frames.len());
+        assert_eq!(count_at(memory_at) as usize, vm.memory.len());
+        assert_eq!(count_at(globals_at) as usize, vm.globals.len());
+        offsets.extend([regs_at, frames_at, memory_at, globals_at]);
+        for at in offsets {
+            let mut inflated = blob.clone();
+            inflated[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(
+                matches!(
+                    SessionSnapshot::decode(&reseal(inflated)),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "count at byte {at} inflated to u32::MAX was not refused as malformed"
+            );
+        }
+    }
+
+    /// The predictors assert τ > 0, so a restored zero delay would panic
+    /// the shard that opened it; decode refuses it like the `Open` frame.
+    #[test]
+    fn zero_delay_is_malformed() {
+        let mut snap = sample();
+        snap.config.delay = 0;
+        assert_eq!(
+            SessionSnapshot::decode(&snap.encode()),
+            Err(SnapshotError::Malformed("delay"))
         );
     }
 

@@ -4,9 +4,8 @@
 //!
 //! The workspace is deliberately free of external crates, so the handful
 //! of symbols the reactor needs are declared here directly against the
-//! platform libc (which `std` already links). Everything is `#[cfg(unix)]`
-//! — on other platforms the serve layer falls back to the blocking
-//! thread-per-connection front-end and never compiles this module.
+//! platform libc (which `std` already links). Like the rest of the TCP
+//! front-end, this module only exists on unix.
 
 use std::io;
 use std::os::raw::{c_int, c_void};

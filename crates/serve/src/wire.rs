@@ -3,8 +3,14 @@
 //! with. Everything is explicit-width and little-endian; there is no
 //! varint cleverness to get wrong.
 
-use hotpath_dynamo::{EngineWarmState, FragmentRecord};
+use hotpath_dynamo::{EngineWarmState, FragmentRecord, Scheme};
 use hotpath_vm::RunStats;
+use hotpath_workloads::{Scale, ALL_WORKLOADS};
+
+use crate::session::SessionConfig;
+
+/// `None` for a fuel budget or a run's fuel on the wire.
+pub(crate) const NO_FUEL: u64 = u64::MAX;
 
 /// Appends a `u32` (little-endian).
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -44,6 +50,75 @@ pub(crate) fn put_stats(out: &mut Vec<u8>, stats: &RunStats) {
     out.push(u8::from(stats.halted));
 }
 
+/// Appends a [`SessionConfig`] in the layout shared by the `Open` and
+/// `FetchProfile` frames and the snapshot's config section: workload
+/// index (0xFF = ingest), scale, scheme, delay, fuel budget
+/// ([`NO_FUEL`] = none), prewarm bit.
+pub(crate) fn put_config(out: &mut Vec<u8>, config: &SessionConfig) {
+    out.push(config.workload.map_or(0xFF, |w| {
+        ALL_WORKLOADS.iter().position(|&x| x == w).unwrap() as u8
+    }));
+    out.push(match config.scale {
+        Scale::Smoke => 0,
+        Scale::Small => 1,
+        Scale::Full => 2,
+    });
+    out.push(match config.scheme {
+        Scheme::Net => 0,
+        Scheme::PathProfile => 1,
+    });
+    put_u64(out, config.delay);
+    put_u64(out, config.fuel_budget.unwrap_or(NO_FUEL));
+    out.push(u8::from(config.prewarm));
+}
+
+/// Reads a [`SessionConfig`] written by [`put_config`]. A zero delay is
+/// refused here: the predictors assert a positive τ, so a config that
+/// reached a shard with one would panic it.
+pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<SessionConfig, ReadError> {
+    let workload = match r.u8("workload")? {
+        0xFF => None,
+        idx => Some(
+            ALL_WORKLOADS
+                .get(idx as usize)
+                .copied()
+                .ok_or(ReadError("workload"))?,
+        ),
+    };
+    let scale = match r.u8("scale")? {
+        0 => Scale::Smoke,
+        1 => Scale::Small,
+        2 => Scale::Full,
+        _ => return Err(ReadError("scale")),
+    };
+    let scheme = match r.u8("scheme")? {
+        0 => Scheme::Net,
+        1 => Scheme::PathProfile,
+        _ => return Err(ReadError("scheme")),
+    };
+    let delay = r.u64("delay")?;
+    if delay == 0 {
+        return Err(ReadError("delay"));
+    }
+    let fuel_budget = match r.u64("fuel_budget")? {
+        NO_FUEL => None,
+        budget => Some(budget),
+    };
+    let prewarm = match r.u8("prewarm")? {
+        0 => false,
+        1 => true,
+        _ => return Err(ReadError("prewarm")),
+    };
+    Ok(SessionConfig {
+        workload,
+        scale,
+        scheme,
+        delay,
+        fuel_budget,
+        prewarm,
+    })
+}
+
 /// Appends an [`EngineWarmState`] as the counted arrays shared by the
 /// snapshot and profile formats: fragments (insts, blocks), exit-stub
 /// counters, armed targets, NET counters.
@@ -78,7 +153,10 @@ pub(crate) fn read_warm(r: &mut Reader<'_>) -> Result<EngineWarmState, ReadError
     for _ in 0..r.u32("fragment count")? {
         let insts = r.u32("fragment insts")?;
         let n = r.u32("fragment block count")?;
-        let mut blocks = Vec::with_capacity(n as usize);
+        // `n` comes straight from the blob: reserve no more than the
+        // bytes left could hold, so an inflated count fails on the read
+        // below instead of aborting on the allocation.
+        let mut blocks = Vec::with_capacity((n as usize).min(r.remaining() / 4));
         for _ in 0..n {
             blocks.push(r.u32("fragment block")?);
         }
@@ -186,9 +264,44 @@ impl<'a> Reader<'a> {
 /// self-profiler report format via `hotpath-ir`.
 pub(crate) use hotpath_ir::fasthash::fnv1a64;
 
+/// Byte offsets, relative to the start of the section, of every `u32`
+/// count [`put_warm`] writes for `warm` — the fields a hostile blob
+/// inflates.
+#[cfg(test)]
+pub(crate) fn warm_count_offsets(warm: &EngineWarmState) -> Vec<usize> {
+    let mut offsets = vec![0];
+    let mut at = 4;
+    for fragment in &warm.fragments {
+        offsets.push(at + 4);
+        at += 8 + 4 * fragment.blocks.len();
+    }
+    offsets.push(at);
+    at += 4 + 12 * warm.exit_counts.len();
+    offsets.push(at);
+    at += 4 + 4 * warm.armed.len();
+    offsets.push(at);
+    offsets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn inflated_block_count_fails_the_read_instead_of_allocating() {
+        // One fragment, zero insts, then a block count of u32::MAX with
+        // no blocks behind it: a 16 GiB reservation if taken at face
+        // value.
+        let mut blob = Vec::new();
+        put_u32(&mut blob, 1);
+        put_u32(&mut blob, 0);
+        put_u32(&mut blob, u32::MAX);
+        assert_eq!(blob.len(), 12);
+        assert_eq!(
+            read_warm(&mut Reader::new(&blob)),
+            Err(ReadError("fragment block"))
+        );
+    }
 
     #[test]
     fn reader_round_trips_primitives() {

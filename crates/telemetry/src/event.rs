@@ -381,8 +381,8 @@ pub enum Event<'a> {
         /// `"wire_corrupt_len"`, `"wire_corrupt_payload"`,
         /// `"wire_stall"`, `"wire_delay_read"`).
         point: &'static str,
-        /// Connection identity (generation-tagged token on the reactor
-        /// front, accept index on the blocking front).
+        /// Connection identity: the reactor's generation-tagged
+        /// connection token.
         conn: u64,
     },
     /// A profile publish was routed to the store's quarantine bucket

@@ -26,6 +26,9 @@ cargo build --workspace --release
 echo "== cargo test --workspace =="
 cargo test --workspace --quiet
 
+echo "== hotbench tests (own workspace, built against the library crates' APIs) =="
+cargo test --release --offline --manifest-path hotbench/Cargo.toml
+
 echo "== trace-equivalence suite (linked execution is bit-identical) =="
 cargo test -p hotpath --test trace_equivalence --release --quiet
 

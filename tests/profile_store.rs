@@ -4,9 +4,9 @@
 //! must never bend is the one every other serving path already holds:
 //! pre-warming changes *when* traces exist, never *what* the program
 //! computes. A pre-warmed run's final statistics, memory, and globals
-//! are bit-identical to a cold run at every optimization level, merges
-//! are order-independent down to the byte, and corrupt or stale
-//! profiles are refused exactly like corrupt snapshots.
+//! are bit-identical to a cold run, merges are order-independent down to
+//! the byte, and corrupt or stale profiles are refused exactly like
+//! corrupt snapshots.
 
 use hotpath::dynamo::{EngineWarmState, FragmentRecord};
 use hotpath::prelude::*;
@@ -15,7 +15,6 @@ use hotpath::serve::{
     Request, Response, ServeConfig, Session, SessionConfig, SessionManager, SessionProfile,
     SessionSnapshot,
 };
-use hotpath::vm::OptLevel;
 use hotpath::workloads::ALL_WORKLOADS;
 
 /// A plain interpreted run: the reference every serving path must match.
@@ -75,64 +74,62 @@ fn status(manager: &SessionManager, session: u64) -> hotpath::serve::SessionStat
     }
 }
 
-/// The acceptance criterion: for every workload at every optimization
-/// level, a session pre-warmed from a published profile starts with
-/// installed fragments before executing a single block (strictly ahead
-/// of any cold session, whose first install necessarily costs blocks)
-/// and still ends bit-identical to the cold run and to plain
-/// interpretation.
+/// The acceptance criterion: for every workload, a session pre-warmed
+/// from a published profile starts with installed fragments before
+/// executing a single block (strictly ahead of any cold session, whose
+/// first install necessarily costs blocks) and still ends bit-identical
+/// to the cold run and to plain interpretation. Sessions run at the one
+/// shipped optimizer level; `tests/trace_opt.rs` covers every level.
 #[test]
-fn prewarmed_runs_are_bit_identical_for_every_workload_and_opt_level() {
-    for level in [OptLevel::None, OptLevel::Guards, OptLevel::Full] {
-        let manager = SessionManager::new(ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        });
-        for name in ALL_WORKLOADS {
-            let reference = plain(name, Scale::Smoke);
-            let config = SessionConfig::exec(name, Scale::Smoke).with_opt_level(level);
+fn prewarmed_runs_are_bit_identical_for_every_workload() {
+    let manager = SessionManager::new(ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    });
+    for name in ALL_WORKLOADS {
+        let reference = plain(name, Scale::Smoke);
+        let config = SessionConfig::exec(name, Scale::Smoke);
 
-            // Cold run: no installs at admission, publish at the end.
-            let (cold, outcome) = open(&manager, config.clone());
-            assert_eq!(outcome, PrewarmOutcome::NotRequested);
-            assert_eq!(
-                status(&manager, cold).installs,
-                0,
-                "{name}@{level:?}: a cold session cannot have installs at admission"
-            );
-            let cold_stats = finish(&manager, cold);
-            assert_eq!(cold_stats, reference.0, "{name}@{level:?}: cold stats");
-            match manager.request(Request::PublishProfile { session: cold }) {
-                Response::ProfilePublished { fragments, .. } => {
-                    assert!(fragments >= 1, "{name}@{level:?}: nothing aggregated")
-                }
-                other => panic!("{name}@{level:?}: publish failed: {other:?}"),
+        // Cold run: no installs at admission, publish at the end.
+        let (cold, outcome) = open(&manager, config.clone());
+        assert_eq!(outcome, PrewarmOutcome::NotRequested);
+        assert_eq!(
+            status(&manager, cold).installs,
+            0,
+            "{name}: a cold session cannot have installs at admission"
+        );
+        let cold_stats = finish(&manager, cold);
+        assert_eq!(cold_stats, reference.0, "{name}: cold stats");
+        match manager.request(Request::PublishProfile { session: cold }) {
+            Response::ProfilePublished { fragments, .. } => {
+                assert!(fragments >= 1, "{name}: nothing aggregated")
             }
+            other => panic!("{name}: publish failed: {other:?}"),
+        }
 
-            // Pre-warmed run: fragments installed before any block runs —
-            // blocks-to-first-trace is strictly below any cold number.
-            let (warmed, outcome) = open(&manager, config.with_prewarm(true));
-            match outcome {
-                PrewarmOutcome::Warmed { fragments, .. } => {
-                    assert!(fragments >= 1, "{name}@{level:?}: empty pre-warm")
-                }
-                other => panic!("{name}@{level:?}: expected Warmed, got {other:?}"),
+        // Pre-warmed run: fragments installed before any block runs —
+        // blocks-to-first-trace is strictly below any cold number.
+        let (warmed, outcome) = open(&manager, config.with_prewarm(true));
+        match outcome {
+            PrewarmOutcome::Warmed { fragments, .. } => {
+                assert!(fragments >= 1, "{name}: empty pre-warm")
             }
-            let warm_status = status(&manager, warmed);
-            assert_eq!(warm_status.stats.blocks_executed, 0);
-            assert!(
-                warm_status.installs >= 1,
-                "{name}@{level:?}: pre-warm must install fragments at admission"
-            );
-            let warm_stats = finish(&manager, warmed);
-            assert_eq!(warm_stats, cold_stats, "{name}@{level:?}: stats diverged");
-            let machine = machine_state(&manager, warmed);
-            assert_eq!(machine.1, reference.1, "{name}@{level:?}: memory diverged");
-            assert_eq!(machine.2, reference.2, "{name}@{level:?}: globals diverged");
+            other => panic!("{name}: expected Warmed, got {other:?}"),
+        }
+        let warm_status = status(&manager, warmed);
+        assert_eq!(warm_status.stats.blocks_executed, 0);
+        assert!(
+            warm_status.installs >= 1,
+            "{name}: pre-warm must install fragments at admission"
+        );
+        let warm_stats = finish(&manager, warmed);
+        assert_eq!(warm_stats, cold_stats, "{name}: stats diverged");
+        let machine = machine_state(&manager, warmed);
+        assert_eq!(machine.1, reference.1, "{name}: memory diverged");
+        assert_eq!(machine.2, reference.2, "{name}: globals diverged");
 
-            for session in [cold, warmed] {
-                manager.request(Request::Close { session });
-            }
+        for session in [cold, warmed] {
+            manager.request(Request::Close { session });
         }
     }
 }

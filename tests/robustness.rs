@@ -342,8 +342,8 @@ fn phase_shift_walks_the_ladder_and_stays_bit_identical() {
 mod serve_faults {
     use super::*;
     use hotpath::serve::{
-        read_frame, serve, serve_blocking, write_frame, Client, ClientError, Request, Response,
-        RetryPolicy, ServeConfig, SessionConfig, SessionManager,
+        read_frame, serve, write_frame, Client, ClientError, Request, Response, RetryPolicy,
+        ServeConfig, SessionConfig, SessionManager,
     };
     use hotpath::workloads::{build, ALL_WORKLOADS};
     use std::time::{Duration, Instant};
@@ -387,14 +387,14 @@ mod serve_faults {
         (stats, client.retries(), client.reconnects())
     }
 
-    /// The wire-fault matrix: every wire fault class, on both
-    /// front-ends, at a rate that guarantees it fires many times over
+    /// The wire-fault matrix: every wire fault class, on the TCP
+    /// front-end, at a rate that guarantees it fires many times over
     /// the run. Disruptive classes (resets, corrupt frames) must
     /// visibly cost retries or reconnects; transparent ones (torn
     /// writes, stalls, delayed reads) must not break anything either
     /// way. All must end bit-identical.
     #[test]
-    fn wire_fault_matrix_is_bit_identical_on_both_fronts() {
+    fn wire_fault_matrix_is_bit_identical() {
         let expect = reference(Scale::Smoke);
         hush_injected_panics();
         let matrix = [
@@ -407,27 +407,21 @@ mod serve_faults {
         ];
         for (point, rate, disruptive) in matrix {
             let plan = FaultPlan::new(0xC4A05).with(point, rate);
-            for front in ["reactor", "blocking"] {
-                let config = ServeConfig {
-                    shards: 1,
-                    chaos: Some(plan),
-                    ..ServeConfig::default()
-                };
-                let mut handle = match front {
-                    "reactor" => serve("127.0.0.1:0", config),
-                    _ => serve_blocking("127.0.0.1:0", config),
-                }
-                .expect("bind");
-                let (stats, retries, reconnects) = drive_tcp(handle.addr(), 0xD21 ^ rate as u64);
-                assert_eq!(stats, expect, "{front}/{point:?}: stats diverged");
-                if disruptive {
-                    assert!(
-                        retries + reconnects > 0,
-                        "{front}/{point:?}: the fault never visibly bit"
-                    );
-                }
-                handle.stop();
+            let config = ServeConfig {
+                shards: 1,
+                chaos: Some(plan),
+                ..ServeConfig::default()
+            };
+            let mut handle = serve("127.0.0.1:0", config).expect("bind");
+            let (stats, retries, reconnects) = drive_tcp(handle.addr(), 0xD21 ^ rate as u64);
+            assert_eq!(stats, expect, "{point:?}: stats diverged");
+            if disruptive {
+                assert!(
+                    retries + reconnects > 0,
+                    "{point:?}: the fault never visibly bit"
+                );
             }
+            handle.stop();
         }
     }
 
@@ -519,34 +513,26 @@ mod serve_faults {
     }
 
     /// `ServeConfig::drain_deadline_ms` bounds how long an idle
-    /// connection can stall a drain, on both front-ends (the seed
-    /// hardcoded 5 s in the reactor and waited forever in the blocking
-    /// front).
+    /// connection can stall a drain (the seed hardcoded 5 s).
     #[test]
-    fn drain_deadline_is_configurable_on_both_fronts() {
+    fn drain_deadline_is_configurable() {
         assert_eq!(ServeConfig::default().drain_deadline_ms, 5_000);
-        for front in ["reactor", "blocking"] {
-            let config = ServeConfig {
-                shards: 1,
-                drain_deadline_ms: 50,
-                ..ServeConfig::default()
-            };
-            let mut handle = match front {
-                "reactor" => serve("127.0.0.1:0", config),
-                _ => serve_blocking("127.0.0.1:0", config),
-            }
-            .expect("bind");
-            // An idle connection (no request in flight) holds the front
-            // open until the drain deadline expires.
-            let _idle = Client::connect(handle.addr()).expect("connect");
-            let start = Instant::now();
-            handle.stop();
-            assert!(
-                start.elapsed() < Duration::from_secs(2),
-                "{front}: drain took {:?}, the 50 ms deadline was not honored",
-                start.elapsed()
-            );
-        }
+        let config = ServeConfig {
+            shards: 1,
+            drain_deadline_ms: 50,
+            ..ServeConfig::default()
+        };
+        let mut handle = serve("127.0.0.1:0", config).expect("bind");
+        // An idle connection (no request in flight) holds the front open
+        // until the drain deadline expires.
+        let _idle = Client::connect(handle.addr()).expect("connect");
+        let start = Instant::now();
+        handle.stop();
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "drain took {:?}, the 50 ms deadline was not honored",
+            start.elapsed()
+        );
     }
 }
 

@@ -487,6 +487,59 @@ fn tcp_restore_rejects_corrupt_blobs() {
     handle.wait();
 }
 
+/// A resealed snapshot whose fragment block count is inflated to
+/// `u32::MAX` — the FNV seal is a checksum anyone can recompute — is
+/// answered with an error, and the same server keeps serving.
+#[test]
+fn tcp_restore_rejects_inflated_counts_and_stays_up() {
+    use hotpath::dynamo::{EngineWarmState, FragmentRecord};
+    use hotpath::ir::fasthash::fnv1a64;
+    use hotpath::serve::{read_frame, write_frame};
+
+    let mut blob = SessionSnapshot {
+        config: SessionConfig::ingest(),
+        warm: EngineWarmState {
+            fragments: vec![FragmentRecord {
+                blocks: vec![1],
+                insts: 1,
+            }],
+            ..EngineWarmState::default()
+        },
+        vm: None,
+        profile: None,
+    }
+    .encode();
+    // Header (8 bytes) and config (20), then the fragment count and the
+    // first fragment's insts: its block count follows.
+    let count_at = 8 + 20 + 4 + 4;
+    assert_eq!(&blob[count_at..count_at + 4], &1u32.to_le_bytes());
+    blob[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let len = blob.len();
+    let seal = fnv1a64(&blob[..len - 8]);
+    blob[len - 8..].copy_from_slice(&seal.to_le_bytes());
+
+    let handle = serve("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    let mut call = |request: Request| {
+        write_frame(&mut stream, &request.encode()).expect("send");
+        let payload = read_frame(&mut stream).expect("read").expect("reply");
+        Response::decode(&payload).expect("decode")
+    };
+    match call(Request::Restore { blob }) {
+        Response::Error { message } => assert!(
+            message.contains("fragment block"),
+            "unexpected error: {message}"
+        ),
+        other => panic!("inflated restore must fail, got {other:?}"),
+    }
+    match call(Request::Stats) {
+        Response::ServerStats(stats) => assert_eq!(stats.live_sessions, 0),
+        other => panic!("server must keep serving, got {other:?}"),
+    }
+    drop(stream);
+    drop(handle);
+}
+
 #[cfg(feature = "telemetry")]
 mod telemetry_events {
     use super::*;
