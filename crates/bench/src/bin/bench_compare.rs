@@ -1,9 +1,8 @@
-//! `bench_compare` — the CI regression gate over pipeline snapshots.
+//! `bench_compare` — the regression gates over benchmark output.
 //!
 //! ```text
-//! bench_compare BASELINE.json CURRENT.json [--tolerance 0.10]
-//!               [--baseline-label L] [--current-label L]
-//! bench_compare --trend FILE [--tolerance 0.10]
+//! bench_compare --ab PARENT.jsonl CHANGE.jsonl
+//! bench_compare BASELINE_TELEMETRY.json CURRENT_TELEMETRY.json
 //! bench_compare --curve PREFIX FILE
 //! bench_compare --warmstart LABEL FILE [--tolerance 0.10]
 //! bench_compare --chaos LABEL FILE
@@ -11,27 +10,25 @@
 //!               [--current-label L]
 //! ```
 //!
-//! Each mode reads its documents into flat metric runs and applies one
-//! gate from [`hotpath_bench::compare`], whose functions state each rule;
-//! `USAGE` (`--help`) summarizes them. Throughput is always gated
-//! native-relative: each run's rates are divided by its own `native`
-//! rate, cancelling machine speed, because committed baselines were
-//! recorded on other hosts. The tolerance defaults to 0.10.
+//! Each mode reads its input into flat metric runs and applies one gate
+//! from [`hotpath_bench::compare`], whose functions state each rule;
+//! `USAGE` (`--help`) summarizes them. Throughput is judged only by
+//! `--ab`, over paired hotbench runs that `scripts/ab.sh` records; the
+//! metrics, their direction and their bounds come from `./BENCHMARK.json`
+//! at run time.
 //!
-//! Exit codes: 0 pass (trend warnings included — they are advisory),
-//! 1 a gate failed, 2 usage or parse error.
+//! Exit codes: 0 pass, 1 a gate failed, 2 usage or parse error.
 
 use std::fs;
 use std::process::ExitCode;
 
 use hotpath_bench::compare::{
-    alloc_gate, chaos_gate, compare_perf, compare_telemetry, perf_trend, read_runs, render,
-    select_run, sweep_curve, warm_start_gate, DocKind, DEFAULT_TOLERANCE,
+    ab_gate, alloc_gate, chaos_gate, compare_telemetry, read_end_to_end, read_hotbench_runs,
+    read_runs, render, select_run, sweep_curve, warm_start_gate, DEFAULT_TOLERANCE,
 };
 
-const USAGE: &str = "usage: bench_compare BASELINE.json CURRENT.json [--tolerance F]
-                     [--baseline-label L] [--current-label L]
-       bench_compare --trend FILE [--tolerance F]
+const USAGE: &str = "usage: bench_compare --ab PARENT.jsonl CHANGE.jsonl
+       bench_compare BASELINE.json CURRENT.json
        bench_compare --curve PREFIX FILE
        bench_compare --warmstart LABEL FILE [--tolerance F]
        bench_compare --chaos LABEL FILE
@@ -39,11 +36,15 @@ const USAGE: &str = "usage: bench_compare BASELINE.json CURRENT.json [--toleranc
                      [--current-label L]
 
 modes:
-  two files        pairwise gate: perf modes beyond the tolerance (rates
-                   divided by each run's native rate), guard-exec
-                   increases, or any differing telemetry event count fail
-  --trend FILE     cumulative native-relative drift across every run in
-                   one perf document; warnings are advisory (exit 0)
+  --ab             A/B verdict over paired hotbench result lines (line i
+                   of each file ran back to back; at least 10 pairs).
+                   For every end-to-end metric of ./BENCHMARK.json: the
+                   medians, pairs the change won, the parent IQR, and
+                   FAIL (median worse than the bound), unresolved
+                   (parent spread wider than the bound), gain or
+                   unchanged. Incorrect runs, or a larger failed share
+                   of operations than the parent's, fail too
+  two files        telemetry diff: any differing event count fails
   --curve PREFIX   sweep-curve gate over runs labelled PREFIX-nN: the
                    serve-aggregate rate at the largest N must hold half
                    the smallest-N rate
@@ -63,14 +64,14 @@ modes:
 --tolerance defaults to 0.10.
 
 exit codes:
-  0  gate passed (including --trend runs that only warn)
+  0  gate passed (unresolved A/B verdicts included)
   1  a gate failed
   2  usage or parse error";
 
 /// The gate a command line selects.
 enum Gate {
-    Diff,
-    Trend,
+    Telemetry,
+    Ab,
     Curve(String),
     WarmStart(String),
     Chaos(String),
@@ -81,14 +82,12 @@ struct Args {
     gate: Gate,
     files: Vec<String>,
     tolerance: f64,
-    baseline_label: Option<String>,
     current_label: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut gate = Gate::Diff;
+    let mut gate = Gate::Telemetry;
     let mut tolerance = DEFAULT_TOLERANCE;
-    let mut baseline_label = None;
     let mut current_label = None;
     let mut files = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -102,15 +101,11 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| format!("--tolerance `{v}` is not a number"))?;
                 None
             }
-            "--baseline-label" => {
-                baseline_label = Some(value("--baseline-label")?);
-                None
-            }
             "--current-label" => {
                 current_label = Some(value("--current-label")?);
                 None
             }
-            "--trend" => Some(Gate::Trend),
+            "--ab" => Some(Gate::Ab),
             "--curve" => Some(Gate::Curve(value("--curve")?)),
             "--warmstart" => Some(Gate::WarmStart(value("--warmstart")?)),
             "--chaos" => Some(Gate::Chaos(value("--chaos")?)),
@@ -126,9 +121,9 @@ fn parse_args() -> Result<Args, String> {
             }
         };
         if let Some(selected) = selected {
-            if !matches!(gate, Gate::Diff) {
+            if !matches!(gate, Gate::Telemetry) {
                 return Err(
-                    "--trend, --curve, --warmstart, --chaos, and --alloc are mutually exclusive"
+                    "--ab, --curve, --warmstart, --chaos, and --alloc are mutually exclusive"
                         .into(),
                 );
             }
@@ -139,13 +134,13 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("tolerance {tolerance} must be in [0, 1)"));
     }
     let wanted = match gate {
-        Gate::Diff => 2..=2,
+        Gate::Telemetry | Gate::Ab => 2..=2,
         Gate::Alloc(_) => 1..=2,
         _ => 1..=1,
     };
     if !wanted.contains(&files.len()) {
         return Err(format!(
-            "expected {wanted:?} snapshot files, got {}",
+            "expected {wanted:?} input files, got {}",
             files.len()
         ));
     }
@@ -153,81 +148,71 @@ fn parse_args() -> Result<Args, String> {
         gate,
         files,
         tolerance,
-        baseline_label,
         current_label,
     })
+}
+
+fn read(path: &str) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn run(args: &Args) -> Result<bool, String> {
     let texts = args
         .files
         .iter()
-        .map(|path| fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")))
+        .map(|path| read(path))
         .collect::<Result<Vec<_>, _>>()?;
-    let docs = texts
-        .iter()
-        .zip(&args.files)
-        .map(|(text, path)| read_runs(text).map_err(|e| format!("{path}: {e}")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let pick = |i: usize, label: Option<&str>| {
-        select_run(&docs[i].1, label).map_err(|e| format!("{}: {e}", args.files[i]))
+    let doc = |i: usize| read_runs(&texts[i]).map_err(|e| format!("{}: {e}", args.files[i]));
+    let pick = |i: usize, label: &str| -> Result<_, String> {
+        let (_, runs) = doc(i)?;
+        let run = select_run(&runs, Some(label)).map_err(|e| format!("{}: {e}", args.files[i]))?;
+        Ok(run.clone())
     };
     let tolerance = args.tolerance;
     let (title, checks) = match &args.gate {
-        Gate::Trend => (
-            "perf trend (advisory): first -> last committed run".to_string(),
-            perf_trend(&docs[0].1, tolerance)?,
-        ),
+        Gate::Ab => {
+            let metrics = read_end_to_end(&read("BENCHMARK.json")?)
+                .map_err(|e| format!("BENCHMARK.json: {e}"))?;
+            let parent = read_hotbench_runs(&texts[0], &args.files[0])?;
+            let change = read_hotbench_runs(&texts[1], &args.files[1])?;
+            let title = format!(
+                "A/B over {} pairs: `{}` -> `{}`",
+                parent.len(),
+                args.files[0],
+                args.files[1]
+            );
+            (title, ab_gate(&metrics, &parent, &change)?)
+        }
         Gate::Curve(prefix) => (
             format!("sweep curve `{prefix}-nN`"),
-            sweep_curve(&docs[0].1, prefix)?,
+            sweep_curve(&doc(0)?.1, prefix)?,
         ),
         Gate::WarmStart(label) => (
             format!("warm-start gate: run `{label}`"),
-            warm_start_gate(pick(0, Some(label))?, tolerance)?,
+            warm_start_gate(&pick(0, label)?, tolerance)?,
         ),
         Gate::Chaos(label) => (
             format!("chaos gate: run `{label}`"),
-            chaos_gate(pick(0, Some(label))?)?,
+            chaos_gate(&pick(0, label)?)?,
         ),
         Gate::Alloc(label) => {
-            let base = pick(0, Some(label))?;
+            let base = pick(0, label)?;
             // One file: gate the committed run against itself, which
             // validates the section's presence and shape.
-            let cur = match docs.len() {
-                2 => pick(1, Some(args.current_label.as_deref().unwrap_or(label)))?,
-                _ => base,
+            let cur = match texts.len() {
+                2 => pick(1, args.current_label.as_deref().unwrap_or(label))?,
+                _ => base.clone(),
             };
             let title = format!("alloc gate: `{}` -> `{}`", base.label, cur.label);
-            (title, alloc_gate(base, cur, tolerance)?)
+            (title, alloc_gate(&base, &cur, tolerance)?)
         }
-        Gate::Diff => match (docs[0].0, docs[1].0) {
-            (DocKind::Perf, DocKind::Perf) => {
-                let base = pick(0, args.baseline_label.as_deref())?;
-                let cur = pick(1, args.current_label.as_deref())?;
-                let title = format!("perf gate: `{}` -> `{}`", base.label, cur.label);
-                (title, compare_perf(base, cur, tolerance)?)
-            }
-            (DocKind::Telemetry, DocKind::Telemetry) => (
-                "telemetry gate".to_string(),
-                compare_telemetry(&texts[0], &texts[1])?,
-            ),
-            (base, cur) => {
-                return Err(format!(
-                    "cannot compare a {base:?} document against a {cur:?} document"
-                ))
-            }
-        },
+        Gate::Telemetry => (
+            "telemetry gate".to_string(),
+            compare_telemetry(&texts[0], &texts[1])?,
+        ),
     };
     print!("{}", render(&title, &checks));
-    let failed = checks.iter().filter(|c| !c.pass).count();
-    if matches!(args.gate, Gate::Trend) {
-        if failed > 0 {
-            eprintln!("bench_compare: {failed} mode(s) drifting (advisory — not failing)");
-        }
-        return Ok(true);
-    }
-    Ok(failed == 0)
+    Ok(checks.iter().all(|c| c.pass))
 }
 
 fn main() -> ExitCode {

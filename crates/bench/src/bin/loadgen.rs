@@ -15,8 +15,8 @@
 //!   the serving layer exists for).
 //!
 //! All three modes execute the identical block total, so their
-//! blocks/sec are directly comparable and append to the same
-//! `BENCH_perf.json` document `perf_baseline` writes, under one
+//! blocks/sec are directly comparable and append to a
+//! `BENCH_perf.json`-format document (`{"runs": [...]}`), under one
 //! labelled run.
 //!
 //! With `--addr HOST:PORT` the serve modes go over TCP to an already
@@ -309,8 +309,8 @@ fn scale_name(scale: Scale) -> &'static str {
     }
 }
 
-/// Appends one rendered run object to the shared perf document, same
-/// format as `perf_baseline` (creates the document when absent).
+/// Appends one rendered run object to a `BENCH_perf.json`-format
+/// document (creates the document when absent).
 fn append_run(json: &PathBuf, run_json: &str, label: &str) {
     let existing = fs::read_to_string(json).ok();
     let doc = match existing {
@@ -321,7 +321,7 @@ fn append_run(json: &PathBuf, run_json: &str, label: &str) {
                 .or_else(|| trimmed.strip_suffix("]\n}"))
                 .unwrap_or_else(|| {
                     panic!(
-                        "{} exists but is not a perf_baseline document",
+                        "{} exists but is not a BENCH_perf.json-format document",
                         json.display()
                     )
                 })
@@ -1320,6 +1320,6 @@ fn main() {
     }
     let _ = write!(run_json, "    }}");
 
-    // Append to the shared perf document, same format as perf_baseline.
+    // Append to the perf document.
     append_run(&args.json, &run_json, &args.label);
 }

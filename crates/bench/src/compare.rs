@@ -1,20 +1,21 @@
-//! Snapshot comparison for the regression gate.
+//! Snapshot comparison for the regression gates.
 //!
 //! [`bench_compare`] (the binary built from this module's API) reads
-//! pipeline snapshots and decides whether they pass a gate. Every
-//! document is first flattened by [`read_runs`] into [`Run`]s: dotted
-//! metric names mapped to finite numbers, such as
-//! `modes.net.blocks_per_sec`, `warm_start.li.cold_blocks_to_first_trace`,
-//! `chaos.leaked`, `alloc.bytes_per_block` or `events.trace_enter`. Each
-//! gate then builds [`Check`] rows from named metrics, and [`render`]
-//! prints them as one table. The gates are [`compare_perf`],
-//! [`perf_trend`], [`sweep_curve`], [`warm_start_gate`], [`chaos_gate`],
+//! benchmark output and decides whether it passes a gate. Every
+//! `BENCH_perf.json` or `telemetry.json` document is first flattened by
+//! [`read_runs`] into [`Run`]s: dotted metric names mapped to finite
+//! numbers, such as `warm_start.li.cold_blocks_to_first_trace`,
+//! `chaos.leaked`, `alloc.bytes_per_block` or `events.trace_enter`. The
+//! repository benchmark's result lines read the same way through
+//! [`read_hotbench_runs`]. Each gate then builds [`Check`] rows from named
+//! metrics, and [`render`] prints them as one table. The gates are
+//! [`ab_gate`], [`sweep_curve`], [`warm_start_gate`], [`chaos_gate`],
 //! [`alloc_gate`] and [`compare_telemetry`].
 //!
-//! Every throughput check divides a run's rates by its own `native` rate.
-//! That cancels machine speed, so baselines recorded on another host still
-//! gate, and only the profiling *overhead ratio* is judged, which is the
-//! quantity the paper argues about.
+//! Throughput is judged only by [`ab_gate`], over interleaved runs of
+//! two revisions on one host. The committed-document gates check
+//! correctness, allocation and shape; the one throughput ratio among them
+//! (warm-start) divides both rates by the run's own `native` rate.
 //!
 //! The documents are parsed with the dependency-free
 //! [`hotpath_telemetry::json`] value parser.
@@ -223,6 +224,51 @@ pub struct Check {
     pub limit: Limit,
     /// Whether `current` satisfies `limit`.
     pub pass: bool,
+    /// The paired runs behind an [`ab_gate`] row; `None` for every other
+    /// gate.
+    pub pairing: Option<Pairing>,
+}
+
+/// What [`ab_gate`] concluded about one metric.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Verdict {
+    /// The change median is worse than the parent's by more than the
+    /// bound.
+    Fail,
+    /// The parent's runs spread wider than the bound, so no verdict can
+    /// rest on them.
+    Unresolved,
+    /// The change won at least 9 pairs in 10, and the medians differ by
+    /// more than the parent's interquartile range.
+    Gain,
+    /// None of the above.
+    Unchanged,
+}
+
+impl Verdict {
+    /// The word [`render`] prints.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Verdict::Fail => "FAIL",
+            Verdict::Unresolved => "unresolved",
+            Verdict::Gain => "gain",
+            Verdict::Unchanged => "unchanged",
+        }
+    }
+}
+
+/// The paired evidence behind one [`ab_gate`] row.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Pairing {
+    /// Pairs whose change run beat its parent run; ties count for
+    /// neither side.
+    pub won: usize,
+    /// Pairs compared.
+    pub pairs: usize,
+    /// The parent runs' interquartile range over their median.
+    pub parent_iqr_share: f64,
+    /// The verdict.
+    pub verdict: Verdict,
 }
 
 impl Check {
@@ -240,11 +286,14 @@ impl Check {
             current,
             limit,
             pass,
+            pairing: None,
         }
     }
 }
 
-/// Renders `checks` as one aligned table under `title`.
+/// Renders `checks` as one aligned table under `title`. When any row
+/// comes from [`ab_gate`], the table gains the pairs-won and parent-IQR
+/// columns, and those rows print their [`Verdict`].
 pub fn render(title: &str, checks: &[Check]) -> String {
     use std::fmt::Write as _;
     let num = |v: f64| {
@@ -257,13 +306,18 @@ pub fn render(title: &str, checks: &[Check]) -> String {
         };
         format!("{v:.places$}")
     };
+    let paired = checks.iter().any(|c| c.pairing.is_some());
     let width = checks.iter().map(|c| c.name.len()).max().unwrap_or(0);
     let mut out = format!("{title}\n");
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "{:<width$} {:>14} {:>14} {:>8} {:>16}  verdict",
+        "{:<width$} {:>14} {:>14} {:>8} {:>16}",
         "metric", "baseline", "current", "ratio", "limit"
     );
+    if paired {
+        let _ = write!(out, " {:>7} {:>8}", "won", "base IQR");
+    }
+    out.push_str("  verdict\n");
     for c in checks {
         let (op, x) = match c.limit {
             Limit::AtLeast(x) => (">=", x),
@@ -275,107 +329,251 @@ pub fn render(title: &str, checks: &[Check]) -> String {
             0.0 => "-".to_string(),
             base => format!("{:.3}x", c.current / base),
         };
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "{:<width$} {:>14} {:>14} {:>8} {:>16}  {}",
+            "{:<width$} {:>14} {:>14} {:>8} {:>16}",
             c.name,
             num(c.baseline),
             num(c.current),
             ratio,
             format!("{op} {}", num(x)),
-            if c.pass { "ok" } else { "FAIL" }
         );
+        if paired {
+            let (won, iqr) = match c.pairing {
+                Some(p) => (
+                    format!("{}/{}", p.won, p.pairs),
+                    format!("{:.1}%", 100.0 * p.parent_iqr_share),
+                ),
+                None => ("-".to_string(), "-".to_string()),
+            };
+            let _ = write!(out, " {won:>7} {iqr:>8}");
+        }
+        let verdict = match (c.pairing, c.pass) {
+            (Some(p), _) => p.verdict.as_str(),
+            (None, true) => "ok",
+            (None, false) => "FAIL",
+        };
+        let _ = writeln!(out, "  {verdict}");
     }
     out
 }
 
-/// Compares two perf runs mode by mode, native-relative.
-///
-/// Every mode both runs record, except the `native` normalizer, gets a
-/// `blocks_per_sec` check: its rate divided by its run's own `native`
-/// rate may drop by at most `tolerance`. Modes present in only one run
-/// are skipped — the gate judges the shared surface. When both runs
-/// record a mode's `guard_execs` (`native` included), any increase fails
-/// outright: the counts are deterministic, so tolerance does not apply.
-///
-/// # Errors
-///
-/// Returns a message when either run lacks a positive `native` rate or a
-/// mode's rate, or a gated baseline rate is zero.
-pub fn compare_perf(baseline: &Run, current: &Run, tolerance: f64) -> Result<Vec<Check>, String> {
-    let (base_native, cur_native) = (baseline.positive(NATIVE)?, current.positive(NATIVE)?);
-    let current_modes = current.section("modes")?;
-    let mut checks = Vec::new();
-    for mode in baseline.section("modes")? {
-        if !current_modes.contains(mode) {
-            continue;
-        }
-        let rate = format!("modes.{mode}.blocks_per_sec");
-        if mode != "native" {
-            let base = baseline.positive(&rate)? / base_native;
-            let cur = current.need(&rate)? / cur_native;
-            let floor = Limit::AtLeast(base * (1.0 - tolerance));
-            checks.push(Check::new(rate, base, cur, floor));
-        }
-        let guards = format!("modes.{mode}.guard_execs");
-        if let (Some(base), Some(cur)) = (baseline.get(&guards), current.get(&guards)) {
-            checks.push(Check::new(guards, base, cur, Limit::AtMost(base)));
-        }
-    }
-    Ok(checks)
+/// Fewest run pairs [`ab_gate`] accepts.
+pub const AB_MIN_PAIRS: usize = 10;
+
+/// One end-to-end metric of the repository benchmark, as
+/// `BENCHMARK.json` declares it.
+#[derive(Clone, PartialEq, Debug)]
+pub struct EndToEnd {
+    /// Metric name, as hotbench prints it.
+    pub name: String,
+    /// Whether larger values are better (`"better": "higher"`).
+    pub higher_is_better: bool,
+    /// The largest relative worsening of the median that passes, which
+    /// is also the widest parent spread a verdict can rest on.
+    pub bound: f64,
 }
 
-/// Reports each mode's cumulative drift across a document: its
-/// native-relative rate in the earliest run that records it against the
-/// latest. Runs without a positive `native` rate are skipped, and `native`
-/// itself is not reported. The result is advisory: the pairwise gate
-/// already fails a single-step regression, so the trend's job is slow
-/// bleed — each step inside `tolerance`, the sum well outside it.
+/// Reads the `end_to_end` metrics of a `BENCHMARK.json`.
 ///
 /// # Errors
 ///
-/// Returns a message when fewer than two runs carry a positive `native`
-/// rate — there is no trend in a single sample — or a mode lacks its rate.
-pub fn perf_trend(runs: &[Run], tolerance: f64) -> Result<Vec<Check>, String> {
-    /// Per mode: the first and last `(label, native-relative rate)` seen.
-    type Series<'a> = (&'a str, (&'a str, f64), (&'a str, f64));
-    let mut series: Vec<Series> = Vec::new();
-    let mut usable_runs = 0usize;
-    for run in runs {
-        let Ok(native) = run.positive(NATIVE) else {
-            continue;
-        };
-        usable_runs += 1;
-        for mode in run.section("modes")? {
-            if mode == "native" {
-                continue;
+/// Returns a message when the text is not JSON, has no `end_to_end`
+/// array, or an entry lacks a string `name`, a `better` of `higher` or
+/// `lower`, or a `bound` in `[0, 1)`.
+pub fn read_end_to_end(text: &str) -> Result<Vec<EndToEnd>, String> {
+    let doc = JsonValue::parse(text)?;
+    let metrics = doc
+        .get("end_to_end")
+        .and_then(JsonValue::as_arr)
+        .ok_or("no \"end_to_end\" array")?;
+    metrics
+        .iter()
+        .enumerate()
+        .map(|(i, metric)| {
+            let name = metric
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("end_to_end #{i}: missing string \"name\""))?;
+            let higher_is_better = match metric.get("better").and_then(JsonValue::as_str) {
+                Some("higher") => true,
+                Some("lower") => false,
+                _ => return Err(format!("`{name}`: \"better\" is not higher or lower")),
+            };
+            let bound = metric
+                .get("bound")
+                .and_then(JsonValue::as_f64)
+                .filter(|b| (0.0..1.0).contains(b))
+                .ok_or_else(|| format!("`{name}`: \"bound\" is not in [0, 1)"))?;
+            Ok(EndToEnd {
+                name: name.to_string(),
+                higher_is_better,
+                bound,
+            })
+        })
+        .collect()
+}
+
+/// Reads a file of hotbench result lines, one run per non-blank line:
+/// `{"correct", "attempted", "failed", "metrics": {name: {"value",
+/// "unit"}}}`. Each [`Run`] is labelled `LABEL line N` and holds
+/// `correct` (1 or 0), `attempted`, `failed` and every metric's value by
+/// its name.
+///
+/// # Errors
+///
+/// Returns a message naming the line when it is not JSON, lacks a
+/// field, or holds a value that is not a finite non-negative number.
+pub fn read_hotbench_runs(text: &str, label: &str) -> Result<Vec<Run>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            let label = format!("{label} line {}", i + 1);
+            let fail = |e: String| format!("{label}: {e}");
+            let doc = JsonValue::parse(line).map_err(fail)?;
+            let correct = match doc.get("correct") {
+                Some(JsonValue::Bool(ok)) => *ok,
+                _ => return Err(fail("missing boolean \"correct\"".into())),
+            };
+            let mut metrics =
+                BTreeMap::from([("correct".to_string(), f64::from(u8::from(correct)))]);
+            for key in ["attempted", "failed"] {
+                let value = doc
+                    .get(key)
+                    .ok_or_else(|| fail(format!("missing \"{key}\"")))?;
+                flatten(key, value, &mut metrics).map_err(fail)?;
             }
-            let point = (
-                run.label.as_str(),
-                run.need(&format!("modes.{mode}.blocks_per_sec"))? / native,
-            );
-            match series.iter_mut().find(|(name, ..)| *name == mode) {
-                Some((_, _, last)) => *last = point,
-                None => series.push((mode, point, point)),
+            let values = doc
+                .get("metrics")
+                .and_then(JsonValue::as_obj)
+                .ok_or_else(|| fail("missing \"metrics\" object".into()))?;
+            for (name, metric) in values {
+                let value = metric
+                    .get("value")
+                    .ok_or_else(|| fail(format!("`{name}` has no \"value\"")))?;
+                flatten(name, value, &mut metrics).map_err(fail)?;
             }
-        }
-    }
-    if usable_runs < 2 {
+            Ok(Run { label, metrics })
+        })
+        .collect()
+}
+
+/// The `q`-quantile of `sorted` (ascending, non-empty), interpolating
+/// linearly between neighbours.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let at = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+}
+
+/// Judges a change against its parent from paired runs of the repository
+/// benchmark: run i of `parent` and of `change` were made back to back.
+///
+/// Each of `metrics` gets one row: the parent and change medians, a
+/// limit that fails a change median worse than the parent's by more than
+/// the metric's bound, and a [`Pairing`] whose [`Verdict`] is, in order:
+/// `Fail` when the limit fails; `Unresolved` when the parent's IQR over
+/// its median exceeds the bound, unless every change run beats every
+/// parent run; `Gain` when the change wins at least 9 pairs in 10 and
+/// its median is better by more than the parent's IQR; else `Unchanged`.
+/// Three plain rows follow: every parent run and every change run must
+/// report `correct`, and the change's failed share of attempted
+/// operations must not exceed the parent's.
+///
+/// # Errors
+///
+/// Returns a message when the sides hold different numbers of runs,
+/// fewer than [`AB_MIN_PAIRS`], or a run lacks a metric.
+pub fn ab_gate(metrics: &[EndToEnd], parent: &[Run], change: &[Run]) -> Result<Vec<Check>, String> {
+    let pairs = parent.len();
+    if change.len() != pairs {
         return Err(format!(
-            "need at least two runs with a usable `native` mode to trend, have {usable_runs}"
+            "the parent has {pairs} runs and the change {}; runs must pair up",
+            change.len()
         ));
     }
-    Ok(series
-        .into_iter()
-        .map(|(mode, (first_label, first), (last_label, last))| {
-            Check::new(
-                format!("modes.{mode}.blocks_per_sec ({first_label} -> {last_label})"),
-                first,
-                last,
-                Limit::AtLeast(first * (1.0 - tolerance)),
-            )
+    if pairs < AB_MIN_PAIRS {
+        return Err(format!(
+            "{pairs} pairs of runs; a verdict needs at least {AB_MIN_PAIRS}"
+        ));
+    }
+    let values = |runs: &[Run], name: &str| -> Result<Vec<f64>, String> {
+        runs.iter().map(|run| run.need(name)).collect()
+    };
+    let mut checks = Vec::new();
+    for metric in metrics {
+        let (p, c) = (values(parent, &metric.name)?, values(change, &metric.name)?);
+        let better = |a: f64, b: f64| {
+            if metric.higher_is_better {
+                a > b
+            } else {
+                a < b
+            }
+        };
+        let won = p.iter().zip(&c).filter(|&(&p, &c)| better(c, p)).count();
+        let dominates = c.iter().all(|&c| p.iter().all(|&p| better(c, p)));
+        let sorted = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v
+        };
+        let (p, c) = (sorted(p), sorted(c));
+        let (base, cur) = (quantile(&p, 0.5), quantile(&c, 0.5));
+        let iqr = quantile(&p, 0.75) - quantile(&p, 0.25);
+        let parent_iqr_share = match (base, iqr) {
+            (_, 0.0) => 0.0,
+            (0.0, _) => f64::INFINITY,
+            _ => iqr / base,
+        };
+        let limit = if metric.higher_is_better {
+            Limit::AtLeast(base * (1.0 - metric.bound))
+        } else {
+            Limit::AtMost(base * (1.0 + metric.bound))
+        };
+        let mut check = Check::new(metric.name.as_str(), base, cur, limit);
+        let verdict = if !check.pass {
+            Verdict::Fail
+        } else if parent_iqr_share > metric.bound && !dominates {
+            Verdict::Unresolved
+        } else if won * 10 >= pairs * 9 && better(cur, base) && (cur - base).abs() > iqr {
+            Verdict::Gain
+        } else {
+            Verdict::Unchanged
+        };
+        check.pairing = Some(Pairing {
+            won,
+            pairs,
+            parent_iqr_share,
+            verdict,
+        });
+        checks.push(check);
+    }
+    for (side, runs) in [("parent", parent), ("change", change)] {
+        let correct = values(runs, "correct")?.iter().sum::<f64>();
+        checks.push(Check::new(
+            format!("{side} runs correct"),
+            pairs as f64,
+            correct,
+            Limit::Exactly(pairs as f64),
+        ));
+    }
+    let failed_share = |runs: &[Run]| -> Result<f64, String> {
+        let failed: f64 = values(runs, "failed")?.iter().sum();
+        let attempted: f64 = values(runs, "attempted")?.iter().sum();
+        Ok(if attempted > 0.0 {
+            failed / attempted
+        } else {
+            0.0
         })
-        .collect())
+    };
+    let base = failed_share(parent)?;
+    checks.push(Check::new(
+        "failed / attempted",
+        base,
+        failed_share(change)?,
+        Limit::AtMost(base),
+    ));
+    Ok(checks)
 }
 
 /// Gates a committed scale-sweep curve. Collects every run labelled
@@ -710,93 +908,260 @@ mod tests {
         assert!(err.contains("only"), "{err}");
     }
 
+    /// The committed benchmark's end-to-end metrics.
+    fn end_to_end() -> Vec<EndToEnd> {
+        read_end_to_end(include_str!("../../../BENCHMARK.json")).expect("BENCHMARK.json reads")
+    }
+
+    /// Ten hotbench runs whose metric `i` takes `value(run, i)` over
+    /// `metrics`, all correct with no failed operation.
+    fn ab_runs(metrics: &[EndToEnd], value: impl Fn(usize, usize) -> f64) -> Vec<Run> {
+        let lines: Vec<String> = (0..AB_MIN_PAIRS)
+            .map(|run| {
+                let values: Vec<String> = metrics
+                    .iter()
+                    .enumerate()
+                    .map(|(i, m)| {
+                        format!(
+                            r#""{}": {{"value": {}, "unit": "u"}}"#,
+                            m.name,
+                            value(run, i)
+                        )
+                    })
+                    .collect();
+                format!(
+                    r#"{{"correct": true, "attempted": 50, "failed": 0, "metrics": {{{}}}}}"#,
+                    values.join(", ")
+                )
+            })
+            .collect();
+        read_hotbench_runs(&lines.join("\n"), "test").expect("runs read")
+    }
+
+    /// The verdict of the row named `name`.
+    fn verdict(checks: &[Check], name: &str) -> Verdict {
+        let row = checks.iter().find(|c| c.name == name).expect("row");
+        row.pairing.expect("a paired row").verdict
+    }
+
     #[test]
     fn identical_runs_pass() {
-        let a = run(&perf_doc("a", 1e6, 500000.0));
-        let checks = compare_perf(&a, &a, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(checks.len(), 2, "net and dynamo are gated");
-        assert!(failing(&checks).is_empty());
-        assert!(checks.iter().all(|c| c.baseline == c.current));
+        // An A/A comparison: both sides hold the same ten runs, spread a
+        // few percent. Every pair ties, so nothing is a gain or a failure.
+        let metrics = end_to_end();
+        let runs = ab_runs(&metrics, |run, _| 100.0 + run as f64);
+        let checks = ab_gate(&metrics, &runs, &runs).unwrap();
+        assert_eq!(checks.len(), metrics.len() + 3);
+        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
+        for c in &checks[..metrics.len()] {
+            assert_eq!(c.baseline, c.current);
+            let pairing = c.pairing.unwrap();
+            assert_eq!((pairing.won, pairing.pairs), (0, 10));
+            assert_eq!(pairing.verdict, Verdict::Unchanged, "{}", c.name);
+        }
     }
 
     #[test]
     fn fifteen_percent_regression_fails_the_default_gate() {
-        // The acceptance scenario: a synthetic 15% net-mode throughput loss
-        // must trip the default 10% tolerance.
-        let base = run(&perf_doc("base", 1e6, 500000.0));
-        let cur = run(&perf_doc("cur", 1e6, 425000.0));
-        let checks = compare_perf(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(failing(&checks), ["modes.net.blocks_per_sec"]);
-        // A 20% tolerance absorbs it.
-        let loose = compare_perf(&base, &cur, 0.20).unwrap();
-        assert!(failing(&loose).is_empty());
+        // The default gate is BENCHMARK.json's bounds: a 15% rise in
+        // `peak_rss_mb` (bound 0.10) fails, while the same 15% loss in a
+        // throughput metric (bound 0.25) is inside its bound.
+        let metrics = end_to_end();
+        let rss = metrics
+            .iter()
+            .position(|m| m.name == "peak_rss_mb")
+            .unwrap();
+        let rate = metrics
+            .iter()
+            .position(|m| m.name == "linked_blocks_per_s")
+            .unwrap();
+        let parent = ab_runs(&metrics, |run, _| 100.0 + run as f64 / 10.0);
+        let change = ab_runs(&metrics, |run, i| {
+            let base = 100.0 + run as f64 / 10.0;
+            match i {
+                i if i == rss => base * 1.15,
+                i if i == rate => base * 0.85,
+                _ => base,
+            }
+        });
+        let checks = ab_gate(&metrics, &parent, &change).unwrap();
+        assert_eq!(failing(&checks), ["peak_rss_mb"]);
+        assert_eq!(verdict(&checks, "peak_rss_mb"), Verdict::Fail);
+        assert_eq!(verdict(&checks, "linked_blocks_per_s"), Verdict::Unchanged);
+        let table = render("A/B", &checks);
+        let row = table
+            .lines()
+            .find(|l| l.starts_with("peak_rss_mb"))
+            .unwrap();
+        assert!(
+            row.contains("1.150x") && row.contains("0/10") && row.ends_with("FAIL"),
+            "{table}"
+        );
     }
 
     #[test]
-    fn relative_mode_cancels_machine_speed() {
-        // The "current" machine is uniformly 2x slower: every absolute rate
-        // halves, which the native-relative gate forgives.
-        let base = run(&perf_doc("base", 1e6, 500000.0));
-        let cur = run(&perf_doc("cur", 5e5, 250000.0));
-        let checks = compare_perf(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
-        // But a genuine 15% net-only loss still trips it.
-        let slow_net = run(&perf_doc("cur", 5e5, 212500.0));
-        let checks = compare_perf(&base, &slow_net, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(failing(&checks), ["modes.net.blocks_per_sec"]);
-    }
-
-    #[test]
-    fn relative_mode_never_gates_native() {
-        // Native is the normalizer — always exactly 1.0 on both sides, so
-        // it gets no check of its own, even at zero tolerance.
-        let base = run(&perf_doc("base", 1e6, 500000.0));
-        let checks = compare_perf(&base, &base, 0.0).unwrap();
-        assert!(checks.iter().all(|c| !c.name.contains("native")));
+    fn ab_gains_need_nine_pairs_and_a_gap_wider_than_the_spread() {
+        let metrics = vec![EndToEnd {
+            name: "rate".into(),
+            higher_is_better: true,
+            bound: 0.25,
+        }];
+        let parent = ab_runs(&metrics, |run, _| 100.0 + run as f64);
+        // Every change run 10% faster than its pair: a gain.
+        let faster = ab_runs(&metrics, |run, _| 110.0 + 1.1 * run as f64);
+        let checks = ab_gate(&metrics, &parent, &faster).unwrap();
+        assert_eq!(verdict(&checks, "rate"), Verdict::Gain);
         assert!(failing(&checks).is_empty());
+        // Eight wins in ten are not enough.
+        let mostly = ab_runs(&metrics, |run, _| {
+            if run < 2 {
+                100.0 + run as f64
+            } else {
+                110.0 + run as f64
+            }
+        });
+        assert_eq!(
+            verdict(&ab_gate(&metrics, &parent, &mostly).unwrap(), "rate"),
+            Verdict::Unchanged
+        );
+        // Nor are ten wins by less than the parent's IQR (4.5 here).
+        let barely = ab_runs(&metrics, |run, _| 100.5 + run as f64);
+        assert_eq!(
+            verdict(&ab_gate(&metrics, &parent, &barely).unwrap(), "rate"),
+            Verdict::Unchanged
+        );
+        // Lower-is-better metrics win downwards.
+        let latency = vec![EndToEnd {
+            higher_is_better: false,
+            ..metrics[0].clone()
+        }];
+        let checks = ab_gate(&latency, &faster, &parent).unwrap();
+        assert_eq!(verdict(&checks, "rate"), Verdict::Gain);
     }
 
     #[test]
-    fn relative_mode_rejects_absent_native() {
-        let base = run(&perf_doc("base", 1e6, 500000.0));
-        let mut no_native = without(&base, "modes.native");
-        no_native.label = "headless".into();
-        for (b, c) in [(&base, &no_native), (&no_native, &base)] {
-            let err = compare_perf(b, c, DEFAULT_TOLERANCE).unwrap_err();
-            assert!(err.contains("no `modes.native.blocks_per_sec`"), "{err}");
-            assert!(err.contains("headless"), "{err}");
-        }
+    fn ab_spread_wider_than_the_bound_is_unresolved() {
+        let metrics = vec![EndToEnd {
+            name: "rate".into(),
+            higher_is_better: true,
+            bound: 0.10,
+        }];
+        // Parent runs spread 50-140: IQR 45, a 47% share of the median.
+        let parent = ab_runs(&metrics, |run, _| 50.0 + 10.0 * run as f64);
+        let same = ab_gate(&metrics, &parent, &parent).unwrap();
+        assert_eq!(verdict(&same, "rate"), Verdict::Unresolved);
+        let share = same[0].pairing.unwrap().parent_iqr_share;
+        assert!((share - 45.0 / 95.0).abs() < 1e-12, "{share}");
+        assert!(render("", &same).contains("47.4%"));
+        // Unresolved does not fail the gate, but a median loss past the
+        // bound still does.
+        assert!(failing(&same).is_empty());
+        let slower = ab_runs(&metrics, |run, _| 40.0 + 9.0 * run as f64);
+        let checks = ab_gate(&metrics, &parent, &slower).unwrap();
+        assert_eq!(verdict(&checks, "rate"), Verdict::Fail);
+        // A change whose every run beats every parent run is judged
+        // despite the spread.
+        let clear = ab_runs(&metrics, |run, _| 200.0 + run as f64);
+        let checks = ab_gate(&metrics, &parent, &clear).unwrap();
+        assert_eq!(verdict(&checks, "rate"), Verdict::Gain);
     }
 
     #[test]
-    fn relative_mode_rejects_zero_or_nonfinite_native() {
-        let base = run(&perf_doc("base", 1e6, 500000.0));
-        for bad in [0.0, -1.0] {
-            let cur = with(&base, "bad", "modes.native.blocks_per_sec", bad);
-            let err = compare_perf(&base, &cur, DEFAULT_TOLERANCE).unwrap_err();
-            assert!(
-                err.contains("unusable `modes.native.blocks_per_sec`"),
-                "{bad}: {err}"
-            );
+    fn ab_gate_fails_incorrect_runs_and_more_failed_operations() {
+        let metrics = end_to_end();
+        let good = ab_runs(&metrics, |run, _| 100.0 + run as f64);
+        let doctor = |from: &str, to: &str| {
+            let mut runs = good.clone();
+            runs[3].metrics.insert(from.to_string(), 0.0);
+            runs[3].metrics.insert(to.to_string(), 1.0);
+            runs
+        };
+        let incorrect = doctor("correct", "failed");
+        let checks = ab_gate(&metrics, &good, &incorrect).unwrap();
+        assert_eq!(
+            failing(&checks),
+            ["change runs correct", "failed / attempted"]
+        );
+        let checks = ab_gate(&metrics, &incorrect, &good).unwrap();
+        assert_eq!(failing(&checks), ["parent runs correct"]);
+    }
+
+    #[test]
+    fn ab_gate_rejects_unpaired_or_short_input() {
+        let metrics = end_to_end();
+        let runs = ab_runs(&metrics, |run, _| 100.0 + run as f64);
+        let err = ab_gate(&metrics, &runs, &runs[..9]).unwrap_err();
+        assert!(err.contains("must pair up"), "{err}");
+        let err = ab_gate(&metrics, &runs[..9], &runs[..9]).unwrap_err();
+        assert!(err.contains("at least 10"), "{err}");
+        let missing = vec![EndToEnd {
+            name: "no_such_metric".into(),
+            higher_is_better: true,
+            bound: 0.25,
+        }];
+        let err = ab_gate(&missing, &runs, &runs).unwrap_err();
+        assert!(err.contains("no `no_such_metric`"), "{err}");
+    }
+
+    #[test]
+    fn hotbench_lines_and_benchmark_bounds_read_strictly() {
+        let metrics = end_to_end();
+        assert_eq!(metrics.len(), 9);
+        let rss = metrics.iter().find(|m| m.name == "peak_rss_mb").unwrap();
+        assert!(!rss.higher_is_better && rss.bound == 0.1);
+        let line = r#"{"correct": true, "attempted": 3, "failed": 0, "metrics": {"x": {"value": 2.5, "unit": "s"}}}"#;
+        let runs = read_hotbench_runs(&format!("{line}\n\n{line}\n"), "parent").unwrap();
+        assert_eq!(runs.len(), 2, "blank lines are skipped");
+        assert_eq!(runs[1].label, "parent line 3");
+        assert_eq!(runs[0].get("x"), Some(2.5));
+        assert_eq!(runs[0].get("correct"), Some(1.0));
+        for (from, to) in [
+            ("2.5", "1e999"),
+            ("2.5", "-1"),
+            ("2.5", "\"2.5\""),
+            ("true", "1"),
+            ("\"attempted\": 3, ", ""),
+            ("{\"value\": 2.5, \"unit\": \"s\"}", "2.5"),
+        ] {
+            let bad = line.replacen(from, to, 1);
+            let err = read_hotbench_runs(&format!("{line}\n{bad}"), "change").unwrap_err();
+            assert!(err.starts_with("change line 2:"), "{bad}: {err}");
         }
-        // JSON has no NaN; an overflowing literal is the only non-finite
-        // input, and the reader refuses it.
-        let err = read_runs(&perf_doc("bad", 1e6, 1.0).replace("1000000}", "1e999}")).unwrap_err();
-        assert!(err.contains("modes.native.blocks_per_sec"), "{err}");
+        assert!(read_hotbench_runs("not json", "x").is_err());
+        for bad in [
+            r#"{"end_to_end": [{"name": "x", "better": "up", "bound": 0.1}]}"#,
+            r#"{"end_to_end": [{"name": "x", "better": "higher", "bound": 1.5}]}"#,
+            r#"{"end_to_end": [{"better": "higher", "bound": 0.1}]}"#,
+            r#"{"per_layer": []}"#,
+        ] {
+            assert!(read_end_to_end(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn nonfinite_metrics_error_instead_of_passing_as_nan() {
-        // `NaN < limit` is false: a NaN would sail through any check. The
-        // reader rejects non-finite values, and a zero baseline rate —
-        // which would make every ratio infinite — is a hard error.
-        let base = run(&perf_doc("base", 1e6, 500000.0));
-        let zero_base = with(&base, "zero", "modes.net.blocks_per_sec", 0.0);
-        let err = compare_perf(&zero_base, &base, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("run `zero`"), "{err}");
+        // `NaN < limit` is false: a NaN would sail through any check. Both
+        // readers reject non-finite values, and a zero parent median gives
+        // an infinite spread share, never a NaN.
         let err =
             read_runs(&perf_doc("cur", 1e6, 500000.0).replace("500000}", "1e999}")).unwrap_err();
         assert!(err.contains("modes.net.blocks_per_sec"), "{err}");
+        let line = r#"{"correct": true, "attempted": 1, "failed": 0, "metrics": {"x": {"value": 1e999, "unit": "s"}}}"#;
+        let err = read_hotbench_runs(line, "parent").unwrap_err();
+        assert!(err.contains("`x`"), "{err}");
+        let metrics = vec![EndToEnd {
+            name: "x".into(),
+            higher_is_better: false,
+            bound: 0.25,
+        }];
+        let mut parent = ab_runs(&metrics, |_, _| 0.0);
+        parent[9].metrics.insert("x".into(), 5.0);
+        parent[8].metrics.insert("x".into(), 5.0);
+        parent[7].metrics.insert("x".into(), 5.0);
+        let checks = ab_gate(&metrics, &parent, &parent).unwrap();
+        let pairing = checks[0].pairing.unwrap();
+        assert_eq!(pairing.parent_iqr_share, f64::INFINITY);
+        assert_eq!(pairing.verdict, Verdict::Unresolved);
     }
 
     #[test]
@@ -834,169 +1199,33 @@ mod tests {
 
     #[test]
     fn committed_bench_doc_parses_and_self_compares_clean() {
-        // The repo's own BENCH_perf.json must stay loadable and must pass
-        // the gate against itself — this is what CI's perf-gate step does.
+        // The repo's own BENCH_perf.json must stay loadable, hold exactly
+        // the runs the committed-document gates read, and pass each of
+        // them; its last run gates its alloc profile against itself.
         let runs = committed();
-        assert!(!runs.is_empty());
+        let labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "scale-n100",
+                "scale-n1000",
+                "scale-n10000",
+                "warmstart",
+                "chaos",
+                "selfprof"
+            ]
+        );
+        let pick = |label| select_run(&runs, Some(label)).unwrap();
+        let mut checks = sweep_curve(&runs, "scale").unwrap();
+        checks.extend(warm_start_gate(pick("warmstart"), DEFAULT_TOLERANCE).unwrap());
+        checks.extend(chaos_gate(pick("chaos")).unwrap());
         let last = select_run(&runs, None).unwrap();
-        let checks = compare_perf(last, last, DEFAULT_TOLERANCE).unwrap();
+        checks.extend(alloc_gate(last, last, DEFAULT_TOLERANCE).unwrap());
         assert!(failing(&checks).is_empty(), "{}", render("", &checks));
-    }
-
-    #[test]
-    fn committed_trace_exec_run_shows_the_linked_speedup() {
-        // The point of the trace-execution backend: executing predicted
-        // paths as compiled superblocks must beat the simulated dynamo
-        // mode by a wide margin. The committed measurement pins it at
-        // >= 1.5x blocks/sec.
-        let runs = committed();
-        let run = select_run(&runs, Some("trace-exec")).expect("trace-exec run is committed");
-        let dynamo = run.need("modes.dynamo.blocks_per_sec").unwrap();
-        let linked = run.need("modes.dynamo-linked.blocks_per_sec").unwrap();
-        let ratio = linked / dynamo;
-        assert!(
-            ratio >= 1.5,
-            "dynamo-linked must run >= 1.5x the simulated dynamo mode, got {ratio:.2}x"
-        );
-    }
-
-    #[test]
-    fn committed_trace_opt_run_closes_the_native_gap() {
-        // The point of the trace optimizer: fully-optimized linked
-        // execution must land within 10% of native block throughput,
-        // beat unoptimized linked execution, and never execute more
-        // guards than it.
-        let runs = committed();
-        let run = select_run(&runs, Some("trace-opt")).expect("trace-opt run is committed");
-        let metric = |name: &str| run.need(name).unwrap();
-        let opt = metric("modes.dynamo-linked-opt.blocks_per_sec");
-        let vs_native = opt / metric("modes.native.blocks_per_sec");
-        assert!(
-            vs_native >= 0.9,
-            "dynamo-linked-opt must be within 10% of native, got {vs_native:.3}"
-        );
-        assert!(
-            opt > metric("modes.dynamo-linked.blocks_per_sec"),
-            "the optimizer must beat unoptimized linked execution"
-        );
-        let (linked_guards, opt_guards) = (
-            metric("modes.dynamo-linked.guard_execs"),
-            metric("modes.dynamo-linked-opt.guard_execs"),
-        );
-        assert!(
-            opt_guards <= linked_guards,
-            "optimization must not add guard executions: {opt_guards} vs {linked_guards}"
-        );
-    }
-
-    fn guard_doc(label: &str, opt_guards: u64) -> String {
-        format!(
-            r#"{{
-  "runs": [
-    {{
-      "label": "{label}",
-      "scale": "small",
-      "reps": 3,
-      "total_blocks": 1000000,
-      "modes": {{
-        "native": {{"secs": 1.0, "blocks_per_sec": 1000000, "guard_execs": 0}},
-        "dynamo-linked": {{"secs": 2.0, "blocks_per_sec": 500000, "guard_execs": 90000}},
-        "dynamo-linked-opt": {{"secs": 1.8, "blocks_per_sec": 555555, "guard_execs": {opt_guards}}}
-      }}
-    }}
-  ]
-}}"#
-        )
-    }
-
-    #[test]
-    fn guard_exec_counts_parse_and_are_optional() {
-        let with_guards = run(&guard_doc("g", 30000));
-        assert_eq!(
-            with_guards.get("modes.dynamo-linked-opt.guard_execs"),
-            Some(30000.0)
-        );
-        // Documents predating the field still read, with no guard gate.
-        let old = run(&perf_doc("old", 1e6, 500000.0));
-        assert_eq!(old.get("modes.net.guard_execs"), None);
-        let checks = compare_perf(&old, &with_guards, DEFAULT_TOLERANCE).unwrap();
-        assert!(checks.iter().all(|c| !c.name.ends_with("guard_execs")));
-    }
-
-    #[test]
-    fn guard_exec_increases_trip_the_gate_regardless_of_tolerance() {
-        let base = run(&guard_doc("base", 30000));
-        let same = compare_perf(&base, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(failing(&same).is_empty(), "{}", render("", &same));
-        // Throughput identical, guard count up: still a regression, even
-        // under an absurdly loose tolerance.
-        let worse = run(&guard_doc("cur", 30001));
-        let checks = compare_perf(&base, &worse, 0.99).unwrap();
-        assert_eq!(failing(&checks), ["modes.dynamo-linked-opt.guard_execs"]);
-        let table = render("perf gate", &checks);
-        let row = table
-            .lines()
-            .find(|l| l.starts_with("modes.dynamo-linked-opt.guard_execs"))
-            .unwrap();
-        assert!(row.contains("<= 30000") && row.ends_with("FAIL"), "{table}");
-        // The native normalizer's own guard count is gated like any other.
-        let native = with(&base, "cur", "modes.native.guard_execs", 1.0);
-        let checks = compare_perf(&base, &native, 0.99).unwrap();
-        assert_eq!(failing(&checks), ["modes.native.guard_execs"]);
-        // Decreases are improvements, never regressions.
-        let better = run(&guard_doc("cur", 20000));
-        let checks = compare_perf(&base, &better, DEFAULT_TOLERANCE).unwrap();
-        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
-    }
-
-    fn serve_doc(label: &str, aggregate_rate: f64) -> String {
-        format!(
-            r#"{{
-  "runs": [
-    {{
-      "label": "{label}",
-      "scale": "small",
-      "sessions": 4,
-      "shards": 4,
-      "seed": 42,
-      "total_blocks": 8000000,
-      "modes": {{
-        "native": {{"secs": 0.25, "blocks_per_sec": 32000000}},
-        "serve-single": {{"secs": 0.5, "blocks_per_sec": 16000000}},
-        "serve-aggregate": {{"secs": 0.2, "blocks_per_sec": {aggregate_rate}}}
-      }}
-    }}
-  ]
-}}"#
-        )
-    }
-
-    #[test]
-    fn serve_aggregate_regressions_trip_the_gate() {
-        // loadgen documents gate exactly like perf_baseline ones: a 15%
-        // aggregate-throughput loss fails the default 10% tolerance while
-        // the untouched modes stay green.
-        let base = run(&serve_doc("base", 40000000.0));
-        let cur = run(&serve_doc("cur", 34000000.0));
-        let checks = compare_perf(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(failing(&checks), ["modes.serve-aggregate.blocks_per_sec"]);
-    }
-
-    #[test]
-    fn serve_and_baseline_runs_compare_over_their_shared_surface() {
-        // A loadgen run and a perf_baseline run share only `native`, the
-        // normalizer; the gate judges that empty shared surface instead of
-        // erroring out.
-        let baseline = run(&perf_doc("pipeline", 1e6, 500000.0));
-        let serve = run(&serve_doc("serve", 40000000.0));
-        assert_eq!(
-            compare_perf(&baseline, &serve, DEFAULT_TOLERANCE),
-            Ok(vec![])
-        );
     }
 
     /// A one-run document with a native normalizer, one extra mode, and
-    /// an optional sessions count — building block for trend/curve docs.
+    /// an optional sessions count — building block for curve docs.
     fn run_obj(label: &str, mode: &str, rate: f64, sessions: Option<u32>) -> String {
         let sessions = sessions
             .map(|n| format!("      \"sessions\": {n},\n"))
@@ -1011,54 +1240,6 @@ mod tests {
 
     fn multi_doc(runs: &[String]) -> String {
         format!("{{\n  \"runs\": [\n{}\n  ]\n}}", runs.join(",\n"))
-    }
-
-    #[test]
-    fn trend_warns_on_cumulative_drift_that_each_step_hides() {
-        // Three steps each losing ~7% — every pairwise gate at 10%
-        // passes, but first-to-last is a 20% loss the trend must flag.
-        let history = runs(&multi_doc(&[
-            run_obj("a", "net", 500000.0, None),
-            run_obj("b", "net", 465000.0, None),
-            run_obj("c", "net", 432000.0, None),
-            run_obj("d", "net", 400000.0, None),
-        ]));
-        for pair in history.windows(2) {
-            let step = compare_perf(&pair[0], &pair[1], DEFAULT_TOLERANCE).unwrap();
-            assert!(failing(&step).is_empty(), "{}", render("", &step));
-        }
-        let trend = perf_trend(&history, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(failing(&trend), ["modes.net.blocks_per_sec (a -> d)"]);
-        let ratio = trend[0].current / trend[0].baseline;
-        assert!((ratio - 0.8).abs() < 1e-9, "{ratio}");
-        // A flat document draws no warnings.
-        let flat = runs(&multi_doc(&[
-            run_obj("a", "net", 500000.0, None),
-            run_obj("b", "net", 500000.0, None),
-        ]));
-        let trend = perf_trend(&flat, DEFAULT_TOLERANCE).unwrap();
-        assert!(failing(&trend).is_empty());
-    }
-
-    #[test]
-    fn trend_is_native_relative_and_needs_two_runs() {
-        // A uniformly 2x-slower second host halves every raw rate; the
-        // native-relative trend sees no drift.
-        let doc = multi_doc(&[
-            run_obj("fast-host", "net", 500000.0, None),
-            run_obj("slow-host", "net", 250000.0, None),
-        ]);
-        let mut runs = runs(&doc);
-        runs[1] = with(
-            &runs[1],
-            "slow-host",
-            "modes.native.blocks_per_sec",
-            500000.0,
-        );
-        let trend = perf_trend(&runs, DEFAULT_TOLERANCE).unwrap();
-        assert!(failing(&trend).is_empty(), "{}", render("", &trend));
-        let err = perf_trend(&runs[..1], DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("at least two"), "{err}");
     }
 
     #[test]
@@ -1243,6 +1424,63 @@ mod tests {
         assert!(err.contains("warm_start.li.prewarmed"), "{err}");
     }
 
+    /// The warm-start run of `warm_doc`, with every rate under `modes`
+    /// multiplied by `factor`.
+    fn warm_host(factor: f64) -> Run {
+        let mut run = run(&warm_doc("w", 0.0, 40000000.0));
+        for (name, value) in run.metrics.iter_mut() {
+            if name.starts_with("modes.") && name.ends_with(".blocks_per_sec") {
+                *value *= factor;
+            }
+        }
+        run
+    }
+
+    #[test]
+    fn relative_mode_cancels_machine_speed() {
+        // The warm-start gate divides both serving rates by the run's own
+        // native rate: a uniformly 2x slower host halves every rate and
+        // changes no check.
+        let fast = warm_start_gate(&warm_host(1.0), DEFAULT_TOLERANCE).unwrap();
+        let slow = warm_start_gate(&warm_host(0.5), DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(fast, slow);
+        assert!(failing(&slow).is_empty(), "{}", render("", &slow));
+    }
+
+    #[test]
+    fn relative_mode_never_gates_native() {
+        // Native is the normalizer, so it gets no check of its own, even
+        // at zero tolerance.
+        let checks = warm_start_gate(&warm_host(1.0), 0.0).unwrap();
+        assert!(checks.iter().all(|c| !c.name.contains("native")));
+    }
+
+    #[test]
+    fn relative_mode_rejects_absent_native() {
+        let mut headless = without(&warm_host(1.0), "modes.native");
+        headless.label = "headless".into();
+        let err = warm_start_gate(&headless, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("no `modes.native.blocks_per_sec`"), "{err}");
+        assert!(err.contains("headless"), "{err}");
+    }
+
+    #[test]
+    fn relative_mode_rejects_zero_or_nonfinite_native() {
+        for bad in [0.0, -1.0] {
+            let run = with(&warm_host(1.0), "bad", "modes.native.blocks_per_sec", bad);
+            let err = warm_start_gate(&run, DEFAULT_TOLERANCE).unwrap_err();
+            assert!(
+                err.contains("unusable `modes.native.blocks_per_sec`"),
+                "{bad}: {err}"
+            );
+        }
+        // JSON has no NaN; an overflowing literal is the only non-finite
+        // input, and the reader refuses it.
+        let doc = warm_doc("w", 0.0, 40000000.0).replace("41000000}", "1e999}");
+        let err = read_runs(&doc).unwrap_err();
+        assert!(err.contains("modes.native.blocks_per_sec"), "{err}");
+    }
+
     #[test]
     fn committed_warm_start_run_prewarms_strictly_faster() {
         // The repo's own BENCH_perf.json carries a `loadgen --warm-start`
@@ -1259,37 +1497,6 @@ mod tests {
         );
         let checks = warm_start_gate(run, DEFAULT_TOLERANCE).unwrap();
         assert_eq!(checks.len(), workloads + 1);
-        assert!(failing(&checks).is_empty(), "{}", render("", &checks));
-    }
-
-    #[test]
-    fn committed_document_trends_clean() {
-        // The repo's own history must not show cumulative native-relative
-        // drift — this is what `bench_compare --trend` gates in CI.
-        let trend = perf_trend(&committed(), DEFAULT_TOLERANCE).unwrap();
-        for name in failing(&trend) {
-            // Aggregate serving throughput legitimately varies with the
-            // recording host's core count; everything else must hold.
-            assert!(
-                name.starts_with("modes.serve"),
-                "unexpected drift: {}",
-                render("", &trend)
-            );
-        }
-    }
-
-    #[test]
-    fn committed_serve_run_records_aggregate_throughput() {
-        // The repo's own BENCH_perf.json carries a loadgen run labelled
-        // `serve` with all three serving modes, usable as a gate baseline
-        // (it has the `native` normalizer).
-        let runs = committed();
-        let run = select_run(&runs, Some("serve")).expect("serve run is committed");
-        for mode in ["native", "serve-single", "serve-aggregate"] {
-            let rate = run.need(&format!("modes.{mode}.blocks_per_sec")).unwrap();
-            assert!(rate > 0.0, "{mode}: unusable rate {rate}");
-        }
-        let checks = compare_perf(run, run, DEFAULT_TOLERANCE).unwrap();
         assert!(failing(&checks).is_empty(), "{}", render("", &checks));
     }
 

@@ -4,6 +4,8 @@
 //! make is replayed against the committed `BENCH_perf.json` (fresh-run
 //! files are stood in for by relabelled copies of the committed runs).
 //! Doctored copies then trip each gate (exit 1) or are malformed (exit 2).
+//! The `--ab` gate runs over generated hotbench result lines, against the
+//! committed `BENCHMARK.json`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -77,61 +79,17 @@ fn write_doc(name: &str, body: &str) -> String {
 #[test]
 fn verify_and_ci_gates_pass_on_the_committed_document() {
     for args in [
-        &["BENCH_perf.json", "BENCH_perf.json"][..],
-        &["--trend", "BENCH_perf.json"],
-        &["--curve", "scale", "BENCH_perf.json"],
+        &["--curve", "scale", "BENCH_perf.json"][..],
         &["--warmstart", "warmstart", "BENCH_perf.json"],
         &["--chaos", "chaos", "BENCH_perf.json"],
         &["--alloc", "selfprof", "BENCH_perf.json"],
-        &[
-            "BENCH_perf.json",
-            "BENCH_perf.json",
-            "--baseline-label",
-            "trace-opt",
-            "--current-label",
-            "selfprof-off",
-            "--tolerance",
-            "0.25",
-        ],
     ] {
         expect_exit(args, 0);
     }
 }
 
 #[test]
-fn selfprof_off_trips_the_default_tolerance() {
-    // ball_larus sits at 0.822x of trace-opt's native-relative rate: inside
-    // 25%, outside the default 10%.
-    expect_exit(
-        &[
-            "BENCH_perf.json",
-            "BENCH_perf.json",
-            "--baseline-label",
-            "trace-opt",
-            "--current-label",
-            "selfprof-off",
-        ],
-        1,
-    );
-}
-
-#[test]
 fn fresh_runs_gate_like_ci() {
-    let gate = perf_doc(
-        "ci_gate",
-        &[relabel(&committed_run("trace-opt"), "ci-gate")],
-    );
-    expect_exit(
-        &[
-            "BENCH_perf.json",
-            &gate,
-            "--baseline-label",
-            "trace-opt",
-            "--tolerance",
-            "0.25",
-        ],
-        0,
-    );
     let sweep = perf_doc(
         "ci_scale",
         &[
@@ -168,27 +126,6 @@ fn fresh_runs_gate_like_ci() {
 
 #[test]
 fn doctored_runs_trip_each_gate() {
-    let trace_opt = relabel(&committed_run("trace-opt"), "cur");
-    // A 30% native-relative drop in `net`, then one more guard execution
-    // in `dynamo-linked-opt`.
-    for (name, from, to) in [
-        ("slow_net", "31745017", "22221512"),
-        ("guards", "6615936", "6615937"),
-    ] {
-        let cur = perf_doc(name, &[doctor(&trace_opt, from, to)]);
-        expect_exit(
-            &[
-                "BENCH_perf.json",
-                &cur,
-                "--baseline-label",
-                "trace-opt",
-                "--tolerance",
-                "0.25",
-            ],
-            1,
-        );
-    }
-
     let chaos = committed_run("chaos");
     let leaky = perf_doc("leaky", &[doctor(&chaos, "\"leaked\": 0", "\"leaked\": 1")]);
     expect_exit(&["--chaos", "chaos", &leaky], 1);
@@ -236,19 +173,6 @@ fn doctored_runs_trip_each_gate() {
 }
 
 #[test]
-fn trend_drift_only_warns() {
-    let trace_opt = committed_run("trace-opt");
-    let drifting = perf_doc(
-        "drifting",
-        &[
-            trace_opt.clone(),
-            relabel(&doctor(&trace_opt, "31745017", "22221512"), "later"),
-        ],
-    );
-    expect_exit(&["--trend", &drifting], 0);
-}
-
-#[test]
 fn malformed_documents_are_parse_errors() {
     // A gate whose section the run does not record.
     let warmstart = committed_run("warmstart");
@@ -262,25 +186,30 @@ fn malformed_documents_are_parse_errors() {
     );
     expect_exit(&["--warmstart", "warmstart", &bare], 2);
 
-    // Non-numeric and non-finite values in a perf run.
-    let trace_opt = relabel(&committed_run("trace-opt"), "cur");
-    for (name, bad) in [
-        ("string", "\"6615937\""),
-        ("null", "null"),
-        ("inf", "1e999"),
-    ] {
-        let doc = perf_doc(
-            &format!("guards_{name}"),
-            &[doctor(
-                &trace_opt,
-                "\"guard_execs\": 6615936",
-                &format!("\"guard_execs\": {bad}"),
-            )],
+    // Non-numeric and non-finite values in a perf run, read by the
+    // alloc and warm-start gates.
+    let selfprof = relabel(&committed_run("selfprof"), "cur");
+    for (name, bad) in [("string", "\"5.2097\""), ("null", "null"), ("inf", "1e999")] {
+        let alloc = perf_doc(
+            &format!("alloc_{name}"),
+            &[doctor(&selfprof, "5.2097", bad)],
         );
         expect_exit(
-            &["BENCH_perf.json", &doc, "--baseline-label", "trace-opt"],
+            &[
+                "--alloc",
+                "selfprof",
+                "BENCH_perf.json",
+                &alloc,
+                "--current-label",
+                "cur",
+            ],
             2,
         );
+        let warm = perf_doc(
+            &format!("warm_{name}"),
+            &[doctor(&warmstart, "41025845", bad)],
+        );
+        expect_exit(&["--warmstart", "warmstart", &warm], 2);
     }
 
     // Telemetry counts that are not whole non-negative numbers.
@@ -299,5 +228,78 @@ fn malformed_documents_are_parse_errors() {
         expect_exit(&[against, &doc], 2);
     }
 
+    // The two-file form diffs telemetry documents only, and `--trend`
+    // and `--baseline-label` are not flags.
+    expect_exit(&["BENCH_perf.json", "BENCH_perf.json"], 2);
+    expect_exit(&["--trend", "BENCH_perf.json"], 2);
+    expect_exit(
+        &[
+            "BENCH_perf.json",
+            "BENCH_perf.json",
+            "--baseline-label",
+            "chaos",
+        ],
+        2,
+    );
     expect_exit(&["BENCH_perf.json", "BENCH_perf.json", "--no-such-flag"], 2);
+}
+
+/// Writes `runs` hotbench result lines over every end-to-end metric of
+/// the committed `BENCHMARK.json`; metric `name` of run `i` is
+/// `value(i, name)`. Returns the file's path.
+fn hotbench_lines(
+    name: &str,
+    runs: usize,
+    correct: bool,
+    value: impl Fn(usize, &str) -> f64,
+) -> String {
+    let text = fs::read_to_string(root().join("BENCHMARK.json")).expect("BENCHMARK.json");
+    let metrics = hotpath_bench::compare::read_end_to_end(&text).expect("BENCHMARK.json reads");
+    let lines: Vec<String> = (0..runs)
+        .map(|i| {
+            let values: Vec<String> = metrics
+                .iter()
+                .map(|m| {
+                    format!(
+                        r#""{}": {{"value": {}, "unit": "u"}}"#,
+                        m.name,
+                        value(i, &m.name)
+                    )
+                })
+                .collect();
+            format!(
+                r#"{{"correct": {correct}, "attempted": 40, "failed": 0, "metrics": {{{}}}}}"#,
+                values.join(", ")
+            )
+        })
+        .collect();
+    let path =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("bench_compare_cli_{name}.jsonl"));
+    fs::write(&path, lines.join("\n") + "\n").expect("write temp lines");
+    path.to_str().expect("utf-8 temp path").to_string()
+}
+
+#[test]
+fn ab_verdicts_exit_like_ci() {
+    let spread = |i: usize, _: &str| 1000.0 + 10.0 * i as f64;
+    let parent = hotbench_lines("ab_parent", 10, true, spread);
+    // A/A: the same runs on both sides.
+    expect_exit(&["--ab", &parent, &parent], 0);
+    // A 30% drop in linked_blocks_per_s, past its 0.25 bound.
+    let slow = hotbench_lines("ab_slow", 10, true, |i, name| match name {
+        "linked_blocks_per_s" => 0.7 * spread(i, name),
+        _ => spread(i, name),
+    });
+    expect_exit(&["--ab", &parent, &slow], 1);
+    // A run with a wrong output.
+    let incorrect = hotbench_lines("ab_incorrect", 10, false, spread);
+    expect_exit(&["--ab", &parent, &incorrect], 1);
+    // Nine pairs are too few for a verdict; unequal counts do not pair.
+    let nine = hotbench_lines("ab_nine", 9, true, spread);
+    expect_exit(&["--ab", &nine, &nine], 2);
+    expect_exit(&["--ab", &parent, &nine], 2);
+    // A malformed line, and a missing side.
+    let broken = write_doc("ab_broken", "{\"correct\": true}\n");
+    expect_exit(&["--ab", &parent, &broken], 2);
+    expect_exit(&["--ab", &parent], 2);
 }

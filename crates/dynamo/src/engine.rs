@@ -80,7 +80,8 @@ pub struct DynamoConfig {
     pub path_cap: u32,
     /// Optimization level applied to traces at install time by the linked
     /// engine (the simulated [`Engine`] executes no traces and ignores
-    /// it). Every level is bit-identical in observable results.
+    /// it); [`OptLevel::Full`](hotpath_vm::OptLevel::Full) by default.
+    /// Every level is bit-identical in observable results.
     pub opt_level: hotpath_vm::OptLevel,
 }
 
@@ -96,7 +97,7 @@ impl DynamoConfig {
             bailout: Some(BailoutPolicy::default()),
             degrade: None,
             path_cap: DEFAULT_PATH_CAP,
-            opt_level: hotpath_vm::OptLevel::None,
+            opt_level: hotpath_vm::OptLevel::Full,
         }
     }
 

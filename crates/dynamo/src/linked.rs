@@ -29,6 +29,7 @@ use std::collections::VecDeque;
 
 use hotpath_core::HotPathPredictor;
 use hotpath_ir::dense::CounterTable;
+use hotpath_ir::fasthash::FxHashSet;
 use hotpath_ir::Program;
 use hotpath_profiles::{PathExecution, PathExtractor};
 use hotpath_telemetry as telemetry;
@@ -307,11 +308,11 @@ impl LinkedEngine {
         for &(target, count) in &warm.exit_counts {
             *self.exit_counts.slot(target) = count;
         }
-        for &target in &warm.armed {
-            if !self.armed.contains(&target) {
-                self.armed.push(target);
-            }
-        }
+        // First occurrence wins, so an exported list round-trips in order;
+        // the set keeps a list of millions of entries linear.
+        let mut seen: FxHashSet<u32> = self.armed.iter().copied().collect();
+        self.armed
+            .extend(warm.armed.iter().copied().filter(|&t| seen.insert(t)));
         if let Predictor::Net(p) = &mut self.predictor {
             p.import_counters(&warm.net_counters);
         }
@@ -803,5 +804,39 @@ mod tests {
         let plain = Vm::new(&p).run(&mut NullObserver).unwrap_err();
         let linked = run_dynamo_linked(&p, &DynamoConfig::new(Scheme::Net, 50)).unwrap_err();
         assert_eq!(plain, linked);
+    }
+
+    #[test]
+    fn large_armed_lists_import_in_first_occurrence_order() {
+        // 200k distinct targets, then every one of them again: the
+        // duplicates are dropped and the first occurrences keep their
+        // order, so an export re-imports to the same list.
+        let distinct: Vec<u32> = (0..200_000u32).rev().collect();
+        let warm = EngineWarmState {
+            armed: distinct
+                .iter()
+                .chain(distinct.iter().rev())
+                .copied()
+                .collect(),
+            ..EngineWarmState::default()
+        };
+        let mut engine = LinkedEngine::new(DynamoConfig::new(Scheme::Net, 50));
+        engine.import_warm_state(&warm);
+        let exported = engine.export_warm_state();
+        assert_eq!(exported.armed, distinct);
+        let mut again = LinkedEngine::new(DynamoConfig::new(Scheme::Net, 50));
+        again.import_warm_state(&exported);
+        assert_eq!(again.export_warm_state(), exported);
+        // Targets already armed stay first and are not repeated.
+        let mut armed = LinkedEngine::new(DynamoConfig::new(Scheme::Net, 50));
+        armed.import_warm_state(&EngineWarmState {
+            armed: vec![7, 3],
+            ..EngineWarmState::default()
+        });
+        armed.import_warm_state(&EngineWarmState {
+            armed: vec![3, 9, 7, 9],
+            ..EngineWarmState::default()
+        });
+        assert_eq!(armed.export_warm_state().armed, [7, 3, 9]);
     }
 }

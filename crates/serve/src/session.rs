@@ -18,17 +18,18 @@
 //! including a forced flush — cannot perturb another's results.
 
 use hotpath_dynamo::{DynamoConfig, LinkedEngine, Scheme};
-use hotpath_vm::{
-    BlockEvent, ExecutionObserver, OptLevel, RunStats, StepOutcome, TraceController, Vm,
-};
+use hotpath_vm::{BlockEvent, ExecutionObserver, RunStats, StepOutcome, TraceController, Vm};
 use hotpath_workloads::{build, Scale, WorkloadName};
 
 use crate::snapshot::SessionSnapshot;
 
-/// The trace-optimizer level every session's engine and VM install
-/// fragments at. Every level is bit-identical in results, so this sets
-/// speed only, and it is not part of a session's configuration.
-const OPT_LEVEL: OptLevel = OptLevel::Full;
+/// The block-id space of an ingest session: every id a client streams,
+/// and every id in warm state restored or pre-warmed into an ingest
+/// session, must lie below it. The engine keeps dense per-block counter
+/// tables, so an unbounded client id would size those tables by the id
+/// itself; the largest suite program has a few thousand blocks, far
+/// below this.
+pub const INGEST_BLOCK_LIMIT: u32 = 1 << 20;
 
 /// Everything needed to (re)create a session.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -90,7 +91,7 @@ impl SessionConfig {
     }
 
     fn dynamo(&self) -> DynamoConfig {
-        DynamoConfig::new(self.scheme, self.delay).with_opt_level(OPT_LEVEL)
+        DynamoConfig::new(self.scheme, self.delay)
     }
 }
 
@@ -146,7 +147,7 @@ impl Session {
         let engine = LinkedEngine::new(config.dynamo());
         let exec = config.workload.map(|name| {
             let program = build(name, config.scale).program;
-            let vm = Vm::new(&program).with_opt_level(OPT_LEVEL);
+            let vm = Vm::new(&program);
             let state = vm.start_linked();
             Exec { vm, state }
         });
@@ -245,13 +246,12 @@ impl Session {
         }
     }
 
-    /// Largest valid block id bound for warm-state validation: the
-    /// program's block count for exec sessions, unbounded for ingest
-    /// (the client's block ids are its own).
+    /// Exclusive bound on the session's block ids: the program's block
+    /// count for exec sessions, [`INGEST_BLOCK_LIMIT`] for ingest.
     fn block_limit(&self) -> u32 {
         self.exec
             .as_ref()
-            .map_or(u32::MAX, |e| e.vm.layout().block_count() as u32)
+            .map_or(INGEST_BLOCK_LIMIT, |e| e.vm.layout().block_count() as u32)
     }
 
     /// Imports fleet warm state into the session's engine at admission.
@@ -320,10 +320,23 @@ impl Session {
     /// # Errors
     ///
     /// Fails for exec sessions — their event stream comes from the
-    /// server-side VM.
+    /// server-side VM — and rejects a batch naming any block at or beyond
+    /// [`INGEST_BLOCK_LIMIT`] whole, before the engine sees any of it.
     pub fn ingest(&mut self, events: &[BlockEvent]) -> Result<(u64, u64, u64), String> {
         if self.exec.is_some() {
             return Err("exec sessions generate their own events; use run".into());
+        }
+        let limit = self.block_limit();
+        if let Some(block) = events
+            .iter()
+            .flat_map(|e| [Some(e.block), e.from])
+            .flatten()
+            .find(|b| b.as_u32() >= limit)
+        {
+            return Err(format!(
+                "ingest batch names block {} outside the {limit}-block ingest space",
+                block.as_u32()
+            ));
         }
         for event in events {
             self.engine.on_block(event);
@@ -376,6 +389,59 @@ impl Session {
             // The shard attaches the fleet aggregate; the session itself
             // only knows its own warm state.
             profile: None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hotpath_ir::BlockId;
+    use hotpath_vm::TransferKind;
+    use hotpath_workloads::ALL_WORKLOADS;
+
+    /// A backward jump from `from` into `block`.
+    fn event(from: u32, block: u32) -> BlockEvent {
+        BlockEvent {
+            from: Some(BlockId::new(from)),
+            block: BlockId::new(block),
+            kind: TransferKind::Jump,
+            backward: true,
+            block_size: 1,
+        }
+    }
+
+    #[test]
+    fn out_of_range_ingest_batches_are_rejected_whole() {
+        let mut session = Session::open(1, 0, SessionConfig::ingest());
+        let last = INGEST_BLOCK_LIMIT - 1;
+        let accepted = session.ingest(&[event(0, last), event(last, 0)]).unwrap();
+        assert_eq!(accepted.0, 2);
+        for bad in [
+            vec![event(1, 2), event(2, INGEST_BLOCK_LIMIT)],
+            vec![event(u32::MAX, 1)],
+            vec![event(1, 0x7FFF_FFF0); 4],
+        ] {
+            let err = session.ingest(&bad).unwrap_err();
+            assert!(
+                err.contains("outside the 1048576-block ingest space"),
+                "{err}"
+            );
+        }
+        // Nothing of a rejected batch reached the engine.
+        assert_eq!(session.ingest(&[]), Ok(accepted));
+    }
+
+    #[test]
+    fn every_suite_program_fits_the_ingest_block_space() {
+        for name in ALL_WORKLOADS {
+            let blocks = Vm::new(&build(name, Scale::Full).program)
+                .layout()
+                .block_count();
+            assert!(
+                blocks * 64 <= INGEST_BLOCK_LIMIT as usize,
+                "{name:?} has {blocks} blocks"
+            );
         }
     }
 }

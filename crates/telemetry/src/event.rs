@@ -9,8 +9,8 @@ use std::fmt::Write as _;
 /// exception and is excluded from determinism guarantees.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Event<'a> {
-    /// A labelled phase of a benchmark run began (e.g. one workload/mode
-    /// pair of `perf_baseline`).
+    /// A labelled phase of a benchmark run began (e.g. one workload of
+    /// the `all` bench binary's linked-trace cross-check).
     RunStart {
         /// Free-form label, e.g. `"compress/net"`.
         label: &'a str,

@@ -11,7 +11,8 @@
 //! [`optimize`] runs at install time, between `compile_trace` and
 //! `TraceCache::install`, controlled by an [`OptLevel`]:
 //!
-//! * [`OptLevel::None`] — install the trace exactly as compiled.
+//! * [`OptLevel::None`] — install the trace exactly as compiled; the
+//!   reference the other levels are tested against.
 //! * [`OptLevel::Guards`] — guard passes only: hoist loop-invariant
 //!   guards to the trace entry ([`hoist`]) and drop guards implied by
 //!   earlier facts on the same superblock ([`guard_elim`]).
@@ -19,7 +20,7 @@
 //!   copies across the pre-resolved stream ([`constfold`]), sink dead
 //!   constants into exit stubs ([`sink`]), and predecode the stream into
 //!   direct-threaded [`MicroOp`]s with straight-line steps merged
-//!   ([`thread`]).
+//!   ([`thread`]). The default for [`crate::Vm`] and the Dynamo engine.
 //!
 //! Invariants every pass preserves:
 //!
@@ -58,7 +59,6 @@ use crate::trace_exec::CompiledTrace;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum OptLevel {
     /// Install traces exactly as compiled.
-    #[default]
     None,
     /// Guard passes only: redundant-guard elimination and loop-invariant
     /// guard hoisting.
@@ -66,6 +66,7 @@ pub enum OptLevel {
     /// All passes: guards, constant folding and copy propagation, dead
     /// constant sinking into exit stubs, and direct-threaded dispatch
     /// with straight-line step merging.
+    #[default]
     Full,
 }
 

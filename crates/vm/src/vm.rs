@@ -187,7 +187,7 @@ pub struct Vm {
     /// disabled by default (one predictable branch per site).
     faults: FaultInjector,
     /// Optimization applied to traces at install time (see
-    /// [`crate::OptLevel`]); [`OptLevel::None`] by default.
+    /// [`crate::OptLevel`]); [`OptLevel::Full`] by default.
     opt_level: crate::opt::OptLevel,
 }
 
@@ -239,7 +239,7 @@ impl Vm {
             globals: [0; GlobalReg::COUNT],
             config: RunConfig::default(),
             faults: FaultInjector::disabled(),
-            opt_level: crate::opt::OptLevel::None,
+            opt_level: crate::opt::OptLevel::Full,
         }
     }
 
@@ -259,11 +259,12 @@ impl Vm {
     }
 
     /// Sets the optimization level applied to traces when they are
-    /// installed. Every level is bit-identical to [`OptLevel::None`] in
-    /// observable results; higher levels execute fewer guards and
-    /// instructions to get there.
+    /// installed; [`OptLevel::Full`] by default. Every level is
+    /// bit-identical to [`OptLevel::None`] in observable results; higher
+    /// levels execute fewer guards and instructions to get there.
     ///
     /// [`OptLevel::None`]: crate::OptLevel::None
+    /// [`OptLevel::Full`]: crate::OptLevel::Full
     pub fn with_opt_level(mut self, level: crate::opt::OptLevel) -> Self {
         self.opt_level = level;
         self

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Offline-safe verification: format, build, test, lint, perf smoke, the
-# bench_compare self-gate, and a loopback TCP serve smoke. Everything here
-# must pass with no network access (the workspace has no external
-# dependencies; the serve smoke binds 127.0.0.1 only).
+# Offline-safe verification: format, build, test, lint, loopback TCP
+# serve smokes, and the bench_compare gates over fresh smoke runs and the
+# committed BENCH_perf.json. Everything here must pass with no network
+# access (the workspace has no external dependencies; the serve smokes
+# bind 127.0.0.1 only). Throughput is not judged here: scripts/ab.sh
+# compares two revisions on the repository benchmark.
 #
 # Environment knobs:
 #   VERIFY_SKIP_LINT=1        skip rustfmt/clippy (for MSRV toolchains whose
 #                             lints differ from stable)
-#   VERIFY_ARTIFACT_DIR=DIR   where bench/telemetry JSON snapshots land
+#   VERIFY_ARTIFACT_DIR=DIR   where bench JSON snapshots land
 #                             (default target/verify; CI uploads this dir)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,16 +44,6 @@ if [[ -z "${VERIFY_SKIP_LINT:-}" ]]; then
     echo "== cargo clippy --workspace --all-targets (deny warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
 fi
-
-echo "== perf_baseline smoke (scale smoke, snapshots into $ART_DIR) =="
-# perf_baseline appends to an existing document only if it wrote it, so
-# clear any snapshot left by a previous verify run.
-rm -f "$ART_DIR/bench_smoke.json" "$ART_DIR/telemetry_smoke.json"
-./target/release/perf_baseline --scale smoke --reps 1 --label verify-smoke \
-    --json "$ART_DIR/bench_smoke.json" --telemetry "$ART_DIR/telemetry_smoke.json"
-
-echo "== bench_compare self-gate (committed baseline) =="
-./target/release/bench_compare BENCH_perf.json BENCH_perf.json
 
 echo "== serve TCP smoke (spawn server, drive sessions, snapshot check) =="
 rm -f "$ART_DIR/serve_out.txt" "$ART_DIR/serve_smoke.json"
@@ -93,9 +85,9 @@ fi
 kill -TERM "$SWEEP_PID"
 wait "$SWEEP_PID"   # graceful drain must exit 0
 
-echo "== bench_compare curve + trend self-gates =="
+echo "== bench_compare curve gates (fresh sweep, committed curve) =="
 ./target/release/bench_compare --curve verify-sweep "$ART_DIR/serve_sweep.json"
-./target/release/bench_compare --trend BENCH_perf.json
+./target/release/bench_compare --curve scale BENCH_perf.json
 
 echo "== warm-start smoke (cold publish, pre-warmed replay, first-trace gate) =="
 rm -f "$ART_DIR/warmstart_out.txt" "$ART_DIR/warmstart.json"
@@ -129,12 +121,6 @@ rm -f "$ART_DIR/chaos.json"
 echo "== profile_sim (merge policies replayed offline, order-independent) =="
 ./target/release/profile_sim --scale smoke --sessions 4 \
     | tee "$ART_DIR/profile_sim.txt"
-
-echo "== selfprof disabled-overhead gate (committed selfprof-off vs trace-opt) =="
-# Committed-vs-committed across recording hosts: use the CI perf-gate
-# tolerance (0.25) rather than the same-host default.
-./target/release/bench_compare BENCH_perf.json BENCH_perf.json \
-    --baseline-label trace-opt --current-label selfprof-off --tolerance 0.25
 
 echo "== selfprof alloc self-gate (committed serve-path allocation profile) =="
 ./target/release/bench_compare --alloc selfprof BENCH_perf.json

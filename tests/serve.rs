@@ -490,11 +490,35 @@ fn tcp_restore_rejects_corrupt_blobs() {
 /// A resealed snapshot whose fragment block count is inflated to
 /// `u32::MAX` — the FNV seal is a checksum anyone can recompute — is
 /// answered with an error, and the same server keeps serving.
+/// One TCP connection to a fresh server; `call` sends a request and
+/// waits for its response.
+struct Wire {
+    stream: std::net::TcpStream,
+    _handle: hotpath::serve::ServerHandle,
+}
+
+impl Wire {
+    fn connect() -> Wire {
+        let handle = serve("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        Wire {
+            stream,
+            _handle: handle,
+        }
+    }
+
+    fn call(&mut self, request: Request) -> Response {
+        use hotpath::serve::{read_frame, write_frame};
+        write_frame(&mut self.stream, &request.encode()).expect("send");
+        let payload = read_frame(&mut self.stream).expect("read").expect("reply");
+        Response::decode(&payload).expect("decode")
+    }
+}
+
 #[test]
 fn tcp_restore_rejects_inflated_counts_and_stays_up() {
     use hotpath::dynamo::{EngineWarmState, FragmentRecord};
     use hotpath::ir::fasthash::fnv1a64;
-    use hotpath::serve::{read_frame, write_frame};
 
     let mut blob = SessionSnapshot {
         config: SessionConfig::ingest(),
@@ -518,26 +542,86 @@ fn tcp_restore_rejects_inflated_counts_and_stays_up() {
     let seal = fnv1a64(&blob[..len - 8]);
     blob[len - 8..].copy_from_slice(&seal.to_le_bytes());
 
-    let handle = serve("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
-    let mut call = |request: Request| {
-        write_frame(&mut stream, &request.encode()).expect("send");
-        let payload = read_frame(&mut stream).expect("read").expect("reply");
-        Response::decode(&payload).expect("decode")
-    };
-    match call(Request::Restore { blob }) {
+    let mut wire = Wire::connect();
+    match wire.call(Request::Restore { blob }) {
         Response::Error { message } => assert!(
             message.contains("fragment block"),
             "unexpected error: {message}"
         ),
         other => panic!("inflated restore must fail, got {other:?}"),
     }
-    match call(Request::Stats) {
+    match wire.call(Request::Stats) {
         Response::ServerStats(stats) => assert_eq!(stats.live_sessions, 0),
         other => panic!("server must keep serving, got {other:?}"),
     }
-    drop(stream);
-    drop(handle);
+}
+
+/// Ingest sessions index dense per-block tables by the client's block
+/// ids, so a batch naming a huge id is refused whole instead of sizing
+/// those tables by it, and the connection keeps serving.
+#[test]
+fn tcp_ingest_rejects_out_of_range_blocks_and_stays_up() {
+    use hotpath::ir::BlockId;
+    use hotpath::vm::TransferKind;
+
+    let mut wire = Wire::connect();
+    let Response::Opened { session, .. } = wire.call(Request::Open {
+        config: SessionConfig::ingest(),
+    }) else {
+        panic!("ingest open failed")
+    };
+    let into_huge = BlockEvent {
+        from: Some(BlockId::new(1)),
+        block: BlockId::new(0x7FFF_FFF0),
+        kind: TransferKind::Jump,
+        backward: true,
+        block_size: 1,
+    };
+    match wire.call(Request::Ingest {
+        session,
+        events: vec![into_huge; 4],
+    }) {
+        Response::Error { message } => assert!(
+            message.contains("ingest space"),
+            "unexpected error: {message}"
+        ),
+        other => panic!("out-of-range ingest must fail, got {other:?}"),
+    }
+    match wire.call(Request::Stats) {
+        Response::ServerStats(stats) => assert_eq!(stats.live_sessions, 1),
+        other => panic!("server must keep serving, got {other:?}"),
+    }
+}
+
+/// The same bound holds for warm state restored into an ingest session:
+/// a sealed snapshot whose exit-stub target lies outside the ingest
+/// block space is refused, and the server keeps serving.
+#[test]
+fn tcp_restore_rejects_out_of_range_ingest_warm_state() {
+    use hotpath::dynamo::EngineWarmState;
+
+    let blob = SessionSnapshot {
+        config: SessionConfig::ingest(),
+        warm: EngineWarmState {
+            exit_counts: vec![(0xFFFF_FFF0, 1)],
+            ..EngineWarmState::default()
+        },
+        vm: None,
+        profile: None,
+    }
+    .encode();
+    let mut wire = Wire::connect();
+    match wire.call(Request::Restore { blob }) {
+        Response::Error { message } => assert!(
+            message.contains("exit-stub target"),
+            "unexpected error: {message}"
+        ),
+        other => panic!("out-of-range restore must fail, got {other:?}"),
+    }
+    match wire.call(Request::Stats) {
+        Response::ServerStats(stats) => assert_eq!(stats.live_sessions, 0),
+        other => panic!("server must keep serving, got {other:?}"),
+    }
 }
 
 #[cfg(feature = "telemetry")]

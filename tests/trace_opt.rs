@@ -15,7 +15,7 @@
 //!    flush mid-optimized-complex, and re-optimization after a flush.
 //! 3. **Accounting.** Fuel exhaustion stays position-exact under block
 //!    merging, and end-to-end guard executions never increase with the
-//!    optimizer on.
+//!    optimizer on, nor rise above the suite totals recorded per level.
 
 use hotpath::dynamo::{run_dynamo_linked, DynamoConfig, LinkedEngine, Scheme};
 use hotpath::ir::builder::{FunctionBuilder, ProgramBuilder};
@@ -460,4 +460,45 @@ fn full_engine_guard_execs_never_increase() {
             }
         }
     }
+}
+
+/// Guard executions summed over the nine workloads at `Scale::Smoke`
+/// through the full engine (NET, τ=50), recorded per level. The counts
+/// are deterministic, so a rise is an optimizer that stopped optimizing.
+const RECORDED_SMOKE_GUARD_EXECS: [(OptLevel, u64); 3] = [
+    (OptLevel::None, 219_173),
+    (OptLevel::Guards, 218_733),
+    (OptLevel::Full, 218_733),
+];
+
+/// Every level gives the same `RunStats` on every workload, executes no
+/// more guards than its recorded total, and `Full` executes no more than
+/// `None`.
+#[test]
+fn suite_guard_execs_stay_at_or_below_the_recorded_totals() {
+    let suite = suite(Scale::Smoke);
+    let mut reference: Option<Vec<RunStats>> = None;
+    let mut totals = Vec::new();
+    for (level, recorded) in RECORDED_SMOKE_GUARD_EXECS {
+        let config = DynamoConfig::new(Scheme::Net, 50).with_opt_level(level);
+        let runs: Vec<_> = suite
+            .iter()
+            .map(|w| run_dynamo_linked(&w.program, &config).unwrap())
+            .collect();
+        let stats: Vec<RunStats> = runs.iter().map(|r| r.stats).collect();
+        match &reference {
+            None => reference = Some(stats),
+            Some(base) => assert_eq!(base, &stats, "RunStats at {level:?}"),
+        }
+        let total: u64 = runs.iter().map(|r| r.outcome.guard_execs).sum();
+        assert!(
+            total <= recorded,
+            "{level:?} executes {total} guards over the suite, above the recorded {recorded}"
+        );
+        totals.push(total);
+    }
+    assert!(
+        totals[2] <= totals[0],
+        "Full executes more guards than None: {totals:?}"
+    );
 }
