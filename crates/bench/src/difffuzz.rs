@@ -16,7 +16,12 @@
 //!    install rejections.
 //!
 //! Agreement means identical `Result<RunStats, VmError>`, data memory,
-//! and global registers. Any mismatch is a [`Divergence`]; the harness
+//! and global registers. One more stage, **ingest**, checks the path
+//! boundary rules rather than machine state: the reference run's block
+//! stream, replayed into a NET [`LinkedEngine`] as a serving ingest
+//! session feeds one, must complete exactly as many paths as
+//! [`PathExtractor`] finds in the same stream. Any mismatch is a
+//! [`Divergence`]; the harness
 //! then *shrinks* by replaying the seed under progressively smaller
 //! generator configurations and reporting the smallest program that
 //! still diverges.
@@ -24,8 +29,10 @@
 use hotpath_dynamo::{DegradeConfig, DynamoConfig, Engine, LinkedEngine, Scheme};
 use hotpath_ir::gen::{generate, GenConfig};
 use hotpath_ir::Program;
+use hotpath_profiles::{PathExecution, PathExtractor, PathSink, DEFAULT_PATH_CAP};
 use hotpath_vm::{
-    FaultInjector, FaultPlan, FaultPoint, NullObserver, OptLevel, RunStats, Vm, VmError,
+    ExecutionObserver, FaultInjector, FaultPlan, FaultPoint, NullObserver, OptLevel, RecordedTrace,
+    RunStats, TraceController, TraceRecorder, Vm, VmError,
 };
 
 /// The optimization levels every seed is cross-checked at, with the stage
@@ -91,6 +98,10 @@ pub const SHRINK_LADDER: [GenConfig; 4] = [
     },
 ];
 
+/// Path caps the ingest stage cycles through by seed, so the cap rule
+/// ends paths on random programs too.
+pub const INGEST_CAPS: [u32; 3] = [DEFAULT_PATH_CAP, 16, 3];
+
 /// Harness options.
 #[derive(Clone, Copy, Debug)]
 pub struct FuzzOptions {
@@ -151,8 +162,9 @@ impl FinalState {
 pub struct Divergence {
     /// The failing seed.
     pub seed: u64,
-    /// Which stage disagreed (`"observed"`, `"linked"`, `"faulted"`, or
-    /// an opt-level variant like `"linked-full"`; see [`OPT_STAGES`]).
+    /// Which stage disagreed (`"observed"`, `"ingest"`, `"linked"`,
+    /// `"faulted"`, or an opt-level variant like `"linked-full"`; see
+    /// [`OPT_STAGES`]).
     pub stage: &'static str,
     /// First differing component, reference vs stage.
     pub detail: String,
@@ -217,6 +229,36 @@ fn reference(program: &Program) -> FinalState {
     FinalState::capture(&vm, result)
 }
 
+/// Counts completed paths.
+#[derive(Default)]
+struct CountSink(u64);
+
+impl PathSink for CountSink {
+    fn on_path(&mut self, _: &PathExecution) {
+        self.0 += 1;
+    }
+}
+
+/// Completed paths in `trace` as `(LinkedEngine, PathExtractor)` counts:
+/// the engine runs NET with bail-out off, so it observes every block, and
+/// both cut paths at `cap` blocks.
+fn ingest_paths(trace: &RecordedTrace, cap: u32) -> (u64, u64) {
+    let mut config = DynamoConfig::new(Scheme::Net, 5);
+    config.bailout = None;
+    config.path_cap = cap;
+    let mut engine = LinkedEngine::new(config);
+    for i in 0..trace.len() {
+        engine.on_block(&trace.event(i));
+        while engine.poll_command().is_some() {}
+    }
+    if trace.halted() {
+        engine.on_halt();
+    }
+    let mut extractor = PathExtractor::with_cap(CountSink::default(), cap);
+    trace.replay(&mut extractor);
+    (engine.paths_completed(), extractor.sink().0)
+}
+
 /// Cross-checks one generated program.
 ///
 /// # Errors
@@ -249,6 +291,25 @@ pub fn check_program(
         let got = FinalState::capture(&vm, result);
         if got != expect {
             return Err(diverged("observed", &got));
+        }
+    }
+
+    // The ingest stage: the engine's path boundaries are the extractor's.
+    {
+        let mut recorder = TraceRecorder::new();
+        // The reference already holds the run's result; the stream up to
+        // a failure is still a stream.
+        let _ = Vm::new(program).run(&mut recorder);
+        let cap = INGEST_CAPS[(seed % INGEST_CAPS.len() as u64) as usize];
+        let (engine, extractor) = ingest_paths(&recorder.into_trace(), cap);
+        if engine != extractor {
+            return Err(Divergence {
+                seed,
+                stage: "ingest",
+                detail: format!(
+                    "cap {cap}: engine completed {engine} paths, extractor {extractor}"
+                ),
+            });
         }
     }
 
@@ -343,6 +404,25 @@ mod tests {
             injected.iter().sum::<u64>() > 0,
             "no faults injected across 48 seeds: {injected:?}"
         );
+    }
+
+    #[test]
+    fn ingest_stage_counts_paths_at_every_cap() {
+        let mut recorder = TraceRecorder::new();
+        Vm::new(&generate(4, &SHRINK_LADDER[0]))
+            .run(&mut recorder)
+            .unwrap();
+        let trace = recorder.into_trace();
+        let counts: Vec<(u64, u64)> = INGEST_CAPS
+            .iter()
+            .map(|&cap| ingest_paths(&trace, cap))
+            .collect();
+        for (engine, extractor) in &counts {
+            assert_eq!(engine, extractor);
+        }
+        // A smaller cap cuts more paths: the cap rule is exercised.
+        assert!(counts[0].0 > 0);
+        assert!(counts[2].0 > counts[0].0, "{counts:?}");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! the only state is one counter per head (Table 2 / Figure 4).
 
 use hotpath_ir::dense::CounterTable;
+use hotpath_ir::BlockId;
 use hotpath_profiles::{PathExecution, PathId, ProfilingCost};
 
 use crate::predictor::{HotPathPredictor, SchemeKind};
@@ -88,36 +89,41 @@ impl NetPredictor {
     }
 
     /// The execution count of a head's counter (testing and diagnostics).
-    pub fn head_count(&self, head: hotpath_ir::BlockId) -> u64 {
+    pub fn head_count(&self, head: BlockId) -> u64 {
         self.heads.get(head.as_u32())
+    }
+
+    /// Counts one arrival at `head`, the target of a backward taken branch,
+    /// and returns true when the arrival reaches τ: the tail executing now
+    /// is predicted hot. This is all of NET's runtime profiling; the caller
+    /// knows the tail (a Dynamo engine records it as it runs), so the path
+    /// needs no identity.
+    pub fn observe_head(&mut self, head: BlockId) -> bool {
+        let counter = self.heads.slot(head.as_u32());
+        *counter += 1;
+        self.cost.counter_increments += 1;
+        if *counter < self.delay {
+            return false;
+        }
+        // Reset and keep counting uncovered arrivals (the counter moves to
+        // the installed trace's exit stubs in Dynamo terms).
+        *counter = 0;
+        self.predictions += 1;
+        hotpath_telemetry::emit!(hotpath_telemetry::Event::TauTrigger {
+            scheme: "net",
+            head: head.as_u32(),
+            tau: self.delay,
+            observed: self.cost.counter_increments,
+        });
+        true
     }
 }
 
 impl HotPathPredictor for NetPredictor {
     fn observe(&mut self, exec: &PathExecution) -> Option<PathId> {
-        // Only targets of backward taken branches carry counters (§4.1).
-        if !exec.start.is_net_countable() {
-            return None;
-        }
-        let counter = self.heads.slot(exec.head.as_u32());
-        *counter += 1;
-        self.cost.counter_increments += 1;
-        if *counter >= self.delay {
-            // Reset and keep counting uncovered arrivals (the counter
-            // moves to the installed trace's exit stubs in Dynamo terms).
-            *counter = 0;
-            self.predictions += 1;
-            hotpath_telemetry::emit!(hotpath_telemetry::Event::TauTrigger {
-                scheme: "net",
-                head: exec.head.as_u32(),
-                tau: self.delay,
-                observed: self.cost.counter_increments,
-            });
-            // The next executing tail is the path executing right now.
-            Some(exec.path)
-        } else {
-            None
-        }
+        // Only targets of backward taken branches carry counters (§4.1);
+        // the next executing tail is the path executing right now.
+        (exec.start.is_net_countable() && self.observe_head(exec.head)).then_some(exec.path)
     }
 
     fn scheme(&self) -> SchemeKind {
@@ -146,7 +152,6 @@ impl HotPathPredictor for NetPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotpath_ir::BlockId;
     use hotpath_profiles::{PathEndKind, PathStartKind};
 
     fn exec(path: u32, head: u32, start: PathStartKind) -> PathExecution {
@@ -236,6 +241,33 @@ mod tests {
             net.observe(&exec(0, 1, PathStartKind::BackwardTarget)),
             Some(PathId::new(0))
         );
+    }
+
+    #[test]
+    fn head_entry_point_predicts_and_costs_like_observe() {
+        // The same arrival sequence through both entry points: identical
+        // predictions at identical arrivals, identical counters and cost.
+        let arrivals: Vec<PathExecution> = (0..200u32)
+            .map(|i| {
+                let start = if i % 7 == 3 {
+                    PathStartKind::Continuation
+                } else {
+                    PathStartKind::BackwardTarget
+                };
+                exec(i % 5, (i * 13) % 4, start)
+            })
+            .collect();
+        let mut by_path = NetPredictor::new(4);
+        let mut by_head = NetPredictor::new(4);
+        for e in &arrivals {
+            let predicted = by_path.observe(e).is_some();
+            let counted = e.start.is_net_countable() && by_head.observe_head(e.head);
+            assert_eq!(predicted, counted);
+        }
+        assert!(by_path.predictions() > 0);
+        assert_eq!(by_path.predictions(), by_head.predictions());
+        assert_eq!(by_path.cost(), by_head.cost());
+        assert_eq!(by_path.export_counters(), by_head.export_counters());
     }
 
     #[test]

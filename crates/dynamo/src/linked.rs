@@ -14,24 +14,33 @@
 //! trace→trace (Dynamo's fragment linking); a cache flush severs every
 //! link.
 //!
-//! Trace selection mirrors the simulated engine: NET or path-profile
-//! prediction over interpreted paths installs primary fragments, and
-//! guard-fail exits are counted per target exactly like Dynamo's exit
-//! stubs — at τ arrivals the target is *armed* and the next interpreted
-//! path from it installs as a tail fragment, which linking then stitches
-//! to its parent. The cycle model is charged from the real counts the
-//! trace backend reports ([`CostModel::excursion_transitions`]), so the
-//! simulated and executed backends can be cross-checked.
+//! Trace selection follows the simulated engine's policy: NET or
+//! path-profile prediction over interpreted paths installs primary
+//! fragments, and guard-fail exits are counted per target exactly like
+//! Dynamo's exit stubs — at τ arrivals the target is *armed* and the next
+//! interpreted path from it installs as a tail fragment, which linking
+//! then stitches to its parent. The cycle model is charged from the real
+//! counts the trace backend reports ([`CostModel::excursion_transitions`]),
+//! so the simulated and executed backends can be cross-checked.
+//!
+//! The two schemes profile as the paper says they do. Under NET the engine
+//! runs only the path boundary rules ([`PathSegmenter`]) and one counter
+//! per head: the tail it installs is the block list it records anyway, and
+//! a tail already cached is recognized by comparing that list with the
+//! lists cached for its head. No path is ever given an identity. Under
+//! path profiling every interpreted path is extracted and interned
+//! ([`PathExtractor`]), and its counter is the interned path's — the
+//! per-branch and per-path cost NET avoids.
 //!
 //! [`CostModel::excursion_transitions`]: crate::CostModel::excursion_transitions
 
 use std::collections::VecDeque;
 
-use hotpath_core::HotPathPredictor;
+use hotpath_core::{HotPathPredictor, NetPredictor, PathProfilePredictor};
 use hotpath_ir::dense::CounterTable;
 use hotpath_ir::fasthash::FxHashSet;
 use hotpath_ir::Program;
-use hotpath_profiles::{PathExecution, PathExtractor};
+use hotpath_profiles::{BackwardRule, Boundary, PathExtractor, PathId, PathSegmenter, PathSpan};
 use hotpath_telemetry as telemetry;
 use hotpath_vm::{
     BlockEvent, ExecutionObserver, RunStats, TraceCommand, TraceController, TraceExcursion,
@@ -40,7 +49,7 @@ use hotpath_vm::{
 
 use crate::cost::CycleBreakdown;
 use crate::degrade::{LadderMode, LadderStep, Watchdog};
-use crate::engine::{DynamoConfig, DynamoOutcome, LastSink, Predictor};
+use crate::engine::{DynamoConfig, DynamoOutcome, LastSink, Scheme};
 use crate::fragment::FragmentCache;
 use crate::phases::{FlushPolicy, SpikeDetector};
 
@@ -147,14 +156,138 @@ impl EngineWarmState {
     }
 }
 
+/// How the engine finds, counts and remembers interpreted paths.
+#[derive(Debug)]
+enum Profiler {
+    /// NET (§4.1): boundaries straight from the block events, one counter
+    /// per head.
+    Net {
+        predictor: NetPredictor,
+        segmenter: PathSegmenter,
+        /// The block lists of the tails marked cached (see
+        /// [`Profiler::mark`]), head first: a completed path whose list is
+        /// here is not profiled again. Hashed, not scanned per head: in an
+        /// ingest replay a head of go or gcc collects hundreds of tails.
+        marked: FxHashSet<Box<[u32]>>,
+    },
+    /// Path profiling (§4): every path extracted, interned and counted.
+    PathProfile {
+        predictor: PathProfilePredictor,
+        extractor: PathExtractor<LastSink>,
+        /// Paths marked cached (indexed by PathId).
+        marked: Vec<bool>,
+    },
+}
+
+impl Profiler {
+    fn new(config: &DynamoConfig) -> Self {
+        match config.scheme {
+            Scheme::Net => Profiler::Net {
+                predictor: NetPredictor::new(config.delay),
+                segmenter: PathSegmenter::new(config.path_cap, BackwardRule::default()),
+                marked: FxHashSet::default(),
+            },
+            Scheme::PathProfile => Profiler::PathProfile {
+                predictor: PathProfilePredictor::new(config.delay),
+                extractor: PathExtractor::with_cap(LastSink::default(), config.path_cap),
+                marked: Vec::new(),
+            },
+        }
+    }
+
+    /// Feeds one interpreted block; returns the path it completed, with
+    /// its interned identity under path profiling.
+    #[inline]
+    fn on_block(&mut self, event: &BlockEvent) -> Option<(PathSpan, Option<PathId>)> {
+        match self {
+            Profiler::Net { segmenter, .. } => match segmenter.on_block(event) {
+                Boundary::Split(span) => Some((span, None)),
+                Boundary::Extend | Boundary::Begin => None,
+            },
+            Profiler::PathProfile { extractor, .. } => Self::extract(extractor, event),
+        }
+    }
+
+    /// Path profiling's per-block work, kept out of NET's inlined path.
+    #[inline(never)]
+    fn extract(
+        extractor: &mut PathExtractor<LastSink>,
+        event: &BlockEvent,
+    ) -> Option<(PathSpan, Option<PathId>)> {
+        extractor.on_block(event);
+        let exec = extractor.sink_mut().0.take()?;
+        Some((exec.span(), Some(exec.path)))
+    }
+
+    /// Ends the run; true when an open path completed.
+    fn on_halt(&mut self) -> bool {
+        match self {
+            Profiler::Net { segmenter, .. } => segmenter.on_halt().is_some(),
+            Profiler::PathProfile { extractor, .. } => {
+                extractor.on_halt();
+                extractor.sink_mut().0.take().is_some()
+            }
+        }
+    }
+
+    /// True when a completed path is profiled: it is not marked cached
+    /// and, under NET, it starts at a backward-branch target (the only
+    /// heads with counters).
+    fn profiles(&self, span: &PathSpan, path: Option<PathId>, blocks: &[u32]) -> bool {
+        match self {
+            Profiler::Net { marked, .. } => {
+                span.start.is_net_countable() && !marked.contains(blocks)
+            }
+            Profiler::PathProfile { marked, .. } => {
+                let path = path.expect("path profiling interns every path");
+                !marked.get(path.index()).copied().unwrap_or(false)
+            }
+        }
+    }
+
+    /// Marks a completed path cached: it is not profiled again until the
+    /// next flush.
+    fn mark(&mut self, path: Option<PathId>, blocks: &[u32]) {
+        match self {
+            Profiler::Net { marked, .. } => {
+                marked.insert(blocks.into());
+            }
+            Profiler::PathProfile { marked, .. } => {
+                let i = path.expect("path profiling interns every path").index();
+                if i >= marked.len() {
+                    marked.resize(i + 1, false);
+                }
+                marked[i] = true;
+            }
+        }
+    }
+
+    /// Clears counters and marks (on a cache flush).
+    fn reset(&mut self) {
+        match self {
+            Profiler::Net {
+                predictor, marked, ..
+            } => {
+                predictor.reset();
+                marked.clear();
+            }
+            Profiler::PathProfile {
+                predictor, marked, ..
+            } => {
+                predictor.reset();
+                marked.clear();
+            }
+        }
+    }
+}
+
 /// The Dynamo engine for [`Vm::run_linked`]: observes interpreted blocks,
 /// receives batched trace excursions, and feeds install/flush commands
 /// back to the VM's trace backend.
 #[derive(Debug)]
 pub struct LinkedEngine {
     config: DynamoConfig,
-    predictor: Predictor,
-    extractor: PathExtractor<LastSink>,
+    profiler: Profiler,
     /// Engine-side mirror of the VM's trace cache: idempotent installs,
     /// sibling bookkeeping, capacity policy, outcome statistics.
     mirror: FragmentCache,
@@ -168,8 +301,6 @@ pub struct LinkedEngine {
     /// Guard-fail targets whose stub counter reached τ: the next completed
     /// interpreted path starting there installs as a tail fragment.
     armed: Vec<u32>,
-    /// Paths that already have a fragment (indexed by PathId).
-    cached_paths: Vec<bool>,
     /// Degradation-ladder health monitor; `None` when the ladder is off.
     watchdog: Option<Watchdog>,
     /// Blocks of the interpreted path currently being accumulated.
@@ -179,12 +310,15 @@ pub struct LinkedEngine {
     spare_blocks: Vec<u32>,
     cur_insts: u32,
     /// Set after every excursion: the next interpreted block restarts path
-    /// extraction (the pre-excursion path tail ran in trace-land,
+    /// segmentation (the pre-excursion path tail ran in trace-land,
     /// unobserved, so it cannot be completed honestly).
     resume_pending: bool,
     bailed: bool,
     spike_flushes: u64,
     paths_completed: u64,
+    /// τ triggers over the whole run (the predictor's own count restarts at
+    /// every flush).
+    predictions: u64,
     blocks_total: u64,
     blocks_cached: u64,
     insts_total: u64,
@@ -194,7 +328,7 @@ pub struct LinkedEngine {
 impl LinkedEngine {
     /// Creates an engine.
     pub fn new(config: DynamoConfig) -> Self {
-        let predictor = Predictor::for_scheme(config.scheme, config.delay);
+        let profiler = Profiler::new(&config);
         let detector = match config.flush {
             FlushPolicy::Never => None,
             FlushPolicy::OnSpike {
@@ -203,19 +337,16 @@ impl LinkedEngine {
                 min_predictions,
             } => Some(SpikeDetector::new(window, factor, min_predictions)),
         };
-        let cap = config.path_cap;
         let watchdog = config.degrade.map(Watchdog::new);
         LinkedEngine {
             config,
-            predictor,
-            extractor: PathExtractor::with_cap(LastSink::default(), cap),
+            profiler,
             mirror: FragmentCache::new(),
             pending: VecDeque::new(),
             cycles: CycleBreakdown::default(),
             detector,
             exit_counts: CounterTable::new(),
             armed: Vec::new(),
-            cached_paths: Vec::new(),
             watchdog,
             cur_blocks: Vec::with_capacity(64),
             spare_blocks: Vec::with_capacity(64),
@@ -224,6 +355,7 @@ impl LinkedEngine {
             bailed: false,
             spike_flushes: 0,
             paths_completed: 0,
+            predictions: 0,
             blocks_total: 0,
             blocks_cached: 0,
             insts_total: 0,
@@ -254,6 +386,11 @@ impl LinkedEngine {
         self.paths_completed
     }
 
+    /// Predictions (τ triggers) over the run so far, across flushes.
+    pub fn predictions(&self) -> u64 {
+        self.predictions
+    }
+
     /// The configuration the engine was built with.
     pub fn config(&self) -> &DynamoConfig {
         &self.config
@@ -271,9 +408,9 @@ impl LinkedEngine {
     /// installed fragments, exit-stub counters, armed targets, and NET
     /// head counters.
     pub fn export_warm_state(&self) -> EngineWarmState {
-        let net_counters = match &self.predictor {
-            Predictor::Net(p) => p.export_counters(),
-            Predictor::PathProfile(_) => Vec::new(),
+        let net_counters = match &self.profiler {
+            Profiler::Net { predictor, .. } => predictor.export_counters(),
+            Profiler::PathProfile { .. } => Vec::new(),
         };
         EngineWarmState {
             fragments: self
@@ -298,7 +435,7 @@ impl LinkedEngine {
     /// [`LinkedEngine::export_warm_state`] into a fresh engine. Fragments
     /// re-enter through the normal install path, so the VM's trace cache
     /// is rebuilt by the queued [`TraceCommand::Install`]s the next time
-    /// it polls. Path extraction restarts at the next observed block (as
+    /// it polls. Path segmentation restarts at the next observed block (as
     /// after an excursion), because the interrupted path's prefix was not
     /// carried across the restart.
     pub fn import_warm_state(&mut self, warm: &EngineWarmState) {
@@ -313,8 +450,8 @@ impl LinkedEngine {
         let mut seen: FxHashSet<u32> = self.armed.iter().copied().collect();
         self.armed
             .extend(warm.armed.iter().copied().filter(|&t| seen.insert(t)));
-        if let Predictor::Net(p) = &mut self.predictor {
-            p.import_counters(&warm.net_counters);
+        if let Profiler::Net { predictor, .. } = &mut self.profiler {
+            predictor.import_counters(&warm.net_counters);
         }
         self.resume_pending = true;
     }
@@ -385,21 +522,6 @@ impl LinkedEngine {
         }
     }
 
-    fn is_cached_path(&self, exec: &PathExecution) -> bool {
-        self.cached_paths
-            .get(exec.path.index())
-            .copied()
-            .unwrap_or(false)
-    }
-
-    fn mark_cached(&mut self, exec: &PathExecution) {
-        let i = exec.path.index();
-        if i >= self.cached_paths.len() {
-            self.cached_paths.resize(i + 1, false);
-        }
-        self.cached_paths[i] = true;
-    }
-
     /// Installs a fragment in the mirror and, when it anchors a new head,
     /// commands the VM to compile it into a trace.
     fn install(&mut self, blocks: &[u32], insts: u32) {
@@ -443,54 +565,87 @@ impl LinkedEngine {
             }
         }
         self.mirror.flush();
-        self.predictor.reset();
-        self.cached_paths.clear();
+        self.profiler.reset();
         self.exit_counts.clear();
         self.armed.clear();
         self.pending.push_back(TraceCommand::Flush);
     }
 
-    /// Profiles a completed, fully-interpreted path; installs on
-    /// prediction. Identical charging to the simulated engine.
-    fn observe_path(&mut self, exec: &PathExecution, blocks: &[u32], insts: u32) -> bool {
+    /// Counts a profiled path (see [`Profiler::profiles`]); true when it is
+    /// predicted hot. Identical charging to the simulated engine.
+    fn predicts(&mut self, span: &PathSpan, path: Option<PathId>) -> bool {
         let cost = self.config.cost;
-        let predicted = match &mut self.predictor {
-            Predictor::Net(p) => {
-                if exec.start.is_net_countable() {
-                    self.cycles.profiling += cost.counter_op;
-                }
-                p.observe(exec)
+        match &mut self.profiler {
+            Profiler::Net { predictor, .. } => {
+                self.cycles.profiling += cost.counter_op;
+                predictor.observe_head(span.head)
             }
-            Predictor::PathProfile(p) => {
+            Profiler::PathProfile { predictor, .. } => {
                 self.cycles.profiling +=
-                    cost.shift_op * exec.blocks.saturating_sub(1) as f64 + cost.table_op;
-                p.observe(exec)
+                    cost.shift_op * span.blocks.saturating_sub(1) as f64 + cost.table_op;
+                let exec = span.with_path(path.expect("path profiling interns every path"));
+                predictor.observe(&exec).is_some()
             }
-        };
-        if predicted.is_some() {
-            self.install(blocks, insts);
-            self.mark_cached(exec);
-            return true;
         }
-        false
     }
 
-    fn on_completed_path(&mut self, exec: &PathExecution, blocks: &[u32], insts: u32) {
+    /// After an excursion the open interpreted path is stale (its tail ran
+    /// in trace-land, unobserved): restarts segmentation at `event`'s block
+    /// by feeding a synthetic Start, which begins a path without completing
+    /// the stale one.
+    #[inline(never)]
+    fn restart(&mut self, event: &BlockEvent) {
+        self.resume_pending = false;
+        self.cur_blocks.clear();
+        self.cur_insts = 0;
+        let completed = self.profiler.on_block(&BlockEvent {
+            from: None,
+            kind: TransferKind::Start,
+            backward: false,
+            ..*event
+        });
+        debug_assert!(completed.is_none(), "a Start completes no path");
+    }
+
+    /// `event` ended the open path `span`: hands the recorded blocks to
+    /// [`LinkedEngine::on_completed_path`] and starts recording the next
+    /// path at `event`'s block.
+    #[inline(never)]
+    fn complete(&mut self, span: &PathSpan, path: Option<PathId>, event: &BlockEvent) {
+        let spare = std::mem::take(&mut self.spare_blocks);
+        let mut blocks = std::mem::replace(&mut self.cur_blocks, spare);
+        let insts = std::mem::replace(&mut self.cur_insts, event.block_size);
+        self.cur_blocks.push(event.block.as_u32());
+        self.on_completed_path(span, path, &blocks, insts);
+        blocks.clear();
+        self.spare_blocks = blocks;
+    }
+
+    fn on_completed_path(
+        &mut self,
+        span: &PathSpan,
+        path: Option<PathId>,
+        blocks: &[u32],
+        insts: u32,
+    ) {
         self.paths_completed += 1;
         let mut was_prediction = false;
-        if !self.is_cached_path(exec) {
-            was_prediction = self.observe_path(exec, blocks, insts);
+        if self.profiler.profiles(span, path, blocks) && self.predicts(span, path) {
+            self.predictions += 1;
+            self.install(blocks, insts);
+            self.profiler.mark(path, blocks);
+            was_prediction = true;
         }
         // Armed exit-stub targets: the first interpreted path from a hot
         // guard-fail target becomes the tail fragment Dynamo would record
         // from that exit stub.
         if !was_prediction {
-            let head = exec.head.as_u32();
+            let head = span.head.as_u32();
             if let Some(i) = self.armed.iter().position(|&h| h == head) {
                 if blocks.first() == Some(&head) {
                     self.armed.swap_remove(i);
                     self.install(blocks, insts.max(1));
-                    self.mark_cached(exec);
+                    self.profiler.mark(path, blocks);
                     was_prediction = true;
                 }
             }
@@ -531,55 +686,38 @@ impl LinkedEngine {
 }
 
 impl ExecutionObserver for LinkedEngine {
+    /// Inlined into the interpreter loop: a block that extends the open
+    /// path costs a few counter updates and one push. Restarts and path
+    /// completions run out of line.
+    #[inline]
     fn on_block(&mut self, event: &BlockEvent) {
-        let cost = self.config.cost;
         let size = event.block_size as f64;
         self.insts_total += event.block_size as u64;
         if self.bailed {
-            self.cycles.native += size * cost.native_per_inst;
+            self.cycles.native += size * self.config.cost.native_per_inst;
             return;
         }
         self.blocks_total += 1;
-
-        // Path bookkeeping. After an excursion the open interpreted path
-        // is stale (its tail ran in trace-land, unobserved): restart
-        // extraction at the exit target by feeding a synthetic Start,
-        // which the extractor begins without emitting the stale path.
-        if self.resume_pending {
-            self.resume_pending = false;
-            self.cur_blocks.clear();
-            self.cur_insts = 0;
-            self.extractor.on_block(&BlockEvent {
-                from: None,
-                kind: TransferKind::Start,
-                backward: false,
-                ..*event
-            });
+        let completed = if self.resume_pending {
+            self.restart(event);
+            None
         } else {
-            self.extractor.on_block(event);
-        }
-        let completed = self.extractor.sink_mut().0.take();
-        let mut finished: Option<(Vec<u32>, u32)> = None;
-        if completed.is_some() {
-            let spare = std::mem::take(&mut self.spare_blocks);
-            let blocks = std::mem::replace(&mut self.cur_blocks, spare);
-            finished = Some((blocks, self.cur_insts));
-            self.cur_insts = 0;
-        }
-        self.cur_blocks.push(event.block.as_u32());
-        self.cur_insts += event.block_size;
-
-        if let (Some(exec), Some((mut blocks, insts))) = (completed, finished) {
-            self.on_completed_path(&exec, &blocks, insts);
-            blocks.clear();
-            self.spare_blocks = blocks;
-            if self.bailed {
-                self.cycles.native += size * cost.native_per_inst;
-                return;
+            self.profiler.on_block(event)
+        };
+        match completed {
+            None => {
+                self.cur_blocks.push(event.block.as_u32());
+                self.cur_insts += event.block_size;
+            }
+            Some((span, path)) => {
+                self.complete(&span, path, event);
+                if self.bailed {
+                    self.cycles.native += size * self.config.cost.native_per_inst;
+                    return;
+                }
             }
         }
-
-        self.cycles.interp += size * cost.interp_per_inst;
+        self.cycles.interp += size * self.config.cost.interp_per_inst;
     }
 
     fn on_halt(&mut self) {
@@ -589,8 +727,7 @@ impl ExecutionObserver for LinkedEngine {
             // trace-land).
             return;
         }
-        self.extractor.on_halt();
-        if self.extractor.sink_mut().0.take().is_some() {
+        if self.profiler.on_halt() {
             self.paths_completed += 1;
         }
     }

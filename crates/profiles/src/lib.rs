@@ -9,7 +9,8 @@
 //!   definition (§3): a path starts at the target of a backward taken
 //!   branch, extends to the next backward taken branch, may cross calls and
 //!   returns unless they are backward, and terminates at the return matching
-//!   an in-path call, if not earlier;
+//!   an in-path call, if not earlier. Its boundary rules alone are
+//!   [`PathSegmenter`], which is all NET needs;
 //! * [`PathTable`] / [`PathProfile`] / [`HotPathSet`] — interning, frequency
 //!   distributions, flow, and the 0.1% `HotPath` set of Table 1;
 //! * [`PathStream`] — a compact recording of every path execution so τ-sweeps
@@ -42,8 +43,8 @@ pub use cost::ProfilingCost;
 pub use edge::{estimate_path_freq, showdown, EdgeProfiler, ShowdownReport};
 pub use kbounded::KBoundedProfiler;
 pub use path::{
-    BackwardRule, CollectSink, PathEndKind, PathExecution, PathExtractor, PathSink, PathStartKind,
-    DEFAULT_PATH_CAP,
+    BackwardRule, Boundary, CollectSink, PathEndKind, PathExecution, PathExtractor, PathSegmenter,
+    PathSink, PathSpan, PathStartKind, DEFAULT_PATH_CAP,
 };
 pub use persist::{load_run, save_run};
 pub use profile::{HotPathSet, PathProfile};

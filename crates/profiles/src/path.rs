@@ -7,10 +7,14 @@
 //! > procedure call it will terminate at the corresponding return branch,
 //! > if not earlier.*
 //!
-//! [`PathExtractor`] implements that definition as an
-//! [`ExecutionObserver`]: it segments the dynamic block stream into paths,
-//! interns each path's bit-tracing signature, and hands one
-//! [`PathExecution`] per completed path to a [`PathSink`].
+//! [`PathSegmenter`] implements that definition's boundary rules alone: fed
+//! one block event at a time, it says whether the block extends the open
+//! path or ends it and begins the next. [`PathExtractor`] wraps it as an
+//! [`ExecutionObserver`] that also interns each path's bit-tracing
+//! signature and hands one [`PathExecution`] per completed path to a
+//! [`PathSink`]. NET needs only the boundaries (paper §4.1), so the linked
+//! Dynamo engine drives a bare segmenter under NET and the full extractor
+//! under path profiling.
 //!
 //! ## What counts as a "backward taken branch"?
 //!
@@ -144,6 +148,187 @@ pub struct PathExecution {
     pub insts: u32,
 }
 
+impl PathExecution {
+    /// The execution without its interned identity.
+    pub fn span(&self) -> PathSpan {
+        PathSpan {
+            head: self.head,
+            start: self.start,
+            end: self.end,
+            blocks: self.blocks,
+            insts: self.insts,
+        }
+    }
+}
+
+/// One completed path as its boundaries alone: where and why it began,
+/// why it ended, and how long it ran. Everything a [`PathExecution`]
+/// carries except the interned identity.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PathSpan {
+    /// First block of the path.
+    pub head: BlockId,
+    /// Why the path began.
+    pub start: PathStartKind,
+    /// Why the path ended.
+    pub end: PathEndKind,
+    /// Blocks on this execution of the path.
+    pub blocks: u32,
+    /// Instruction slots on this execution of the path.
+    pub insts: u32,
+}
+
+impl PathSpan {
+    /// The execution of the interned path `path` with these boundaries.
+    pub fn with_path(self, path: PathId) -> PathExecution {
+        PathExecution {
+            path,
+            head: self.head,
+            start: self.start,
+            end: self.end,
+            blocks: self.blocks,
+            insts: self.insts,
+        }
+    }
+}
+
+/// What one block event does to the open path (see [`PathSegmenter`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Boundary {
+    /// The block extends the open path.
+    Extend,
+    /// The block begins a path and no path completes: a
+    /// [`TransferKind::Start`], or a boundary met while no path was open.
+    Begin,
+    /// The open path ended before the block, which begins the next path.
+    Split(PathSpan),
+}
+
+/// The path boundary rules of §3, without path identities.
+///
+/// Decides per block event whether the incoming transfer ends the open
+/// path: a backward transfer (which transfers count is the
+/// [`BackwardRule`]), the return matching the first call made inside the
+/// path, or the length cap. A [`TransferKind::Start`] begins a new
+/// [`PathStartKind::Entry`] path and silently drops the open one — a
+/// consumer restarts segmentation that way when it loses sight of the
+/// stream (the linked Dynamo engine does after every trace excursion).
+///
+/// [`PathExtractor`] is this plus signature interning; both see exactly
+/// the same boundaries.
+#[derive(Clone, Debug)]
+pub struct PathSegmenter {
+    head: BlockId,
+    start: PathStartKind,
+    /// Calls made inside the current path that have not returned yet.
+    pending_calls: u32,
+    blocks: u32,
+    insts: u32,
+    cap: u32,
+    rule: BackwardRule,
+    active: bool,
+}
+
+impl PathSegmenter {
+    /// Creates a segmenter with a length cap (in blocks) and a backward
+    /// rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap == 0`.
+    pub fn new(cap: u32, rule: BackwardRule) -> Self {
+        assert!(cap > 0, "path cap must be positive");
+        PathSegmenter {
+            head: BlockId::new(0),
+            start: PathStartKind::Entry,
+            pending_calls: 0,
+            blocks: 0,
+            insts: 0,
+            cap,
+            rule,
+            active: false,
+        }
+    }
+
+    /// Feeds one block event.
+    #[inline]
+    pub fn on_block(&mut self, event: &BlockEvent) -> Boundary {
+        if event.kind == TransferKind::Start {
+            self.begin(event.block, PathStartKind::Entry, event.block_size);
+            return Boundary::Begin;
+        }
+
+        // Decide whether the incoming transfer ends the current path.
+        let is_branch = !matches!(event.kind, TransferKind::Call | TransferKind::Return);
+        let backward_ends =
+            event.backward && (is_branch || self.rule == BackwardRule::AllTransfers);
+        let mut end: Option<PathEndKind> = None;
+        match event.kind {
+            TransferKind::Call => self.pending_calls += 1,
+            TransferKind::Return if self.pending_calls > 0 => {
+                self.pending_calls -= 1;
+                if self.pending_calls == 0 {
+                    // The return matching the first in-path call.
+                    end = Some(PathEndKind::CallReturn);
+                }
+            }
+            _ => {}
+        }
+        if backward_ends {
+            end = Some(PathEndKind::BackwardBranch);
+        } else if end.is_none() && self.blocks >= self.cap {
+            end = Some(PathEndKind::Capped);
+        }
+
+        match end {
+            Some(reason) => {
+                let done = self.finish(reason);
+                let kind = if backward_ends {
+                    PathStartKind::BackwardTarget
+                } else {
+                    PathStartKind::Continuation
+                };
+                self.begin(event.block, kind, event.block_size);
+                done.map_or(Boundary::Begin, Boundary::Split)
+            }
+            None => {
+                self.blocks += 1;
+                self.insts += event.block_size;
+                Boundary::Extend
+            }
+        }
+    }
+
+    /// Ends the run: the open path, if any, completes with
+    /// [`PathEndKind::ProgramEnd`].
+    pub fn on_halt(&mut self) -> Option<PathSpan> {
+        self.finish(PathEndKind::ProgramEnd)
+    }
+
+    fn begin(&mut self, block: BlockId, kind: PathStartKind, block_size: u32) {
+        self.head = block;
+        self.start = kind;
+        self.pending_calls = 0;
+        self.blocks = 1;
+        self.insts = block_size;
+        self.active = true;
+    }
+
+    fn finish(&mut self, end: PathEndKind) -> Option<PathSpan> {
+        if !self.active {
+            return None;
+        }
+        self.active = false;
+        Some(PathSpan {
+            head: self.head,
+            start: self.start,
+            end,
+            blocks: self.blocks,
+            insts: self.insts,
+        })
+    }
+}
+
 /// Receives completed paths from a [`PathExtractor`].
 pub trait PathSink {
     /// Called once per completed path execution.
@@ -198,14 +383,7 @@ pub struct PathExtractor<S> {
     sink: S,
     table: PathTable,
     sig: PathSignature,
-    start_kind: PathStartKind,
-    /// Calls made inside the current path that have not returned yet.
-    pending_calls: u32,
-    blocks: u32,
-    insts: u32,
-    cap: u32,
-    rule: BackwardRule,
-    active: bool,
+    segmenter: PathSegmenter,
 }
 
 impl<S: PathSink> PathExtractor<S> {
@@ -230,18 +408,11 @@ impl<S: PathSink> PathExtractor<S> {
     ///
     /// Panics if `cap == 0`.
     pub fn with_options(sink: S, cap: u32, rule: BackwardRule) -> Self {
-        assert!(cap > 0, "path cap must be positive");
         PathExtractor {
             sink,
             table: PathTable::new(),
             sig: PathSignature::default(),
-            start_kind: PathStartKind::Entry,
-            pending_calls: 0,
-            blocks: 0,
-            insts: 0,
-            cap,
-            rule,
-            active: false,
+            segmenter: PathSegmenter::new(cap, rule),
         }
     }
 
@@ -272,46 +443,25 @@ impl<S: PathSink> PathExtractor<S> {
         &self.table
     }
 
-    fn begin(&mut self, block: BlockId, kind: PathStartKind, block_size: u32) {
-        self.sig.reset(block);
-        self.start_kind = kind;
-        self.pending_calls = 0;
-        self.blocks = 1;
-        self.insts = block_size;
-        self.active = true;
-    }
-
-    fn finish(&mut self, end: PathEndKind) {
-        if !self.active {
-            return;
-        }
-        let head = self.sig.start();
+    fn finish(&mut self, span: PathSpan) {
         let id = self.table.intern(
             &self.sig,
             PathInfo {
-                head,
-                blocks: self.blocks,
-                insts: self.insts,
+                head: span.head,
+                blocks: span.blocks,
+                insts: span.insts,
                 cond_branches: self.sig.history_len(),
                 indirects: self.sig.indirect_len() as u32,
             },
         );
-        let exec = PathExecution {
-            path: id,
-            head,
-            start: self.start_kind,
-            end,
-            blocks: self.blocks,
-            insts: self.insts,
-        };
-        self.active = false;
+        let exec = span.with_path(id);
         hotpath_telemetry::emit!(hotpath_telemetry::Event::PathCompleted {
             path: id.index() as u32,
-            head: head.as_u32(),
-            blocks: exec.blocks,
-            insts: exec.insts,
-            start: exec.start.as_str(),
-            end: exec.end.as_str(),
+            head: span.head.as_u32(),
+            blocks: span.blocks,
+            insts: span.insts,
+            start: span.start.as_str(),
+            end: span.end.as_str(),
         });
         self.sink.on_path(&exec);
     }
@@ -327,56 +477,25 @@ impl<S: PathSink> PathExtractor<S> {
             TransferKind::Return => self.sig.push_indirect(event.block),
             TransferKind::Jump | TransferKind::Call | TransferKind::Start => {}
         }
-        self.blocks += 1;
-        self.insts += event.block_size;
     }
 }
 
 impl<S: PathSink> ExecutionObserver for PathExtractor<S> {
     fn on_block(&mut self, event: &BlockEvent) {
-        if event.kind == TransferKind::Start {
-            self.begin(event.block, PathStartKind::Entry, event.block_size);
-            return;
-        }
-
-        // Decide whether the incoming transfer ends the current path.
-        let is_branch = !matches!(event.kind, TransferKind::Call | TransferKind::Return);
-        let backward_ends =
-            event.backward && (is_branch || self.rule == BackwardRule::AllTransfers);
-        let mut end: Option<PathEndKind> = None;
-        match event.kind {
-            TransferKind::Call => self.pending_calls += 1,
-            TransferKind::Return if self.pending_calls > 0 => {
-                self.pending_calls -= 1;
-                if self.pending_calls == 0 {
-                    // The return matching the first in-path call.
-                    end = Some(PathEndKind::CallReturn);
-                }
+        match self.segmenter.on_block(event) {
+            Boundary::Extend => self.extend(event),
+            Boundary::Begin => self.sig.reset(event.block),
+            Boundary::Split(span) => {
+                self.finish(span);
+                self.sig.reset(event.block);
             }
-            _ => {}
-        }
-        if backward_ends {
-            end = Some(PathEndKind::BackwardBranch);
-        } else if end.is_none() && self.blocks >= self.cap {
-            end = Some(PathEndKind::Capped);
-        }
-
-        match end {
-            Some(reason) => {
-                self.finish(reason);
-                let kind = if backward_ends {
-                    PathStartKind::BackwardTarget
-                } else {
-                    PathStartKind::Continuation
-                };
-                self.begin(event.block, kind, event.block_size);
-            }
-            None => self.extend(event),
         }
     }
 
     fn on_halt(&mut self) {
-        self.finish(PathEndKind::ProgramEnd);
+        if let Some(span) = self.segmenter.on_halt() {
+            self.finish(span);
+        }
         self.sink.on_end();
     }
 }
@@ -633,6 +752,161 @@ mod tests {
                 assert_eq!(w[1].start, PathStartKind::Continuation);
             }
         }
+    }
+
+    /// A synthetic event entering block `block` by `kind`.
+    fn ev(block: u32, kind: TransferKind, backward: bool) -> BlockEvent {
+        BlockEvent {
+            from: (kind != TransferKind::Start).then(|| BlockId::new(block.saturating_sub(1))),
+            block: BlockId::new(block),
+            kind,
+            backward,
+            block_size: 2,
+        }
+    }
+
+    /// Feeds `events` to a segmenter and collects the completed spans,
+    /// the halt's included.
+    fn segment(cap: u32, rule: BackwardRule, events: &[BlockEvent]) -> Vec<PathSpan> {
+        let mut seg = PathSegmenter::new(cap, rule);
+        let mut spans: Vec<PathSpan> = events
+            .iter()
+            .filter_map(|e| match seg.on_block(e) {
+                Boundary::Split(span) => Some(span),
+                Boundary::Extend | Boundary::Begin => None,
+            })
+            .collect();
+        spans.extend(seg.on_halt());
+        spans
+    }
+
+    /// Start, then `n - 1` forward jumps: one straight run of `n` blocks.
+    fn straight(n: u32) -> Vec<BlockEvent> {
+        (0..n)
+            .map(|b| {
+                let kind = if b == 0 {
+                    TransferKind::Start
+                } else {
+                    TransferKind::Jump
+                };
+                ev(b, kind, false)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn segmenter_cap_boundaries() {
+        let cap = 4;
+        let rule = BackwardRule::AllTransfers;
+        // cap - 1 and cap blocks fit in one path, ended by the halt.
+        for n in [cap - 1, cap] {
+            let spans = segment(cap, rule, &straight(n));
+            assert_eq!(spans.len(), 1, "{n} blocks");
+            assert_eq!(spans[0].blocks, n);
+            assert_eq!(spans[0].insts, 2 * n);
+            assert_eq!(spans[0].start, PathStartKind::Entry);
+            assert_eq!(spans[0].end, PathEndKind::ProgramEnd);
+        }
+        // cap + 1 blocks: the cap ends the first path at exactly `cap`
+        // blocks and the last block continues.
+        let spans = segment(cap, rule, &straight(cap + 1));
+        assert_eq!(spans.len(), 2);
+        assert_eq!((spans[0].blocks, spans[0].end), (cap, PathEndKind::Capped));
+        assert_eq!(spans[1].head, BlockId::new(cap));
+        assert_eq!(spans[1].start, PathStartKind::Continuation);
+        assert_eq!(
+            (spans[1].blocks, spans[1].end),
+            (1, PathEndKind::ProgramEnd)
+        );
+    }
+
+    #[test]
+    fn segmenter_backward_call_ends_only_under_all_transfers() {
+        // Blocks 5, 6, then a backward call into 1, its return forward to 7.
+        let events = [
+            ev(5, TransferKind::Start, false),
+            ev(6, TransferKind::Jump, false),
+            ev(1, TransferKind::Call, true),
+            ev(7, TransferKind::Return, false),
+        ];
+        let all = segment(DEFAULT_PATH_CAP, BackwardRule::AllTransfers, &events);
+        assert_eq!(all.len(), 2);
+        assert_eq!((all[0].head, all[0].blocks), (BlockId::new(5), 2));
+        assert_eq!(all[0].end, PathEndKind::BackwardBranch);
+        // The callee entry is a NET-countable head, and its path does not
+        // end at the return: the call was made before the path began.
+        assert_eq!(all[1].head, BlockId::new(1));
+        assert_eq!(all[1].start, PathStartKind::BackwardTarget);
+        assert_eq!((all[1].blocks, all[1].end), (2, PathEndKind::ProgramEnd));
+        // Under BranchesOnly the call is crossed and its matching return
+        // ends the path.
+        let branches = segment(DEFAULT_PATH_CAP, BackwardRule::BranchesOnly, &events);
+        assert_eq!(branches.len(), 2);
+        assert_eq!(
+            (branches[0].blocks, branches[0].end),
+            (3, PathEndKind::CallReturn)
+        );
+        assert_eq!(branches[1].head, BlockId::new(7));
+        assert_eq!(branches[1].start, PathStartKind::Continuation);
+    }
+
+    #[test]
+    fn segmenter_in_path_call_ends_at_its_matching_return() {
+        // A forward call (2 -> 8) that makes a nested call (8 -> 9 -> back
+        // to 8's continuation 10), then returns to 3: only the outer
+        // call's return ends the path.
+        let events = [
+            ev(1, TransferKind::Start, false),
+            ev(2, TransferKind::Jump, false),
+            ev(8, TransferKind::Call, false),
+            ev(9, TransferKind::Call, false),
+            ev(10, TransferKind::Return, false),
+            ev(3, TransferKind::Return, false),
+            ev(4, TransferKind::Jump, false),
+        ];
+        let spans = segment(DEFAULT_PATH_CAP, BackwardRule::AllTransfers, &events);
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].head, BlockId::new(1));
+        assert_eq!(
+            (spans[0].blocks, spans[0].end),
+            (5, PathEndKind::CallReturn)
+        );
+        assert_eq!(spans[1].head, BlockId::new(3));
+        assert_eq!(spans[1].start, PathStartKind::Continuation);
+        assert_eq!(
+            (spans[1].blocks, spans[1].end),
+            (2, PathEndKind::ProgramEnd)
+        );
+    }
+
+    #[test]
+    fn segmenter_start_drops_the_open_path() {
+        // A Start mid-stream begins an Entry path and completes nothing.
+        let mut seg = PathSegmenter::new(DEFAULT_PATH_CAP, BackwardRule::default());
+        assert_eq!(
+            seg.on_block(&ev(1, TransferKind::Start, false)),
+            Boundary::Begin
+        );
+        assert_eq!(
+            seg.on_block(&ev(2, TransferKind::Jump, false)),
+            Boundary::Extend
+        );
+        assert_eq!(
+            seg.on_block(&ev(7, TransferKind::Start, false)),
+            Boundary::Begin
+        );
+        let Boundary::Split(span) = seg.on_block(&ev(7, TransferKind::Jump, true)) else {
+            panic!("a backward jump ends the open path");
+        };
+        assert_eq!(
+            (span.head, span.start, span.blocks),
+            (BlockId::new(7), PathStartKind::Entry, 1)
+        );
+        assert_eq!(
+            seg.on_halt().map(|s| s.start),
+            Some(PathStartKind::BackwardTarget)
+        );
+        assert_eq!(seg.on_halt(), None, "nothing is open after the halt");
     }
 
     #[test]

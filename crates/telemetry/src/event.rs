@@ -28,6 +28,12 @@ pub enum Event<'a> {
         insts: u64,
     },
     /// The path extractor completed one interprocedural forward path.
+    ///
+    /// Only path identification emits it: offline extraction, the
+    /// simulated Dynamo engine, and the linked engine under path
+    /// profiling. The linked engine under NET finds path boundaries without
+    /// identifying paths, so its runs emit none; their profiling shows as
+    /// `tau_trigger` events.
     PathCompleted {
         /// Interned path id.
         path: u32,

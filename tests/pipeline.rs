@@ -141,3 +141,35 @@ fn recorded_trace_replay_equals_live_extraction() {
         assert_eq!(live_stream.path(i), replay_stream.path(i));
     }
 }
+
+#[test]
+fn segmenter_boundaries_equal_extracted_paths_on_every_workload() {
+    use hotpath::profiles::{Boundary, CollectSink, PathSegmenter, PathSpan, DEFAULT_PATH_CAP};
+    for w in suite(Scale::Smoke) {
+        let mut rec = TraceRecorder::new();
+        Vm::new(&w.program).run(&mut rec).unwrap();
+        let trace = rec.into_trace();
+        for (cap, rule) in [
+            (DEFAULT_PATH_CAP, BackwardRule::AllTransfers),
+            (DEFAULT_PATH_CAP, BackwardRule::BranchesOnly),
+            (16, BackwardRule::AllTransfers),
+        ] {
+            let mut ex = PathExtractor::with_options(CollectSink::default(), cap, rule);
+            trace.replay(&mut ex);
+            let extracted: Vec<PathSpan> =
+                ex.sink().paths.iter().map(PathExecution::span).collect();
+
+            let mut segmenter = PathSegmenter::new(cap, rule);
+            let mut spans: Vec<PathSpan> = (0..trace.len())
+                .filter_map(|i| match segmenter.on_block(&trace.event(i)) {
+                    Boundary::Split(span) => Some(span),
+                    Boundary::Extend | Boundary::Begin => None,
+                })
+                .collect();
+            spans.extend(segmenter.on_halt());
+
+            assert!(!spans.is_empty(), "{}: paths completed", w.name);
+            assert_eq!(spans, extracted, "{} cap {cap} {rule:?}", w.name);
+        }
+    }
+}

@@ -191,6 +191,41 @@ mod recorded {
         assert_eq!(per_entry.total(), summary.count("trace_exit"));
     }
 
+    /// A linked run under `scheme` on compress, with its recorded summary.
+    fn linked_summary(scheme: Scheme) -> (LinkedEngine, hotpath::telemetry::TelemetrySummary) {
+        let w = build(WorkloadName::Compress, Scale::Smoke);
+        let (recorder, handle) = SummaryRecorder::new();
+        let guard = telemetry::install(Box::new(recorder));
+        let mut engine = LinkedEngine::new(DynamoConfig::new(scheme, 50));
+        Vm::new(&w.program)
+            .run_linked(&mut engine)
+            .expect("linked run");
+        drop(guard);
+        (engine, handle.snapshot())
+    }
+
+    #[test]
+    fn net_linked_runs_trigger_without_identifying_paths() {
+        let (engine, summary) = linked_summary(Scheme::Net);
+        assert!(engine.predictions() > 0, "NET predicted something");
+        assert_eq!(summary.count("tau_trigger"), engine.predictions());
+        assert!(engine.paths_completed() > 0);
+        assert_eq!(
+            summary.count("path_completed"),
+            0,
+            "NET counts heads, it does not identify paths"
+        );
+
+        let (engine, summary) = linked_summary(Scheme::PathProfile);
+        assert_eq!(summary.count("tau_trigger"), engine.predictions());
+        assert_eq!(
+            summary.count("path_completed"),
+            engine.paths_completed(),
+            "path profiling identifies every completed path"
+        );
+        assert!(engine.paths_completed() > 0);
+    }
+
     #[test]
     fn summary_counts_match_engine_outcome() {
         let (recorder, handle) = SummaryRecorder::new();
