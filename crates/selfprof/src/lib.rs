@@ -26,8 +26,8 @@
 //! * **Reports** — [`report`] snapshots everything into a
 //!   [`SelfProfReport`]: versioned, FNV-sealed binary encoding (magic
 //!   `HPSP`, like serve's `HPSS` snapshots), JSON for the [`serve_http`]
-//!   `GET /selfprof` endpoint, and a fixed-width table for loadgen's
-//!   `--console` view.
+//!   `GET /selfprof` endpoint, and a fixed-width table for terminals and
+//!   test failure messages.
 //!
 //! # Example
 //!

@@ -4,8 +4,8 @@
 //! counters plus the process peak RSS. It has one binary encoding — magic
 //! `HPSP`, a version word, and a trailing FNV-1a-64 seal, mirroring the
 //! serve snapshot format (`HPSS`) — and two renderings over the same data:
-//! JSON for the `/selfprof` HTTP endpoint and a fixed-width table for the
-//! loadgen `--console` view.
+//! JSON for the `/selfprof` HTTP endpoint and a fixed-width table for
+//! terminals and test failure messages.
 
 use std::fmt::Write as _;
 
@@ -258,7 +258,7 @@ impl SelfProfReport {
         out
     }
 
-    /// Renders the report as a fixed-width table (the `--console` view).
+    /// Renders the report as a fixed-width table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(

@@ -7,7 +7,7 @@
 //! background aggregator periodically *drains* every slot — swapping the
 //! counters back to zero and folding the deltas into the global
 //! accumulator — so reports are cheap to produce and short-lived threads
-//! (loadgen drivers) do not pin memory: once a thread exits, its slot is
+//! (per-session client drivers) do not pin memory: once a thread exits, its slot is
 //! drained one last time and dropped from the registry.
 
 use std::cell::{Cell, RefCell};

@@ -15,7 +15,12 @@
 //! accepting, answers queued requests with `ShuttingDown`, finishes
 //! in-flight work, flushes replies, closes connections — and, when
 //! `--snapshot-dir` is set, writes every still-open session's warm state
-//! to `DIR/session-<id>.hpss` before exiting 0.
+//! to `DIR/session-<id>.hpss` before exiting 0. If any of those
+//! snapshots cannot be written, the warm state is lost and the exit
+//! status is 1. The signal handlers are installed before the address is
+//! printed, so a script may signal as soon as it has scraped it.
+//!
+//! `crates/serve/tests/serve_bin.rs` drives all of this end to end.
 //!
 //! Unix-only, like the crate's TCP front-end it wraps.
 
@@ -92,6 +97,7 @@ fn main() {
             std::process::exit(1);
         }
     };
+    spawn_signal_watcher(&handle);
     println!("listening on {}", handle.addr());
     if let Some(port) = selfprof_port {
         // Mounted next to the serve front-end; with the selfprof feature
@@ -104,15 +110,14 @@ fn main() {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    spawn_signal_watcher(&handle);
-
     // Block until the front-end exits (client Shutdown, signal drain, or
     // a stop); the shard pool stays up so warm sessions can be saved.
     handle.join_front();
-    if let Some(dir) = snapshot_dir {
-        save_snapshots(&handle, &dir);
-    }
+    let saved = snapshot_dir.map_or(true, |dir| save_snapshots(&handle, &dir));
     drop(handle); // shuts the shard pool down
+    if !saved {
+        std::process::exit(1);
+    }
 }
 
 /// Installs SIGINT/SIGTERM handlers and a watcher thread that fires a
@@ -134,15 +139,19 @@ fn spawn_signal_watcher(handle: &ServerHandle) {
     }
 }
 
-/// Writes every still-open session to `dir/session-<id>.hpss`.
-fn save_snapshots(handle: &ServerHandle, dir: &str) {
+/// Writes every still-open session to `dir/session-<id>.hpss`; returns
+/// whether all of them were written.
+fn save_snapshots(handle: &ServerHandle, dir: &str) -> bool {
     let blobs = handle.manager().snapshot_all();
     if blobs.is_empty() {
-        return;
+        return true;
     }
     if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("snapshot dir {dir}: {e}");
-        return;
+        eprintln!(
+            "snapshot dir {dir}: {e}; {} warm session(s) lost",
+            blobs.len()
+        );
+        return false;
     }
     let mut saved = 0usize;
     for (id, blob) in &blobs {
@@ -153,4 +162,5 @@ fn save_snapshots(handle: &ServerHandle, dir: &str) {
         }
     }
     eprintln!("saved {saved} warm session snapshot(s) to {dir}");
+    saved == blobs.len()
 }

@@ -1,8 +1,8 @@
 //! A minimal JSON value parser.
 //!
 //! The workspace builds offline with no external dependencies, so the
-//! tooling that reads `BENCH_perf.json` and `telemetry.json` back (notably
-//! `bench_compare`) parses with this ~200-line recursive-descent parser
+//! tooling that reads JSON back (notably `bench_compare`, over hotbench
+//! result lines) parses with this ~200-line recursive-descent parser
 //! instead of serde. It accepts standard JSON; it does not aim to reject
 //! every malformed document with a perfect error message.
 

@@ -26,8 +26,8 @@
 //!   `--no-default-features`), [`enabled`] is a constant `false` and every
 //!   call site compiles out.
 //! * [`json`] — a minimal JSON value parser (the workspace has no external
-//!   dependencies), used by `bench_compare` to diff `BENCH_perf.json` and
-//!   `telemetry.json` snapshots.
+//!   dependencies), used by `bench_compare` to read hotbench result
+//!   lines.
 //!
 //! # Example
 //!

@@ -74,6 +74,27 @@ fn status(manager: &SessionManager, session: u64) -> hotpath::serve::SessionStat
     }
 }
 
+/// Blocks a session has executed when its first fragment install
+/// becomes visible, looking between 256-block slices: fine enough to
+/// resolve a cold start, coarse enough to stay cheap.
+fn blocks_to_first_trace(manager: &SessionManager, session: u64) -> u64 {
+    loop {
+        let status = status(manager, session);
+        if status.installs >= 1 {
+            return status.stats.blocks_executed;
+        }
+        assert!(!status.done, "session completed without a single install");
+        match manager.request(Request::Run {
+            session,
+            fuel: Some(256),
+        }) {
+            Response::Ran { .. } => {}
+            Response::Busy => std::thread::sleep(std::time::Duration::from_millis(1)),
+            other => panic!("run failed: {other:?}"),
+        }
+    }
+}
+
 /// The acceptance criterion: for every workload, a session pre-warmed
 /// from a published profile starts with installed fragments before
 /// executing a single block (strictly ahead of any cold session, whose
@@ -128,6 +149,43 @@ fn prewarmed_runs_are_bit_identical_for_every_workload() {
         assert_eq!(machine.1, reference.1, "{name}: memory diverged");
         assert_eq!(machine.2, reference.2, "{name}: globals diverged");
 
+        for session in [cold, warmed] {
+            manager.request(Request::Close { session });
+        }
+    }
+}
+
+/// The warm-start bound on its own: for every workload, a pre-warmed
+/// session reaches its first installed fragment in strictly fewer
+/// blocks than the cold session whose published profile warmed it.
+/// Equal counts fail — a pre-warm that saves nothing is not a pre-warm.
+#[test]
+fn prewarmed_sessions_reach_their_first_trace_in_strictly_fewer_blocks() {
+    let manager = SessionManager::new(ServeConfig::default());
+    for name in ALL_WORKLOADS {
+        let config = SessionConfig::exec(name, Scale::Smoke);
+        let (cold, _) = open(&manager, config.clone());
+        let cold_first_trace = blocks_to_first_trace(&manager, cold);
+        assert!(
+            cold_first_trace > 0,
+            "{name}: a cold session installed a fragment before running a block"
+        );
+        finish(&manager, cold);
+        match manager.request(Request::PublishProfile { session: cold }) {
+            Response::ProfilePublished { .. } => {}
+            other => panic!("{name}: publish failed: {other:?}"),
+        }
+        let (warmed, outcome) = open(&manager, config.with_prewarm(true));
+        assert!(
+            matches!(outcome, PrewarmOutcome::Warmed { .. }),
+            "{name}: expected Warmed, got {outcome:?}"
+        );
+        let warm_first_trace = blocks_to_first_trace(&manager, warmed);
+        assert!(
+            warm_first_trace < cold_first_trace,
+            "{name}: pre-warmed first trace at {warm_first_trace} blocks is not \
+             strictly below the cold {cold_first_trace}"
+        );
         for session in [cold, warmed] {
             manager.request(Request::Close { session });
         }

@@ -20,8 +20,9 @@
 //! 5. **Serve-layer faults.** The wire-fault matrix (torn writes,
 //!    resets, corrupt frames, stalls, delayed reads) on both TCP
 //!    front-ends, shard-panic supervision with snapshot re-admission,
-//!    the client's bounded retry budget, and the configurable drain
-//!    deadline.
+//!    the client's bounded retry budget, the configurable drain
+//!    deadline, and the whole suite at once under `FaultPlan::chaos`
+//!    (an ignored test sweeps more seeds).
 
 use hotpath::dynamo::{
     BailoutPolicy, DegradeConfig, DynamoConfig, LadderMode, LinkedEngine, Scheme,
@@ -345,7 +346,7 @@ mod serve_faults {
         read_frame, serve, write_frame, Client, ClientError, Request, Response, RetryPolicy,
         ServeConfig, SessionConfig, SessionManager,
     };
-    use hotpath::workloads::{build, ALL_WORKLOADS};
+    use hotpath::workloads::{build, WorkloadName, ALL_WORKLOADS};
     use std::time::{Duration, Instant};
 
     fn reference(scale: Scale) -> RunStats {
@@ -533,6 +534,225 @@ mod serve_faults {
             "drain took {:?}, the 50 ms deadline was not honored",
             start.elapsed()
         );
+    }
+
+    /// What one chaos driver saw of its session.
+    struct ChaosDriver {
+        stats: RunStats,
+        quarantined: bool,
+        retries: u64,
+        reconnects: u64,
+    }
+
+    /// Drives `name` to completion in 256-block slices against a
+    /// chaos-armed server with a retrying client, publishes its warm
+    /// state and closes the session.
+    fn chaos_drive(addr: std::net::SocketAddr, name: WorkloadName, seed: u64) -> ChaosDriver {
+        let policy = RetryPolicy::default().with_seed(seed);
+        let mut client =
+            Client::connect_with(addr, policy).unwrap_or_else(|e| panic!("{name}: connect: {e}"));
+        let (session, _) = client
+            .open(SessionConfig::exec(name, Scale::Smoke))
+            .unwrap_or_else(|e| panic!("{name}: open under chaos: {e}"));
+        let stats = loop {
+            match client.run(session, Some(256)) {
+                Ok((true, stats)) => break stats,
+                Ok((false, _)) => {}
+                // An exhausted attempt budget is safe to retry as a fresh
+                // call: re-running a slice only advances the session, and
+                // `Run` on a finished session re-reports its statistics.
+                Err(ClientError::Exhausted { .. }) => {}
+                Err(e) => panic!("{name}: run under chaos failed: {e}"),
+            }
+        };
+        let (_, _, _, quarantined) = client
+            .publish_profile(session)
+            .unwrap_or_else(|e| panic!("{name}: publish under chaos: {e}"));
+        client
+            .close(session)
+            .unwrap_or_else(|e| panic!("{name}: close under chaos: {e}"));
+        ChaosDriver {
+            stats,
+            quarantined,
+            retries: client.retries(),
+            reconnects: client.reconnects(),
+        }
+    }
+
+    /// One chaos pass: all nine workloads concurrently over TCP against
+    /// a four-shard server with every serve fault seam armed at `rate`
+    /// (torn writes, resets, corrupt frames, stalls, shard panics,
+    /// poisoned publishes). Every session must end bit-identical to
+    /// plain interpretation, the session table must return to its size
+    /// before the pass, re-sent opens must dedup through the replay
+    /// cache (exactly nine opens), the quarantine bucket must hold
+    /// exactly the publishes clients saw quarantined, and the pass must
+    /// visibly absorb at least one fault.
+    fn chaos_pass(seed: u64, rate: f64) {
+        let reference: Vec<RunStats> = ALL_WORKLOADS
+            .iter()
+            .map(|&name| {
+                let program = build(name, Scale::Smoke).program;
+                Vm::new(&program).run(&mut NullObserver).unwrap()
+            })
+            .collect();
+        let config = ServeConfig {
+            shards: 4,
+            chaos: Some(FaultPlan::chaos(seed, rate)),
+            ..ServeConfig::default()
+        };
+        let mut handle = serve("127.0.0.1:0", config).expect("bind chaos server");
+        let addr = handle.addr();
+        let mut control =
+            Client::connect_with(addr, RetryPolicy::default().with_seed(seed ^ 0xC0C0))
+                .expect("control connect");
+        let before = control.stats().expect("stats before");
+        let drivers: Vec<_> = ALL_WORKLOADS
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| {
+                let seed = seed ^ (i as u64 + 1);
+                std::thread::spawn(move || chaos_drive(addr, name, seed))
+            })
+            .collect();
+        let results: Vec<ChaosDriver> = drivers
+            .into_iter()
+            .map(|d| d.join().expect("chaos driver"))
+            .collect();
+        for ((result, expect), name) in results.iter().zip(&reference).zip(ALL_WORKLOADS) {
+            assert_eq!(
+                &result.stats, expect,
+                "seed {seed}: {name} diverged under chaos"
+            );
+        }
+        let after = control.stats().expect("stats after");
+        assert_eq!(
+            after.live_sessions, before.live_sessions,
+            "seed {seed}: session leak under chaos"
+        );
+        assert_eq!(
+            after.sessions_opened - before.sessions_opened,
+            ALL_WORKLOADS.len() as u64,
+            "seed {seed}: open count drifted under chaos (re-sent opens must dedup)"
+        );
+        let quarantined_seen = results.iter().filter(|r| r.quarantined).count() as u64;
+        assert_eq!(
+            after.profiles_quarantined, quarantined_seen,
+            "seed {seed}: quarantine bucket disagrees with the publishes clients saw quarantined"
+        );
+        let absorbed = results
+            .iter()
+            .map(|r| r.retries + r.reconnects)
+            .sum::<u64>()
+            + control.retries()
+            + control.reconnects()
+            + (after.shards_restarted - before.shards_restarted)
+            + after.profiles_quarantined;
+        assert!(
+            absorbed >= 1,
+            "seed {seed}: the chaos pass absorbed no injected fault"
+        );
+        drop(control);
+        handle.stop();
+    }
+
+    /// Two directed chaos passes for what the probabilistic pass cannot
+    /// guarantee to hit: opens whose replies are lost must dedup through
+    /// the replay cache, and `PublishPoison` at rate 1.0 must quarantine
+    /// exactly one publish.
+    fn chaos_directed(seed: u64) {
+        // Directed replay coverage: with 30% of responses torn off
+        // mid-frame after the server executed the request, some of
+        // sixteen opens lose their reply, and each re-sent open must land
+        // on the replay cache instead of opening a second session.
+        let mut handle = serve(
+            "127.0.0.1:0",
+            ServeConfig {
+                shards: 1,
+                chaos: Some(FaultPlan::new(seed).with(FaultPoint::WireReset, 0.3)),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind replay server");
+        let mut client =
+            Client::connect_with(handle.addr(), RetryPolicy::default().with_seed(seed))
+                .expect("connect");
+        let opens = 16;
+        for _ in 0..opens {
+            client
+                .open(SessionConfig::exec(ALL_WORKLOADS[0], Scale::Smoke))
+                .expect("open under resets");
+        }
+        assert!(
+            client.reconnects() >= 1,
+            "seed {seed}: no open lost its reply; the replay pass proved nothing"
+        );
+        assert_eq!(
+            client.stats().expect("stats").sessions_opened,
+            opens,
+            "seed {seed}: re-sent opens must dedup through the replay cache"
+        );
+        drop(client);
+        handle.stop();
+
+        let manager = SessionManager::new(ServeConfig {
+            shards: 1,
+            chaos: Some(FaultPlan::new(seed).with(FaultPoint::PublishPoison, 1.0)),
+            ..ServeConfig::default()
+        });
+        let session = match manager.request(Request::Open {
+            config: SessionConfig::exec(ALL_WORKLOADS[0], Scale::Smoke),
+        }) {
+            Response::Opened { session, .. } => session,
+            other => panic!("open failed: {other:?}"),
+        };
+        assert!(matches!(
+            manager.request(Request::Run {
+                session,
+                fuel: None
+            }),
+            Response::Ran { done: true, .. }
+        ));
+        match manager.request(Request::PublishProfile { session }) {
+            Response::ProfilePublished { quarantined, .. } => assert!(
+                quarantined,
+                "PublishPoison at rate 1.0 must quarantine the publish"
+            ),
+            other => panic!("poison publish failed: {other:?}"),
+        }
+        match manager.request(Request::Stats) {
+            Response::ServerStats(stats) => assert_eq!(
+                stats.profiles_quarantined, 1,
+                "the quarantine bucket must hold the poisoned publish"
+            ),
+            other => panic!("stats failed: {other:?}"),
+        }
+        manager.request(Request::Close { session });
+    }
+
+    #[test]
+    fn suite_under_chaos_is_bit_identical_with_no_leaks() {
+        hush_injected_panics();
+        chaos_pass(42, 0.05);
+    }
+
+    #[test]
+    fn directed_chaos_dedups_lost_opens_and_quarantines_poison() {
+        chaos_directed(42);
+    }
+
+    /// The long sweep: twenty seeds at the default rate plus one at a
+    /// higher rate. Run with `cargo test --release -p hotpath --test
+    /// robustness -- --ignored`.
+    #[test]
+    #[ignore = "seed sweep, about 20 s in release"]
+    fn chaos_seed_sweep() {
+        hush_injected_panics();
+        for seed in 1..=20 {
+            chaos_pass(seed, 0.05);
+            chaos_directed(seed);
+        }
+        chaos_pass(99, 0.15);
     }
 }
 

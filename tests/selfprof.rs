@@ -19,12 +19,27 @@
 //!    and globals identical to an unscoped run. Profiling the profiler
 //!    must not move a single number.
 //!
+//! With the measuring allocator (`selfprof-alloc`), one more pin: the
+//! serve path's heap bytes and allocator calls per served block stay
+//! within 10% of the committed profile.
+//!
+//! Tests that enter serve stages hold [`serial`], so a concurrent test's
+//! scopes never land in another's allocation totals.
 //! [`report`]: hotpath::selfprof::report
 //! [`RunStats`]: hotpath::vm::RunStats
+
+use std::sync::{Mutex, MutexGuard};
 
 use hotpath::selfprof::{self, ReportError, SelfProfReport, Stage};
 use hotpath::vm::{NullObserver, StepOutcome, Vm};
 use hotpath::workloads::{build, Scale, ALL_WORKLOADS};
+
+/// Serializes the tests that enter stages, because the report is
+/// process-wide.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 // ---------------------------------------------------------------------
 // 1. Attribution (collecting builds only)
@@ -33,6 +48,7 @@ use hotpath::workloads::{build, Scale, ALL_WORKLOADS};
 #[cfg(feature = "selfprof")]
 #[test]
 fn nested_scopes_attribute_to_the_innermost_stage() {
+    let _serial = serial();
     selfprof::stage!(Stage::ShardDispatch, {
         selfprof::stage!(Stage::SnapshotSave, {
             std::hint::black_box(vec![0u8; 4096]);
@@ -54,6 +70,7 @@ fn nested_scopes_attribute_to_the_innermost_stage() {
 #[cfg(feature = "selfprof")]
 #[test]
 fn cross_thread_scopes_drain_into_one_report() {
+    let _serial = serial();
     let workers: Vec<_> = (0..4)
         .map(|i| {
             std::thread::spawn(move || {
@@ -207,6 +224,7 @@ fn run_sliced_linked(name: hotpath::workloads::WorkloadName, fuel: u64) -> Outco
 
 #[test]
 fn stage_scopes_never_perturb_workload_execution() {
+    let _serial = serial();
     assert_eq!(ALL_WORKLOADS.len(), 9, "the suite is nine workloads");
     for name in ALL_WORKLOADS {
         let plain = run_plain(name);
@@ -249,6 +267,7 @@ fn stage_scopes_never_perturb_workload_execution() {
 #[cfg(feature = "selfprof-alloc")]
 #[test]
 fn summary_recorder_timings_do_not_allocate_per_event() {
+    let _serial = serial();
     use hotpath::telemetry::{Event, TelemetrySummary};
 
     let mut summary = TelemetrySummary::new();
@@ -275,5 +294,133 @@ fn summary_recorder_timings_do_not_allocate_per_event() {
          {} allocations over 2000 observes\n{}",
         stage.count_max_visit,
         report.render_table()
+    );
+}
+
+// ---------------------------------------------------------------------
+// 5. Serve-path allocation per block (measuring allocator only)
+// ---------------------------------------------------------------------
+
+/// Serve-path heap bytes per served block may not exceed the committed
+/// profile's 5.2097 by more than 10%.
+#[cfg(feature = "selfprof-alloc")]
+const SERVE_BYTES_PER_BLOCK_MAX: f64 = 5.7307;
+
+/// Serve-path allocator calls per served block may not exceed the
+/// committed profile's 0.000741 by more than 10%.
+#[cfg(feature = "selfprof-alloc")]
+const SERVE_ALLOCS_PER_BLOCK_MAX: f64 = 0.000815;
+
+/// Drives one exec session through `manager` to completion and closes
+/// it; returns the blocks it executed.
+#[cfg(feature = "selfprof-alloc")]
+fn serve_session(
+    manager: &hotpath::serve::SessionManager,
+    name: hotpath::workloads::WorkloadName,
+) -> u64 {
+    use hotpath::serve::{Request, Response, SessionConfig};
+    let patient = |request: Request| loop {
+        match manager.request(request.clone()) {
+            Response::Busy => std::thread::sleep(std::time::Duration::from_millis(1)),
+            response => return response,
+        }
+    };
+    let session = match patient(Request::Open {
+        config: SessionConfig::exec(name, Scale::Small),
+    }) {
+        Response::Opened { session, .. } => session,
+        other => panic!("open {name} failed: {other:?}"),
+    };
+    let blocks = match patient(Request::Run {
+        session,
+        fuel: None,
+    }) {
+        Response::Ran { done: true, stats } => stats.blocks_executed,
+        other => panic!("run {name} failed: {other:?}"),
+    };
+    patient(Request::Close { session });
+    blocks
+}
+
+/// Allocation is deterministic for a fixed build and session set, so
+/// the bound holds on any host. The configuration is the committed
+/// profile's: all nine workloads at small scale in a seeded order, first
+/// one after another through a one-shard pool, then concurrently across
+/// four shards, with the seven serve stages summed over the blocks both
+/// passes served.
+#[cfg(feature = "selfprof-alloc")]
+#[test]
+fn serve_path_allocation_per_block_stays_within_the_committed_profile() {
+    use hotpath::ir::rng::Rng64;
+    use hotpath::serve::{ServeConfig, SessionManager};
+    use std::sync::Arc;
+
+    let _serial = serial();
+    let serve_stages = [
+        Stage::FrameDecode,
+        Stage::ShardDispatch,
+        Stage::VmSlice,
+        Stage::SnapshotSave,
+        Stage::SnapshotRestore,
+        Stage::ProfilePublish,
+        Stage::Prewarm,
+    ];
+    let totals = || {
+        let report = selfprof::report();
+        serve_stages
+            .iter()
+            .filter_map(|stage| report.stage(stage.name()))
+            .fold((0u64, 0u64), |(bytes, count), s| {
+                (bytes + s.alloc_bytes, count + s.alloc_count)
+            })
+    };
+    // The suite in a Fisher-Yates order under seed 42, dealt from the
+    // end of the deck.
+    let mut plan = ALL_WORKLOADS.to_vec();
+    let mut rng = Rng64::seed_from_u64(42);
+    for i in (1..plan.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        plan.swap(i, j);
+    }
+    plan.reverse();
+    let pool = |shards| {
+        Arc::new(SessionManager::new(ServeConfig {
+            shards,
+            ..ServeConfig::default()
+        }))
+    };
+
+    let (bytes0, count0) = totals();
+    let single = pool(1);
+    let mut served: u64 = plan.iter().map(|&name| serve_session(&single, name)).sum();
+    let aggregate = pool(4);
+    let drivers: Vec<_> = plan
+        .iter()
+        .map(|&name| {
+            let aggregate = Arc::clone(&aggregate);
+            std::thread::spawn(move || serve_session(&aggregate, name))
+        })
+        .collect();
+    served += drivers
+        .into_iter()
+        .map(|d| d.join().expect("driver"))
+        .sum::<u64>();
+    let (bytes1, count1) = totals();
+
+    let (bytes, count) = (bytes1 - bytes0, count1 - count0);
+    let bytes_per_block = bytes as f64 / served as f64;
+    let allocs_per_block = count as f64 / served as f64;
+    println!(
+        "serve-path alloc: {bytes} B / {count} allocs over {served} blocks \
+         ({bytes_per_block:.4} B/blk, {allocs_per_block:.6} allocs/blk)"
+    );
+    assert!(bytes > 0 && count > 0, "the serve stages recorded nothing");
+    assert!(
+        bytes_per_block <= SERVE_BYTES_PER_BLOCK_MAX,
+        "{bytes_per_block:.4} B/blk exceeds {SERVE_BYTES_PER_BLOCK_MAX}"
+    );
+    assert!(
+        allocs_per_block <= SERVE_ALLOCS_PER_BLOCK_MAX,
+        "{allocs_per_block:.6} allocs/blk exceeds {SERVE_ALLOCS_PER_BLOCK_MAX}"
     );
 }
