@@ -26,11 +26,17 @@ pub(super) fn cyclic(tr: &CompiledTrace) -> bool {
     tr.steps.iter().any(|s| match &s.end {
         EndOp::BranchNext { fail_target, .. } => *fail_target == head,
         EndOp::SwitchNext {
-            targets, default, ..
+            targets,
+            arms,
+            default,
+            ..
         }
         | EndOp::SwitchExit {
-            targets, default, ..
-        } => targets.contains(&head) || *default == head,
+            targets,
+            arms,
+            default,
+            ..
+        } => tr.arms(*targets, *arms).contains(&head) || *default == head,
         EndOp::JumpExit { target, .. } | EndOp::CallExit { target, .. } => *target == head,
         EndOp::BranchExit {
             taken, fallthrough, ..

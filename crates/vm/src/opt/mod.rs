@@ -45,7 +45,7 @@ mod hoist;
 mod sink;
 mod thread;
 
-pub(crate) use thread::{exec_op, MicroOp};
+pub(crate) use thread::{exec_op, fused_compare, MicroOp};
 
 use hotpath_telemetry as telemetry;
 

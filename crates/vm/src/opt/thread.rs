@@ -324,32 +324,34 @@ pub(crate) fn exec_op(
         Code::CmpGeImm => regs[d] = (regs[a] >= op.imm) as i64,
         Code::Load => {
             let at = regs[a].wrapping_add(op.imm);
-            let idx = usize::try_from(at)
-                .ok()
-                .filter(|&i| i < memory.len())
-                .ok_or(VmError::MemoryOutOfBounds {
-                    block: BlockId::new(op.block),
-                    address: at,
-                    memory_words: memory.len(),
-                })?;
-            regs[d] = memory[idx];
+            match usize::try_from(at).ok().and_then(|i| memory.get(i)) {
+                Some(&v) => regs[d] = v,
+                None => return Err(out_of_bounds(op, at, memory.len())),
+            }
         }
         Code::Store => {
             let at = regs[b].wrapping_add(op.imm);
-            let idx = usize::try_from(at)
-                .ok()
-                .filter(|&i| i < memory.len())
-                .ok_or(VmError::MemoryOutOfBounds {
-                    block: BlockId::new(op.block),
-                    address: at,
-                    memory_words: memory.len(),
-                })?;
-            memory[idx] = regs[a];
+            let words = memory.len();
+            match usize::try_from(at).ok().and_then(|i| memory.get_mut(i)) {
+                Some(slot) => *slot = regs[a],
+                None => return Err(out_of_bounds(op, at, words)),
+            }
         }
         Code::GetGlobal => regs[d] = globals[a],
         Code::SetGlobal => globals[b] = regs[a],
     }
     Ok(())
+}
+
+/// The error a load or store at `address` raises, built only on the
+/// failing path.
+#[cold]
+fn out_of_bounds(op: &MicroOp, address: i64, memory_words: usize) -> VmError {
+    VmError::MemoryOutOfBounds {
+        block: BlockId::new(op.block),
+        address,
+        memory_words,
+    }
 }
 
 /// Predecodes the instruction stream, then merges straight-line steps.
@@ -364,6 +366,74 @@ pub(super) fn run(tr: &mut CompiledTrace) {
     }
     tr.ops = ops;
     merge(tr);
+    fuse_compares(tr);
+}
+
+/// Truth table of a compare code over the outcome of `lhs` against
+/// `rhs`: bit 0 is the result when less, bit 1 when equal, bit 2 when
+/// greater. Zero for every other code.
+fn cmp_mask(code: Code) -> u8 {
+    match code {
+        Code::CmpLt | Code::CmpLtImm => 0b001,
+        Code::CmpLe | Code::CmpLeImm => 0b011,
+        Code::CmpEq | Code::CmpEqImm => 0b010,
+        Code::CmpNe | Code::CmpNeImm => 0b101,
+        Code::CmpGt | Code::CmpGtImm => 0b100,
+        Code::CmpGe | Code::CmpGeImm => 0b110,
+        _ => 0,
+    }
+}
+
+/// Whether a compare code takes its right-hand side from the immediate.
+fn cmp_imm(code: Code) -> bool {
+    matches!(
+        code,
+        Code::CmpLtImm
+            | Code::CmpLeImm
+            | Code::CmpEqImm
+            | Code::CmpNeImm
+            | Code::CmpGtImm
+            | Code::CmpGeImm
+    )
+}
+
+/// Hands each conditional end op the compare that feeds it: when a
+/// step's last micro-op is a compare writing the branch's condition
+/// register, the op leaves the step's range (it stays in `ops`, just
+/// past the range) and the end op evaluates it through
+/// [`fused_compare`]. One dispatch fewer per guarded step, and the guard
+/// reads the condition without a round trip through the register file.
+fn fuse_compares(tr: &mut CompiledTrace) {
+    for step in &mut tr.steps {
+        let (EndOp::BranchNext { cond, .. } | EndOp::BranchExit { cond, .. }) = step.end else {
+            continue;
+        };
+        if step.inst_end == step.inst_start {
+            continue;
+        }
+        let last = &tr.ops[step.inst_end as usize - 1];
+        if cmp_mask(last.code) != 0 && last.dst == cond {
+            step.inst_end -= 1;
+            step.fused = true;
+        }
+    }
+}
+
+/// Executes a compare micro-op fused into a conditional end op: writes
+/// the result register exactly as [`exec_op`] would and returns whether
+/// the branch is taken.
+#[inline]
+pub(crate) fn fused_compare(op: &MicroOp, regs: &mut [i64]) -> bool {
+    let lhs = regs[op.a as usize];
+    let rhs = if cmp_imm(op.code) {
+        op.imm
+    } else {
+        regs[op.b as usize]
+    };
+    let outcome = u8::from(lhs > rhs) * 2 + u8::from(lhs == rhs);
+    let taken = (cmp_mask(op.code) >> outcome) & 1 != 0;
+    regs[op.dst as usize] = i64::from(taken);
+    taken
 }
 
 /// Accumulated prefix of a straight-line group, folded into the step

@@ -29,7 +29,7 @@ use hotpath_telemetry as telemetry;
 
 use crate::error::VmError;
 use crate::event::{TraceExcursion, TraceExitReason, TransferKind};
-use crate::opt::{exec_op, MicroOp};
+use crate::opt::{exec_op, fused_compare, MicroOp};
 use crate::vm::{exec_inst, CallFrame, FlatBlock, RunConfig, RunStats};
 
 /// Sentinel for "no trace here" / "link not patched".
@@ -42,7 +42,7 @@ const NONE: u32 = u32::MAX;
 /// recorded stub. `*Exit` variants belong to the final step, whose
 /// terminator always leaves the trace (possibly straight into another —
 /// that is what linking patches).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum EndOp {
     /// Unconditional jump whose target is the next step (verified at
     /// compile time); no runtime guard.
@@ -56,9 +56,12 @@ pub(crate) enum EndOp {
         fail_backward: bool,
     },
     /// Indirect branch; the computed target must be the next step's block.
+    /// The case targets are `targets..targets + arms` in the owning
+    /// trace's (once installed, the cache's) target pool.
     SwitchNext {
         index: u16,
-        targets: Box<[u32]>,
+        targets: u32,
+        arms: u32,
         default: u32,
     },
     /// Call whose callee entry is the next step; pushes a frame with the
@@ -77,10 +80,12 @@ pub(crate) enum EndOp {
         fallthrough: u32,
         fallthrough_backward: bool,
     },
-    /// Final step: indirect branch out of the trace.
+    /// Final step: indirect branch out of the trace; targets as in
+    /// [`EndOp::SwitchNext`].
     SwitchExit {
         index: u16,
-        targets: Box<[u32]>,
+        targets: u32,
+        arms: u32,
         default: u32,
     },
     /// Final step: call out of the trace (the callee entry is the exit
@@ -100,36 +105,52 @@ pub(crate) enum EndOp {
 /// One step of a compiled trace: originally one block; after the
 /// optimizer's merge pass, possibly a whole straight-line group of
 /// blocks executed under a single accounting prologue.
+///
+/// The fields a traversal reads at every step come first (`repr(C)`), so
+/// they share a cache line.
+#[repr(C)]
 #[derive(Clone, Debug)]
 pub(crate) struct TraceStep {
     /// Range of this step's straight-line instructions inside
     /// [`CompiledTrace::insts`] (and, once predecoded, the identical
-    /// range inside [`CompiledTrace::ops`]).
+    /// range inside [`CompiledTrace::ops`]). Once installed, the range
+    /// indexes the cache's `ops` when `threaded`, its `insts` otherwise.
     pub(crate) inst_start: u32,
     pub(crate) inst_end: u32,
+    /// The guard/terminator ending this step.
+    pub(crate) end: EndOp,
     /// Global id of the step's *last* block — the one whose terminator
     /// is `end` (error attribution, exit bookkeeping).
     pub(crate) block: u32,
     /// Global id of the step's *first* block — what a preceding guard
     /// compares a dynamic target against. Equals `block` until merging.
     pub(crate) entry: u32,
+    /// Whether the step runs predecoded micro-ops (set at install).
+    pub(crate) threaded: bool,
+    /// Whether the step's conditional end op evaluates the compare that
+    /// feeds it itself: the compare is the micro-op just past the step's
+    /// range (see [`fused_compare`]).
+    pub(crate) fused: bool,
+    /// Backwardness of the on-trace edge into the next step; `false` on
+    /// the final step.
+    pub(crate) next_backward: bool,
+    /// Patched links for this step's up-to-two statically-known exit
+    /// targets ([`NONE`] = unpatched): the branch-fail stub or the final
+    /// jump/call/branch-taken target uses `link_a`, the final
+    /// branch-fallthrough target uses `link_b`. A link holds the target
+    /// trace's id.
+    pub(crate) link_a: u32,
+    pub(crate) link_b: u32,
+    /// Exit stub: range into [`CompiledTrace::stubs`] of the constants
+    /// to materialize when a traversal leaves the trace at this step.
+    pub(crate) stub_start: u32,
+    pub(crate) stub_end: u32,
     /// Original straight-line instructions plus terminators of every
     /// block in the step (drives `insts_executed`; the optimizer may
     /// execute fewer).
     pub(crate) size: u32,
     /// Owning function index (callers' frames record it).
     pub(crate) func: u32,
-    /// Backwardness of the on-trace edge into the next step; `false` on
-    /// the final step.
-    pub(crate) next_backward: bool,
-    /// The guard/terminator ending this step.
-    pub(crate) end: EndOp,
-    /// Patched links for this step's up-to-two statically-known exit
-    /// targets ([`NONE`] = unpatched): the branch-fail stub or the final
-    /// jump/call/branch-taken target uses `link_a`, the final
-    /// branch-fallthrough target uses `link_b`.
-    pub(crate) link_a: u32,
-    pub(crate) link_b: u32,
     /// Blocks this step accounts for (1 until merging).
     pub(crate) d_blocks: u32,
     /// Conditional branches executed by the step *besides* its own end
@@ -139,15 +160,70 @@ pub(crate) struct TraceStep {
     /// Backward transfers on intra-step edges (merged-away `Next` edges
     /// that were backward).
     pub(crate) d_backward: u32,
-    /// Exit stub: range into [`CompiledTrace::stubs`] of the constants
-    /// to materialize when a traversal leaves the trace at this step.
-    pub(crate) stub_start: u32,
-    pub(crate) stub_end: u32,
+}
+
+/// What a traversal adds to `RunStats` and its excursion's guard count
+/// by the time it leaves its trace at some step: sums over the trace's
+/// steps up to and including that one — their blocks, instruction slots,
+/// `d_*` deltas, on-trace backward edges, and every end op reached
+/// (passed guards and the leaving op alike). Only the traversal's entry
+/// edge is added at run time.
+#[derive(Clone, Copy, Default, Debug)]
+struct Tally {
+    blocks: u32,
+    insts: u32,
+    cond: u32,
+    indirect: u32,
+    calls: u32,
+    backward: u32,
+    guards: u32,
+}
+
+impl Tally {
+    /// What `step` counts before its code runs.
+    fn prologue(step: &TraceStep, entered_backward: bool) -> Tally {
+        Tally {
+            blocks: step.d_blocks,
+            insts: step.size,
+            cond: step.d_cond,
+            backward: step.d_backward + u32::from(entered_backward),
+            ..Tally::default()
+        }
+    }
+
+    /// What `step`'s end op counts once reached.
+    fn end_op(step: &TraceStep) -> Tally {
+        let mut t = Tally::default();
+        match step.end {
+            EndOp::BranchNext { .. } => (t.cond, t.guards) = (1, 1),
+            EndOp::SwitchNext { .. } => (t.indirect, t.guards) = (1, 1),
+            EndOp::ReturnNext => t.guards = 1,
+            EndOp::BranchExit { .. } => t.cond = 1,
+            EndOp::SwitchExit { .. } => t.indirect = 1,
+            EndOp::CallNext { .. } | EndOp::CallExit { .. } => t.calls = 1,
+            EndOp::Next | EndOp::JumpExit { .. } | EndOp::ReturnExit | EndOp::HaltExit => {}
+        }
+        t
+    }
+
+    fn add(self, o: Tally) -> Tally {
+        Tally {
+            blocks: self.blocks + o.blocks,
+            insts: self.insts + o.insts,
+            cond: self.cond + o.cond,
+            indirect: self.indirect + o.indirect,
+            calls: self.calls + o.calls,
+            backward: self.backward + o.backward,
+            guards: self.guards + o.guards,
+        }
+    }
 }
 
 /// Which static link slot an exit goes through.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Slot {
+    /// No slot: a dynamic (switch/return) or injected exit.
+    None,
     A,
     B,
 }
@@ -164,7 +240,9 @@ pub(crate) struct EntryGuard {
     pub(crate) expect: bool,
 }
 
-/// A predicted hot path compiled for direct execution.
+/// A predicted hot path compiled for direct execution: the unit the
+/// compiler and optimizer work on. [`TraceCache::install`] moves it into
+/// the cache's arena.
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledTrace {
     pub(crate) head: u32,
@@ -183,12 +261,14 @@ pub(crate) struct CompiledTrace {
     pub(crate) stubs: Vec<(u16, i64)>,
     /// Hoisted loop-invariant guards, checked at entry.
     pub(crate) entry_guards: Vec<EntryGuard>,
+    /// Case-target pool of the steps' switch ops.
+    pub(crate) targets: Vec<u32>,
 }
 
 impl CompiledTrace {
-    /// Number of original blocks the trace covers.
-    pub(crate) fn len(&self) -> usize {
-        self.blocks as usize
+    /// The case targets of a switch op's `targets`/`arms` range.
+    pub(crate) fn arms(&self, targets: u32, arms: u32) -> &[u32] {
+        &self.targets[targets as usize..(targets + arms) as usize]
     }
 }
 
@@ -214,6 +294,7 @@ pub(crate) fn compile_trace(view: &ProgramView<'_>, blocks: &[u32]) -> Option<Co
     }
     let mut steps = Vec::with_capacity(blocks.len());
     let mut insts: Vec<Inst> = Vec::new();
+    let mut pool: Vec<u32> = Vec::new();
     for (i, &b) in blocks.iter().enumerate() {
         let fb = view.flat.get(b as usize)?;
         let inst_start = insts.len() as u32;
@@ -288,22 +369,23 @@ pub(crate) fn compile_trace(view: &ProgramView<'_>, blocks: &[u32]) -> Option<Co
                 },
                 next,
             ) => {
-                let targets: Box<[u32]> = targets
-                    .iter()
-                    .map(|t| fb.func_base + t.index() as u32)
-                    .collect();
+                let first = pool.len() as u32;
+                pool.extend(targets.iter().map(|t| fb.func_base + t.index() as u32));
+                let cases = &pool[first as usize..];
+                let arms = cases.len() as u32;
                 let default = fb.func_base + default.index() as u32;
                 let index = index.index() as u16;
                 match next {
                     Some(n) => {
                         // The recorded successor must be reachable at all.
-                        if n != default && !targets.contains(&n) {
+                        if n != default && !cases.contains(&n) {
                             return None;
                         }
                         (
                             EndOp::SwitchNext {
                                 index,
-                                targets,
+                                targets: first,
+                                arms,
                                 default,
                             },
                             is_back(n),
@@ -312,7 +394,8 @@ pub(crate) fn compile_trace(view: &ProgramView<'_>, blocks: &[u32]) -> Option<Co
                     None => (
                         EndOp::SwitchExit {
                             index,
-                            targets,
+                            targets: first,
+                            arms,
                             default,
                         },
                         false,
@@ -366,6 +449,8 @@ pub(crate) fn compile_trace(view: &ProgramView<'_>, blocks: &[u32]) -> Option<Co
             size: fb.size,
             func: fb.func,
             next_backward,
+            threaded: false,
+            fused: false,
             end,
             link_a: NONE,
             link_b: NONE,
@@ -384,15 +469,46 @@ pub(crate) fn compile_trace(view: &ProgramView<'_>, blocks: &[u32]) -> Option<Co
         ops: Vec::new(),
         stubs: Vec::new(),
         entry_guards: Vec::new(),
+        targets: pool,
     })
 }
 
-/// The VM-side trace cache: compiled traces indexed densely by head block,
-/// one trace per head (the primary fragment; tail fragments live at their
-/// own heads).
+/// An installed trace's header in the cache's arena.
+#[derive(Clone, Copy, Debug)]
+struct TraceHeader {
+    head: u32,
+    /// Original block count: what one traversal costs in fuel.
+    blocks: u32,
+    /// The trace's first step in [`TraceCache::steps`]; its steps are
+    /// contiguous and the last one ends in an `*Exit` op.
+    first_step: u32,
+    /// The trace's hoisted entry guards in [`TraceCache::guards`].
+    guards_start: u32,
+    guards_end: u32,
+}
+
+/// The VM-side trace cache: one trace per head block (the primary
+/// fragment; tail fragments live at their own heads), all held in one
+/// flat arena.
+///
+/// Installing a trace appends its steps, code, stubs, entry guards and
+/// switch targets to shared vectors and rebases the step ranges, so
+/// running a trace — and chaining into another — only moves a step
+/// cursor through one `steps` vector. A flush clears the vectors and
+/// keeps their capacity.
 #[derive(Debug)]
 pub(crate) struct TraceCache {
-    traces: Vec<CompiledTrace>,
+    traces: Vec<TraceHeader>,
+    steps: Vec<TraceStep>,
+    /// Per step, what leaving the trace there adds (parallel to `steps`).
+    tallies: Vec<Tally>,
+    /// Straight-line code of unthreaded steps.
+    insts: Vec<Inst>,
+    /// Predecoded code of threaded steps.
+    ops: Vec<MicroOp>,
+    stubs: Vec<(u16, i64)>,
+    guards: Vec<EntryGuard>,
+    targets: Vec<u32>,
     /// Trace id per head block ([`NONE`] = no trace), indexed by global
     /// block id.
     at_head: Vec<u32>,
@@ -411,6 +527,13 @@ impl TraceCache {
     pub(crate) fn new(block_count: usize) -> Self {
         TraceCache {
             traces: Vec::new(),
+            steps: Vec::new(),
+            tallies: Vec::new(),
+            insts: Vec::new(),
+            ops: Vec::new(),
+            stubs: Vec::new(),
+            guards: Vec::new(),
+            targets: Vec::new(),
             at_head: vec![NONE; block_count],
             patched_links: 0,
             linking: true,
@@ -428,7 +551,7 @@ impl TraceCache {
     }
 
     pub(crate) fn trace_len(&self, tid: u32) -> usize {
-        self.traces[tid as usize].len()
+        self.traces[tid as usize].blocks as usize
     }
 
     /// Whether `tid`'s hoisted entry guards all pass in the current
@@ -438,10 +561,15 @@ impl TraceCache {
     /// the next dispatch, since the registers may have changed by then).
     #[inline]
     pub(crate) fn entry_ok(&self, tid: u32, regs: &[i64], frame_base: usize) -> bool {
-        self.traces[tid as usize]
-            .entry_guards
+        self.guards_hold(&self.traces[tid as usize], &regs[frame_base..])
+    }
+
+    /// Whether every hoisted entry guard of `t` holds in `frame`.
+    #[inline]
+    fn guards_hold(&self, t: &TraceHeader, frame: &[i64]) -> bool {
+        self.guards[t.guards_start as usize..t.guards_end as usize]
             .iter()
-            .all(|g| (regs[frame_base + g.reg as usize] != 0) == g.expect)
+            .all(|g| (frame[g.reg as usize] != 0) == g.expect)
     }
 
     /// Installs a compiled trace; the first trace at a head wins (exactly
@@ -452,8 +580,53 @@ impl TraceCache {
         if self.at_head[head] != NONE || self.poisoned[head] {
             return false;
         }
+        let threaded = !trace.ops.is_empty();
+        let code = if threaded {
+            self.ops.len()
+        } else {
+            self.insts.len()
+        } as u32;
+        let stubs = self.stubs.len() as u32;
+        let targets = self.targets.len() as u32;
+        let guards_start = self.guards.len() as u32;
         self.at_head[head] = self.traces.len() as u32;
-        self.traces.push(trace);
+        self.traces.push(TraceHeader {
+            head: trace.head,
+            blocks: trace.blocks,
+            first_step: self.steps.len() as u32,
+            guards_start,
+            guards_end: guards_start + trace.entry_guards.len() as u32,
+        });
+        let mut sum = Tally::default();
+        let mut entered_backward = false;
+        for step in &trace.steps {
+            sum = sum
+                .add(Tally::prologue(step, entered_backward))
+                .add(Tally::end_op(step));
+            self.tallies.push(sum);
+            entered_backward = step.next_backward;
+        }
+        self.steps.extend(trace.steps.into_iter().map(|mut step| {
+            step.threaded = threaded;
+            step.inst_start += code;
+            step.inst_end += code;
+            step.stub_start += stubs;
+            step.stub_end += stubs;
+            if let EndOp::SwitchNext { targets: t, .. } | EndOp::SwitchExit { targets: t, .. } =
+                &mut step.end
+            {
+                *t += targets;
+            }
+            step
+        }));
+        if threaded {
+            self.ops.extend_from_slice(&trace.ops);
+        } else {
+            self.insts.extend_from_slice(&trace.insts);
+        }
+        self.stubs.extend_from_slice(&trace.stubs);
+        self.guards.extend_from_slice(&trace.entry_guards);
+        self.targets.extend_from_slice(&trace.targets);
         true
     }
 
@@ -461,6 +634,13 @@ impl TraceCache {
     /// links were severed. Poisoned heads stay poisoned.
     pub(crate) fn flush(&mut self) -> u64 {
         self.traces.clear();
+        self.steps.clear();
+        self.tallies.clear();
+        self.insts.clear();
+        self.ops.clear();
+        self.stubs.clear();
+        self.guards.clear();
+        self.targets.clear();
         self.at_head.fill(NONE);
         std::mem::take(&mut self.patched_links)
     }
@@ -480,30 +660,29 @@ impl TraceCache {
 
     /// Turns trace-to-trace linking on or off. Turning it off severs
     /// every patched link (returned for `LinkSevered` accounting) and
-    /// [`static_out`]/[`dynamic_out`] stop chaining, so each traversal
-    /// returns to the dispatch loop.
+    /// stops head lookups at exits, so each traversal returns to the
+    /// dispatch loop.
     pub(crate) fn set_linking(&mut self, on: bool) -> u64 {
         self.linking = on;
         if on {
             return 0;
         }
-        for tr in &mut self.traces {
-            for step in &mut tr.steps {
-                step.link_a = NONE;
-                step.link_b = NONE;
-            }
+        for step in &mut self.steps {
+            step.link_a = NONE;
+            step.link_b = NONE;
         }
         std::mem::take(&mut self.patched_links)
     }
 
-    /// Patches a static exit stub of `tid`'s step `si` to transfer
-    /// directly into trace `to`.
-    fn patch(&mut self, tid: u32, si: usize, slot: Slot, to: u32) {
+    /// Patches a static exit stub of arena step `si` to transfer directly
+    /// into trace `to`.
+    fn patch(&mut self, si: usize, slot: Slot, to: u32) {
         let to_head = self.traces[to as usize].head;
-        let step = &mut self.traces[tid as usize].steps[si];
+        let step = &mut self.steps[si];
         let cell = match slot {
             Slot::A => &mut step.link_a,
             Slot::B => &mut step.link_b,
+            Slot::None => unreachable!("dynamic exits have no stub to patch"),
         };
         debug_assert_eq!(*cell, NONE, "patching an already-linked stub");
         *cell = to;
@@ -524,121 +703,6 @@ pub(crate) struct Machine<'a> {
     pub(crate) layout: &'a Layout,
 }
 
-/// Where one trace traversal handed control.
-enum Out {
-    /// Left trace-land toward `target` (no trace there, or fuel denies the
-    /// next traversal).
-    Exit {
-        from: u32,
-        target: u32,
-        kind: TransferKind,
-        backward: bool,
-        fail: bool,
-    },
-    /// Transferred into trace `tid` (link or head lookup); `patch` names a
-    /// static stub of the *departing* trace to link up.
-    Chain {
-        from: u32,
-        tid: u32,
-        kind: TransferKind,
-        backward: bool,
-        patch: Option<(usize, Slot)>,
-        fail: bool,
-    },
-    /// The program halted on the trace's final step.
-    Halted { from: u32 },
-}
-
-/// Resolves a statically-known trace exit: follow the patched link, look
-/// the target up (requesting a patch on hit), or leave trace-land.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn static_out(
-    cache: &TraceCache,
-    si: usize,
-    slot: Slot,
-    link: u32,
-    from: u32,
-    target: u32,
-    kind: TransferKind,
-    backward: bool,
-    fail: bool,
-) -> Out {
-    if !cache.linking {
-        // No-link mode: links were severed when linking was disabled, and
-        // no new chains form — every traversal returns to the dispatcher.
-        return Out::Exit {
-            from,
-            target,
-            kind,
-            backward,
-            fail,
-        };
-    }
-    if link != NONE {
-        return Out::Chain {
-            from,
-            tid: link,
-            kind,
-            backward,
-            patch: None,
-            fail,
-        };
-    }
-    match cache.entry(target) {
-        Some(tid) => Out::Chain {
-            from,
-            tid,
-            kind,
-            backward,
-            patch: Some((si, slot)),
-            fail,
-        },
-        None => Out::Exit {
-            from,
-            target,
-            kind,
-            backward,
-            fail,
-        },
-    }
-}
-
-/// Resolves a dynamically-targeted trace exit (switch/return): traces can
-/// still be chained by head lookup, but there is no stub to patch — real
-/// Dynamo sends indirect branches through a lookup too.
-#[inline]
-fn dynamic_out(
-    cache: &TraceCache,
-    from: u32,
-    target: u32,
-    kind: TransferKind,
-    backward: bool,
-    fail: bool,
-) -> Out {
-    match if cache.linking {
-        cache.entry(target)
-    } else {
-        None
-    } {
-        Some(tid) => Out::Chain {
-            from,
-            tid,
-            kind,
-            backward,
-            patch: None,
-            fail,
-        },
-        None => Out::Exit {
-            from,
-            target,
-            kind,
-            backward,
-            fail,
-        },
-    }
-}
-
 /// Panic payload for an injected [`FaultPoint::TracePanic`]; carries the
 /// head so a catcher could attribute it (the dispatch loop recovers on
 /// *any* payload and does not inspect it).
@@ -650,337 +714,50 @@ pub(crate) struct InjectedTracePanic {
 /// Draws the spurious-guard-failure fault: true means "pretend this
 /// passing guard failed". Emits the injection event before returning.
 #[inline]
-fn spurious_guard(faults: &mut FaultInjector, stats: &RunStats) -> bool {
-    if faults.armed() && faults.fire(FaultPoint::GuardFail) {
+fn spurious_guard(faults: &mut FaultInjector, at_block: u64) -> bool {
+    if faults.fire(FaultPoint::GuardFail) {
         telemetry::emit!(telemetry::Event::FaultInjected {
             point: "guard_fail",
-            at_block: stats.blocks_executed,
+            at_block,
         });
         return true;
     }
     false
 }
 
-/// Runs one traversal of trace `tid` (all steps, or until a guard fails),
-/// mirroring the interpreter's semantics exactly.
-///
-/// Fault injection: after a guard *passes*, [`FaultPoint::GuardFail`] may
-/// fire; the traversal then exits toward the block the trace would have
-/// continued at (the correct next step), with the passing transfer kind —
-/// so the interpreter resumes at exactly the right block and bit-identity
-/// is preserved while the exit machinery takes the adversarial path.
-#[allow(clippy::too_many_arguments)]
-fn run_traversal(
-    cache: &TraceCache,
-    tid: u32,
-    entry_backward: bool,
-    m: &mut Machine<'_>,
-    stats: &mut RunStats,
-    config: &RunConfig,
-    faults: &mut FaultInjector,
-    exc: &mut TraceExcursion,
-) -> Result<Out, VmError> {
-    let tr = &cache.traces[tid as usize];
-    let threaded = !tr.ops.is_empty();
-    let mut enter_backward = entry_backward;
-    let last = tr.steps.len() - 1;
-    for (si, step) in tr.steps.iter().enumerate() {
-        // Whole-step accounting up front. `d_*` deltas restore what the
-        // optimizer folded away (merged blocks, elided guards, merged
-        // backward edges); intermediate states are unobservable because
-        // stats are only returned on `Ok` and errors discard them.
-        stats.blocks_executed += step.d_blocks as u64;
-        stats.backward_transfers += step.d_backward as u64 + enter_backward as u64;
-        stats.insts_executed += step.size as u64;
-        stats.cond_branches += step.d_cond as u64;
-        let fb = *m.frame_base;
-        if threaded {
-            let regs = &mut m.regs[fb..];
-            for op in &tr.ops[step.inst_start as usize..step.inst_end as usize] {
-                exec_op(op, regs, m.memory, m.globals)?;
-            }
-        } else {
-            let block_id = BlockId::new(step.block);
-            let regs = &mut m.regs[fb..];
-            for inst in &tr.insts[step.inst_start as usize..step.inst_end as usize] {
-                exec_inst(inst, regs, m.memory, m.globals, block_id)?;
-            }
-        }
-        let block_id = BlockId::new(step.block);
-        let out: Option<Out> = match step.end {
-            EndOp::Next => None,
-            EndOp::BranchNext {
-                cond,
-                expect_taken,
-                fail_target,
-                fail_backward,
-            } => {
-                stats.cond_branches += 1;
-                exc.guard_execs += 1;
-                let taken = m.regs[fb + cond as usize] != 0;
-                if taken != expect_taken {
-                    let kind = if taken {
-                        TransferKind::BranchTaken
-                    } else {
-                        TransferKind::BranchNotTaken
-                    };
-                    Some(static_out(
-                        cache,
-                        si,
-                        Slot::A,
-                        step.link_a,
-                        step.block,
-                        fail_target,
-                        kind,
-                        fail_backward,
-                        true,
-                    ))
-                } else if spurious_guard(faults, stats) {
-                    let kind = if expect_taken {
-                        TransferKind::BranchTaken
-                    } else {
-                        TransferKind::BranchNotTaken
-                    };
-                    Some(dynamic_out(
-                        cache,
-                        step.block,
-                        tr.steps[si + 1].entry,
-                        kind,
-                        step.next_backward,
-                        true,
-                    ))
-                } else {
-                    None
-                }
-            }
-            EndOp::SwitchNext {
-                index,
-                ref targets,
-                default,
-            } => {
-                stats.indirect_branches += 1;
-                exc.guard_execs += 1;
-                let v = m.regs[fb + index as usize];
-                let t = usize::try_from(v)
-                    .ok()
-                    .and_then(|i| targets.get(i).copied())
-                    .unwrap_or(default);
-                if t != tr.steps[si + 1].entry {
-                    let backward = m.layout.is_backward(block_id, BlockId::new(t));
-                    Some(dynamic_out(
-                        cache,
-                        step.block,
-                        t,
-                        TransferKind::Indirect,
-                        backward,
-                        true,
-                    ))
-                } else if spurious_guard(faults, stats) {
-                    Some(dynamic_out(
-                        cache,
-                        step.block,
-                        t,
-                        TransferKind::Indirect,
-                        step.next_backward,
-                        true,
-                    ))
-                } else {
-                    None
-                }
-            }
-            EndOp::CallNext {
-                ret_global,
-                callee_regs,
-            } => {
-                stats.calls += 1;
-                if m.frames.len() >= config.max_call_depth {
-                    return Err(VmError::StackOverflow {
-                        limit: config.max_call_depth,
-                    });
-                }
-                m.frames.push(CallFrame {
-                    ret_global,
-                    frame_base: fb,
-                    func: step.func,
-                });
-                stats.max_call_depth = stats.max_call_depth.max(m.frames.len());
-                *m.frame_base = m.regs.len();
-                m.regs.resize(*m.frame_base + callee_regs as usize, 0);
-                None
-            }
-            EndOp::ReturnNext => match m.frames.pop() {
-                Some(frame) => {
-                    m.regs.truncate(fb);
-                    *m.frame_base = frame.frame_base;
-                    exc.guard_execs += 1;
-                    let t = frame.ret_global;
-                    if t != tr.steps[si + 1].entry {
-                        let backward = m.layout.is_backward(block_id, BlockId::new(t));
-                        Some(dynamic_out(
-                            cache,
-                            step.block,
-                            t,
-                            TransferKind::Return,
-                            backward,
-                            true,
-                        ))
-                    } else if spurious_guard(faults, stats) {
-                        Some(dynamic_out(
-                            cache,
-                            step.block,
-                            t,
-                            TransferKind::Return,
-                            step.next_backward,
-                            true,
-                        ))
-                    } else {
-                        None
-                    }
-                }
-                None => {
-                    return Err(VmError::ReturnWithoutCaller { block: block_id });
-                }
-            },
-            EndOp::JumpExit { target, backward } => Some(static_out(
-                cache,
-                si,
-                Slot::A,
-                step.link_a,
-                step.block,
-                target,
-                TransferKind::Jump,
-                backward,
-                false,
-            )),
-            EndOp::BranchExit {
-                cond,
-                taken,
-                taken_backward,
-                fallthrough,
-                fallthrough_backward,
-            } => {
-                stats.cond_branches += 1;
-                Some(if m.regs[fb + cond as usize] != 0 {
-                    static_out(
-                        cache,
-                        si,
-                        Slot::A,
-                        step.link_a,
-                        step.block,
-                        taken,
-                        TransferKind::BranchTaken,
-                        taken_backward,
-                        false,
-                    )
-                } else {
-                    static_out(
-                        cache,
-                        si,
-                        Slot::B,
-                        step.link_b,
-                        step.block,
-                        fallthrough,
-                        TransferKind::BranchNotTaken,
-                        fallthrough_backward,
-                        false,
-                    )
-                })
-            }
-            EndOp::SwitchExit {
-                index,
-                ref targets,
-                default,
-            } => {
-                stats.indirect_branches += 1;
-                let v = m.regs[fb + index as usize];
-                let t = usize::try_from(v)
-                    .ok()
-                    .and_then(|i| targets.get(i).copied())
-                    .unwrap_or(default);
-                let backward = m.layout.is_backward(block_id, BlockId::new(t));
-                Some(dynamic_out(
-                    cache,
-                    step.block,
-                    t,
-                    TransferKind::Indirect,
-                    backward,
-                    false,
-                ))
-            }
-            EndOp::CallExit {
-                ret_global,
-                callee_regs,
-                target,
-                backward,
-            } => {
-                stats.calls += 1;
-                if m.frames.len() >= config.max_call_depth {
-                    return Err(VmError::StackOverflow {
-                        limit: config.max_call_depth,
-                    });
-                }
-                m.frames.push(CallFrame {
-                    ret_global,
-                    frame_base: fb,
-                    func: step.func,
-                });
-                stats.max_call_depth = stats.max_call_depth.max(m.frames.len());
-                *m.frame_base = m.regs.len();
-                m.regs.resize(*m.frame_base + callee_regs as usize, 0);
-                Some(static_out(
-                    cache,
-                    si,
-                    Slot::A,
-                    step.link_a,
-                    step.block,
-                    target,
-                    TransferKind::Call,
-                    backward,
-                    false,
-                ))
-            }
-            EndOp::ReturnExit => match m.frames.pop() {
-                Some(frame) => {
-                    m.regs.truncate(fb);
-                    *m.frame_base = frame.frame_base;
-                    let t = frame.ret_global;
-                    let backward = m.layout.is_backward(block_id, BlockId::new(t));
-                    Some(dynamic_out(
-                        cache,
-                        step.block,
-                        t,
-                        TransferKind::Return,
-                        backward,
-                        false,
-                    ))
-                }
-                None => {
-                    return Err(VmError::ReturnWithoutCaller { block: block_id });
-                }
-            },
-            EndOp::HaltExit => Some(Out::Halted { from: step.block }),
-        };
-        if let Some(out) = out {
-            // Leaving the trace at this step (including a chain into
-            // another trace or back into this one): materialize the
-            // constants sunk out of the executed prefix, so the register
-            // frame is exactly what block-by-block interpretation would
-            // have produced. Error paths skip this — registers are
-            // unobservable after a `VmError`.
-            for &(r, v) in &tr.stubs[step.stub_start as usize..step.stub_end as usize] {
-                m.regs[fb + r as usize] = v;
-            }
-            return Ok(out);
-        }
-        debug_assert!(si < last, "non-final step fell through without a successor");
-        enter_backward = step.next_backward;
-    }
-    unreachable!("the final trace step always exits");
+/// The switch target for index value `v`, exactly as the interpreter
+/// picks it.
+#[inline]
+fn switch_target(cases: &[u32], v: i64, default: u32) -> u32 {
+    usize::try_from(v)
+        .ok()
+        .and_then(|i| cases.get(i).copied())
+        .unwrap_or(default)
 }
 
 /// Executes one whole excursion through trace-land, starting at trace
 /// `start`, chasing links until control leaves the cache (or the program
-/// halts, or fuel denies the next traversal).
+/// halts, or fuel denies the next traversal), mirroring the interpreter's
+/// semantics exactly.
+///
+/// One loop moves a step cursor through the cache's arena. A guard that
+/// passes advances the cursor; leaving a trace at a step resolves the
+/// target (patched link, else head lookup while linking is on) and either
+/// points the cursor at the target trace's first step or ends the
+/// excursion. Steps do no accounting: leaving a trace adds the leaving
+/// step's [`Tally`], and the totals reach `stats` and the returned
+/// [`TraceExcursion`] once, at the end.
+///
+/// Fault injection: after a guard *passes*, [`FaultPoint::GuardFail`] may
+/// fire; the trace is then left toward the block it would have continued
+/// at (the correct next step), with the passing transfer kind — so the
+/// interpreter resumes at exactly the right block and bit-identity is
+/// preserved while the exit machinery takes the adversarial path.
+///
+/// # Errors
+///
+/// Exactly the interpreter's errors. `stats` then holds what plain
+/// interpretation would have counted up to the failing block.
 ///
 /// # Panics
 ///
@@ -999,147 +776,406 @@ pub(crate) fn run_excursion(
     config: &RunConfig,
     faults: &mut FaultInjector,
 ) -> Result<TraceExcursion, VmError> {
-    let head = cache.traces[start as usize].head;
-    if faults.armed() && faults.fire(FaultPoint::TracePanic) {
+    let mut hdr = cache.traces[start as usize];
+    let head = hdr.head;
+    let armed = faults.armed();
+    if armed && faults.fire(FaultPoint::TracePanic) {
         telemetry::emit!(telemetry::Event::FaultInjected {
             point: "trace_panic",
             at_block: stats.blocks_executed,
         });
         std::panic::panic_any(InjectedTracePanic { head });
     }
-    let mut exc = TraceExcursion {
-        head: BlockId::new(head),
-        from: None,
-        target: BlockId::new(head),
-        kind: entry_kind,
-        backward: entry_backward,
-        target_size: 0,
-        reason: TraceExitReason::TraceEnd,
-        blocks: 0,
-        insts: 0,
-        entries: 0,
-        links: 0,
-        guard_fails: 0,
-        guard_execs: 0,
-        halted: false,
+    let base = stats.blocks_executed;
+    // Fuel: a traversal is entered only when all its blocks fit, so
+    // `OutOfFuel` fires at exactly the block a plain interpretation
+    // would have stopped at.
+    let budget = config.max_blocks.saturating_sub(base);
+    // Totals of the traversals that have left their trace so far.
+    let mut done = Totals {
+        max_depth: stats.max_call_depth,
+        ..Totals::default()
     };
-    // Excursion-local block/inst totals fall out of stats deltas, so the
-    // optimizer's whole-step accounting feeds both without double entry.
-    let base_blocks = stats.blocks_executed;
-    let base_insts = stats.insts_executed;
     // The dispatcher already checked `start`'s entry guards; count them.
-    exc.guard_execs += cache.traces[start as usize].entry_guards.len() as u64;
+    let mut guard_execs = u64::from(hdr.guards_end - hdr.guards_start);
+    let (mut entries, mut links, mut guard_fails) = (0u64, 0u64, 0u64);
+    let mut from = NONE;
     let mut tid = start;
     let mut in_kind = entry_kind;
     let mut in_backward = entry_backward;
-    loop {
-        // Fuel precheck: entering a traversal guarantees all its blocks
-        // fit the budget, so `OutOfFuel` fires at exactly the block a
-        // plain interpretation would have stopped at.
-        if stats.blocks_executed + cache.trace_len(tid) as u64 > config.max_blocks {
-            exc.target = BlockId::new(cache.traces[tid as usize].head);
-            exc.kind = in_kind;
-            exc.backward = in_backward;
-            exc.reason = TraceExitReason::Fuel;
-            exc.blocks = stats.blocks_executed - base_blocks;
-            exc.insts = stats.insts_executed - base_insts;
-            return Ok(exc);
+    let mut frame: &mut [i64] = &mut m.regs[*m.frame_base..];
+
+    // The loop ends with where control goes: `(target, kind, backward,
+    // reason)`.
+    let end: Result<(u32, TransferKind, bool, TraceExitReason), VmError> = 'run: loop {
+        // Enter trace `tid`.
+        if done.blocks + u64::from(hdr.blocks) > budget {
+            break 'run Ok((hdr.head, in_kind, in_backward, TraceExitReason::Fuel));
         }
-        exc.entries += 1;
-        match run_traversal(cache, tid, in_backward, m, stats, config, faults, &mut exc)? {
-            Out::Halted { from } => {
-                exc.from = Some(BlockId::new(from));
-                exc.target = BlockId::new(from);
-                exc.reason = TraceExitReason::Halt;
-                exc.halted = true;
-                exc.blocks = stats.blocks_executed - base_blocks;
-                exc.insts = stats.insts_executed - base_insts;
-                return Ok(exc);
+        entries += 1;
+        let first = hdr.first_step as usize;
+        let mut si = first;
+        // Run steps until one leaves the trace: `(target, kind, backward,
+        // guard failed, static link slot)`.
+        let (target, kind, to_backward, fail, slot) = loop {
+            let step = &cache.steps[si];
+            let code = step.inst_start as usize..step.inst_end as usize;
+            let ran = if step.threaded {
+                cache.ops[code]
+                    .iter()
+                    .try_for_each(|op| exec_op(op, frame, m.memory, m.globals))
+            } else {
+                let block_id = BlockId::new(step.block);
+                cache.insts[code]
+                    .iter()
+                    .try_for_each(|inst| exec_inst(inst, frame, m.memory, m.globals, block_id))
+            };
+            if let Err(e) = ran {
+                done.fail_at(cache, first, si, in_backward);
+                break 'run Err(e);
             }
-            Out::Exit {
-                from,
-                target,
-                kind,
-                backward,
-                fail,
-            } => {
-                if fail {
-                    exc.guard_fails += 1;
-                    telemetry::emit!(telemetry::Event::GuardFail {
-                        block: from,
-                        target,
-                        at_block: stats.blocks_executed,
-                    });
-                }
-                exc.from = Some(BlockId::new(from));
-                exc.target = BlockId::new(target);
-                exc.kind = kind;
-                exc.backward = backward;
-                exc.reason = if fail {
-                    TraceExitReason::GuardFail
-                } else {
-                    TraceExitReason::TraceEnd
-                };
-                exc.blocks = stats.blocks_executed - base_blocks;
-                exc.insts = stats.insts_executed - base_insts;
-                return Ok(exc);
-            }
-            Out::Chain {
-                from,
-                tid: next,
-                kind,
-                backward,
-                patch,
-                fail,
-            } => {
-                if fail {
-                    exc.guard_fails += 1;
-                    telemetry::emit!(telemetry::Event::GuardFail {
-                        block: from,
-                        target: cache.traces[next as usize].head,
-                        at_block: stats.blocks_executed,
-                    });
-                }
-                // Chaining into a *different* trace must re-establish that
-                // trace's hoisted entry guards; the register frame here is
-                // whatever this traversal left behind, not what the
-                // dispatcher checked at excursion start. Self-chains skip
-                // the check: the traversal just proved every hoisted guard
-                // on the invariant registers it never writes. On failure,
-                // fall back to the interpreter at the target's head,
-                // leaving the link unpatched — a link that did not transfer
-                // control was never taken.
-                if next != tid {
-                    let target = &cache.traces[next as usize];
-                    if !target.entry_guards.is_empty() {
-                        exc.guard_execs += target.entry_guards.len() as u64;
-                        if !cache.entry_ok(next, m.regs, *m.frame_base) {
-                            exc.from = Some(BlockId::new(from));
-                            exc.target = BlockId::new(cache.traces[next as usize].head);
-                            exc.kind = kind;
-                            exc.backward = backward;
-                            exc.reason = if fail {
-                                TraceExitReason::GuardFail
-                            } else {
-                                TraceExitReason::TraceEnd
-                            };
-                            exc.blocks = stats.blocks_executed - base_blocks;
-                            exc.insts = stats.insts_executed - base_insts;
-                            return Ok(exc);
-                        }
+            match step.end {
+                EndOp::Next => {}
+                EndOp::BranchNext {
+                    cond,
+                    expect_taken,
+                    fail_target,
+                    fail_backward,
+                } => {
+                    let taken = if step.fused {
+                        fused_compare(&cache.ops[step.inst_end as usize], frame)
+                    } else {
+                        frame[cond as usize] != 0
+                    };
+                    let kind = if taken {
+                        TransferKind::BranchTaken
+                    } else {
+                        TransferKind::BranchNotTaken
+                    };
+                    if taken != expect_taken {
+                        break (fail_target, kind, fail_backward, true, Slot::A);
+                    }
+                    if armed && spurious_guard(faults, base + done.at(cache, si)) {
+                        let next = cache.steps[si + 1].entry;
+                        break (next, kind, step.next_backward, true, Slot::None);
                     }
                 }
-                if let Some((si, slot)) = patch {
-                    cache.patch(tid, si, slot, next);
+                EndOp::SwitchNext {
+                    index,
+                    targets,
+                    arms,
+                    default,
+                } => {
+                    let cases = &cache.targets[targets as usize..(targets + arms) as usize];
+                    let t = switch_target(cases, frame[index as usize], default);
+                    if t != cache.steps[si + 1].entry {
+                        let back = m
+                            .layout
+                            .is_backward(BlockId::new(step.block), BlockId::new(t));
+                        break (t, TransferKind::Indirect, back, true, Slot::None);
+                    }
+                    if armed && spurious_guard(faults, base + done.at(cache, si)) {
+                        break (
+                            t,
+                            TransferKind::Indirect,
+                            step.next_backward,
+                            true,
+                            Slot::None,
+                        );
+                    }
                 }
-                exc.from = Some(BlockId::new(from));
-                exc.links += 1;
-                in_kind = kind;
-                in_backward = backward;
-                tid = next;
+                EndOp::CallNext {
+                    ret_global,
+                    callee_regs,
+                } => {
+                    if let Err(e) = call(m, config, ret_global, callee_regs, step.func) {
+                        done.fail_at(cache, first, si, in_backward);
+                        done.calls += 1;
+                        break 'run Err(e);
+                    }
+                    done.max_depth = done.max_depth.max(m.frames.len());
+                    frame = &mut m.regs[*m.frame_base..];
+                }
+                EndOp::ReturnNext => {
+                    let Some(t) = ret(m) else {
+                        done.fail_at(cache, first, si, in_backward);
+                        break 'run Err(VmError::ReturnWithoutCaller {
+                            block: BlockId::new(step.block),
+                        });
+                    };
+                    frame = &mut m.regs[*m.frame_base..];
+                    if t != cache.steps[si + 1].entry {
+                        let back = m
+                            .layout
+                            .is_backward(BlockId::new(step.block), BlockId::new(t));
+                        break (t, TransferKind::Return, back, true, Slot::None);
+                    }
+                    if armed && spurious_guard(faults, base + done.at(cache, si)) {
+                        break (
+                            t,
+                            TransferKind::Return,
+                            step.next_backward,
+                            true,
+                            Slot::None,
+                        );
+                    }
+                }
+                EndOp::JumpExit { target, backward } => {
+                    break (target, TransferKind::Jump, backward, false, Slot::A);
+                }
+                EndOp::BranchExit {
+                    cond,
+                    taken,
+                    taken_backward,
+                    fallthrough,
+                    fallthrough_backward,
+                } => {
+                    let holds = if step.fused {
+                        fused_compare(&cache.ops[step.inst_end as usize], frame)
+                    } else {
+                        frame[cond as usize] != 0
+                    };
+                    break if holds {
+                        (
+                            taken,
+                            TransferKind::BranchTaken,
+                            taken_backward,
+                            false,
+                            Slot::A,
+                        )
+                    } else {
+                        let kind = TransferKind::BranchNotTaken;
+                        (fallthrough, kind, fallthrough_backward, false, Slot::B)
+                    };
+                }
+                EndOp::SwitchExit {
+                    index,
+                    targets,
+                    arms,
+                    default,
+                } => {
+                    let cases = &cache.targets[targets as usize..(targets + arms) as usize];
+                    let t = switch_target(cases, frame[index as usize], default);
+                    let back = m
+                        .layout
+                        .is_backward(BlockId::new(step.block), BlockId::new(t));
+                    break (t, TransferKind::Indirect, back, false, Slot::None);
+                }
+                EndOp::CallExit {
+                    ret_global,
+                    callee_regs,
+                    target,
+                    backward,
+                } => {
+                    if let Err(e) = call(m, config, ret_global, callee_regs, step.func) {
+                        done.fail_at(cache, first, si, in_backward);
+                        done.calls += 1;
+                        break 'run Err(e);
+                    }
+                    done.max_depth = done.max_depth.max(m.frames.len());
+                    frame = &mut m.regs[*m.frame_base..];
+                    break (target, TransferKind::Call, backward, false, Slot::A);
+                }
+                EndOp::ReturnExit => {
+                    let Some(t) = ret(m) else {
+                        done.fail_at(cache, first, si, in_backward);
+                        break 'run Err(VmError::ReturnWithoutCaller {
+                            block: BlockId::new(step.block),
+                        });
+                    };
+                    frame = &mut m.regs[*m.frame_base..];
+                    let back = m
+                        .layout
+                        .is_backward(BlockId::new(step.block), BlockId::new(t));
+                    break (t, TransferKind::Return, back, false, Slot::None);
+                }
+                EndOp::HaltExit => {
+                    // Halting keeps the excursion's entry transfer.
+                    break (step.block, entry_kind, entry_backward, false, Slot::None);
+                }
+            }
+            si += 1;
+        };
+
+        // Leaving the trace at step `si` (including a chain into another
+        // trace or back into this one).
+        let t = cache.tallies[si];
+        done.leave(t, in_backward);
+        guard_execs += u64::from(t.guards);
+        let step = &cache.steps[si];
+        // Materialize the constants sunk out of the executed prefix, so
+        // the register frame is exactly what block-by-block
+        // interpretation would have produced. Only call-free traces sink
+        // constants, so `frame` is still the frame the trace ran in.
+        // Error paths skip this — registers are unobservable after a
+        // `VmError`.
+        for &(r, v) in &cache.stubs[step.stub_start as usize..step.stub_end as usize] {
+            frame[r as usize] = v;
+        }
+        from = step.block;
+        if matches!(step.end, EndOp::HaltExit) {
+            break 'run Ok((from, kind, to_backward, TraceExitReason::Halt));
+        }
+        let link = match slot {
+            Slot::A => step.link_a,
+            Slot::B => step.link_b,
+            Slot::None => NONE,
+        };
+        // Links exist only while linking is on: turning it off severs
+        // them all.
+        let next = if link != NONE || !cache.linking {
+            link
+        } else {
+            cache.at_head[target as usize]
+        };
+        if fail {
+            guard_fails += 1;
+            telemetry::emit!(telemetry::Event::GuardFail {
+                block: from,
+                target,
+                at_block: base + done.blocks,
+            });
+        }
+        let reason = if fail {
+            TraceExitReason::GuardFail
+        } else {
+            TraceExitReason::TraceEnd
+        };
+        if next == NONE {
+            break 'run Ok((target, kind, to_backward, reason));
+        }
+        let next_hdr = cache.traces[next as usize];
+        // Chaining into a *different* trace must re-establish that
+        // trace's hoisted entry guards; the register frame here is
+        // whatever this traversal left behind, not what the dispatcher
+        // checked at excursion start. Self-chains skip the check: the
+        // traversal just proved every hoisted guard on the invariant
+        // registers it never writes. On failure, fall back to the
+        // interpreter at the target's head, leaving the link unpatched —
+        // a link that did not transfer control was never taken.
+        if next != tid && next_hdr.guards_end > next_hdr.guards_start {
+            guard_execs += u64::from(next_hdr.guards_end - next_hdr.guards_start);
+            if !cache.guards_hold(&next_hdr, frame) {
+                break 'run Ok((target, kind, to_backward, reason));
             }
         }
+        if link == NONE && slot != Slot::None {
+            cache.patch(si, slot, next);
+        }
+        links += 1;
+        in_kind = kind;
+        in_backward = to_backward;
+        tid = next;
+        hdr = next_hdr;
+    };
+
+    stats.blocks_executed += done.blocks;
+    stats.insts_executed += done.insts;
+    stats.cond_branches += done.cond;
+    stats.indirect_branches += done.indirect;
+    stats.calls += done.calls;
+    stats.backward_transfers += done.backward;
+    stats.max_call_depth = done.max_depth;
+    let (target, kind, backward, reason) = end?;
+    Ok(TraceExcursion {
+        head: BlockId::new(head),
+        from: (from != NONE).then(|| BlockId::new(from)),
+        target: BlockId::new(target),
+        kind,
+        backward,
+        target_size: 0,
+        reason,
+        blocks: done.blocks,
+        insts: done.insts,
+        entries,
+        links,
+        guard_fails,
+        guard_execs,
+        halted: reason == TraceExitReason::Halt,
+    })
+}
+
+/// An excursion's running `RunStats` deltas.
+#[derive(Default)]
+struct Totals {
+    blocks: u64,
+    insts: u64,
+    cond: u64,
+    indirect: u64,
+    calls: u64,
+    backward: u64,
+    max_depth: usize,
+}
+
+impl Totals {
+    /// Adds a traversal that left its trace with tally `t`, entered over
+    /// a backward edge or not.
+    #[inline]
+    fn leave(&mut self, t: Tally, entered_backward: bool) {
+        self.blocks += u64::from(t.blocks);
+        self.insts += u64::from(t.insts);
+        self.cond += u64::from(t.cond);
+        self.indirect += u64::from(t.indirect);
+        self.calls += u64::from(t.calls);
+        self.backward += u64::from(t.backward) + u64::from(entered_backward);
     }
+
+    /// Blocks executed by the time step `si`'s end op runs (its own
+    /// blocks included), relative to the excursion start.
+    fn at(&self, cache: &TraceCache, si: usize) -> u64 {
+        self.blocks + u64::from(cache.tallies[si].blocks)
+    }
+
+    /// Adds the partial traversal of a step `si` (of the trace whose
+    /// first step is `first`) that failed before reaching its end op:
+    /// the steps before it, and what it counted up front.
+    #[cold]
+    fn fail_at(&mut self, cache: &TraceCache, first: usize, si: usize, entered_backward: bool) {
+        let (before, into) = if si > first {
+            (cache.tallies[si - 1], cache.steps[si - 1].next_backward)
+        } else {
+            (Tally::default(), false)
+        };
+        self.leave(
+            before.add(Tally::prologue(&cache.steps[si], into)),
+            entered_backward,
+        );
+    }
+}
+
+/// Pushes a call frame for a trace's call op, exactly as the interpreter
+/// does; the caller counts the call.
+#[inline]
+fn call(
+    m: &mut Machine<'_>,
+    config: &RunConfig,
+    ret_global: u32,
+    callee_regs: u32,
+    func: u32,
+) -> Result<(), VmError> {
+    if m.frames.len() >= config.max_call_depth {
+        return Err(VmError::StackOverflow {
+            limit: config.max_call_depth,
+        });
+    }
+    m.frames.push(CallFrame {
+        ret_global,
+        frame_base: *m.frame_base,
+        func,
+    });
+    *m.frame_base = m.regs.len();
+    m.regs.resize(*m.frame_base + callee_regs as usize, 0);
+    Ok(())
+}
+
+/// Pops the current frame for a trace's return op; returns the
+/// continuation, or `None` without a caller.
+#[inline]
+fn ret(m: &mut Machine<'_>) -> Option<u32> {
+    let frame = m.frames.pop()?;
+    m.regs.truncate(*m.frame_base);
+    *m.frame_base = frame.frame_base;
+    Some(frame.ret_global)
 }
 
 #[cfg(test)]
@@ -1178,7 +1214,7 @@ mod tests {
         // header(1) -> body(2) -> header(1) is the hot path.
         let tr = compile_trace(&vm.view(), &[1, 2]).expect("compiles");
         assert_eq!(tr.head, 1);
-        assert_eq!(tr.len(), 2);
+        assert_eq!(tr.blocks, 2);
         assert!(matches!(tr.steps[0].end, EndOp::BranchNext { .. }));
         assert!(matches!(tr.steps[1].end, EndOp::JumpExit { target: 1, .. }));
         assert!(!tr.steps[1].next_backward);
