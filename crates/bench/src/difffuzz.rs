@@ -7,10 +7,10 @@
 //! 1. **reference** — plain interpretation ([`Vm::run`], null observer);
 //! 2. **observed** — plain interpretation with the simulated Dynamo
 //!    [`Engine`] attached (an observer must not perturb execution);
-//! 3. **linked / linked-guards / linked-full** — the real trace backend
+//! 3. **linked / linked-full** — the real trace backend
 //!    ([`Vm::run_linked`]) driven by a [`LinkedEngine`], once per
 //!    [`OptLevel`]: the trace optimizer must be invisible in results;
-//! 4. **faulted / faulted-guards / faulted-full** — the linked backend
+//! 4. **faulted / faulted-full** — the linked backend
 //!    again at each [`OptLevel`], with a seeded [`FaultPlan`] injecting
 //!    spurious guard failures, forced flushes, fuel starvation, and
 //!    install rejections.
@@ -37,9 +37,8 @@ use hotpath_vm::{
 
 /// The optimization levels every seed is cross-checked at, with the stage
 /// names the clean and faulted runs report under.
-pub const OPT_STAGES: [(OptLevel, &str, &str); 3] = [
+pub const OPT_STAGES: [(OptLevel, &str, &str); 2] = [
     (OptLevel::None, "linked", "faulted"),
-    (OptLevel::Guards, "linked-guards", "faulted-guards"),
     (OptLevel::Full, "linked-full", "faulted-full"),
 ];
 

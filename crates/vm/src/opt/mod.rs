@@ -12,15 +12,15 @@
 //! `TraceCache::install`, controlled by an [`OptLevel`]:
 //!
 //! * [`OptLevel::None`] — install the trace exactly as compiled; the
-//!   reference the other levels are tested against.
-//! * [`OptLevel::Guards`] — guard passes only: hoist loop-invariant
-//!   guards to the trace entry ([`hoist`]) and drop guards implied by
-//!   earlier facts on the same superblock ([`guard_elim`]).
-//! * [`OptLevel::Full`] — additionally fold constants and propagate
-//!   copies across the pre-resolved stream ([`constfold`]), sink dead
-//!   constants into exit stubs ([`sink`]), and predecode the stream into
-//!   direct-threaded [`MicroOp`]s with straight-line steps merged
-//!   ([`thread`]). The default for [`crate::Vm`] and the Dynamo engine.
+//!   reference the optimized level is tested against.
+//! * [`OptLevel::Full`] — hoist loop-invariant guards to the trace entry
+//!   ([`hoist`]), fold constants and propagate copies across the
+//!   pre-resolved stream ([`constfold`]), drop guards implied by earlier
+//!   facts on the same superblock ([`guard_elim`]), sink dead constants
+//!   into exit stubs ([`sink`]), and predecode the stream into
+//!   direct-threaded [`MicroOp`]s with straight-line steps merged and
+//!   each guard's feeding compare fused into it ([`thread`]). The default
+//!   for [`crate::Vm`] and the Dynamo engine.
 //!
 //! Invariants every pass preserves:
 //!
@@ -60,23 +60,20 @@ use crate::trace_exec::CompiledTrace;
 pub enum OptLevel {
     /// Install traces exactly as compiled.
     None,
-    /// Guard passes only: redundant-guard elimination and loop-invariant
-    /// guard hoisting.
-    Guards,
-    /// All passes: guards, constant folding and copy propagation, dead
-    /// constant sinking into exit stubs, and direct-threaded dispatch
-    /// with straight-line step merging.
+    /// All passes: redundant-guard elimination and loop-invariant guard
+    /// hoisting, constant folding and copy propagation, dead constant
+    /// sinking into exit stubs, and direct-threaded dispatch with
+    /// straight-line step merging and fused compares.
     #[default]
     Full,
 }
 
 impl OptLevel {
-    /// Stable lower-case name (`"none"` / `"guards"` / `"full"`), e.g.
+    /// Stable lower-case name (`"none"` / `"full"`), e.g.
     /// for CLI flags and serve session specs.
     pub fn as_str(self) -> &'static str {
         match self {
             OptLevel::None => "none",
-            OptLevel::Guards => "guards",
             OptLevel::Full => "full",
         }
     }
@@ -85,7 +82,6 @@ impl OptLevel {
     pub fn parse(s: &str) -> Option<OptLevel> {
         match s {
             "none" => Some(OptLevel::None),
-            "guards" => Some(OptLevel::Guards),
             "full" => Some(OptLevel::Full),
             _ => None,
         }
@@ -116,17 +112,11 @@ pub(crate) fn optimize(tr: &mut CompiledTrace, level: OptLevel) {
     let mut sunk = 0;
     if analysis::call_free(tr) {
         timed("hoist", || hoist::run(tr));
-        if level >= OptLevel::Full {
-            folded = timed("constfold", || constfold::run(tr));
-        }
+        folded = timed("constfold", || constfold::run(tr));
         timed("guard_elim", || guard_elim::run(tr));
-        if level >= OptLevel::Full {
-            sunk = timed("sink", || sink::run(tr));
-        }
+        sunk = timed("sink", || sink::run(tr));
     }
-    if level >= OptLevel::Full {
-        timed("thread", || thread::run(tr));
-    }
+    timed("thread", || thread::run(tr));
     if folded > 0 || sunk > 0 {
         telemetry::emit!(telemetry::Event::ConstFolded {
             head: tr.head,

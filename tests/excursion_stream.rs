@@ -48,7 +48,7 @@ use hotpath::vm::{
 };
 use hotpath::workloads::{suite, Scale};
 
-const LEVELS: [OptLevel; 3] = [OptLevel::None, OptLevel::Guards, OptLevel::Full];
+const LEVELS: [OptLevel; 2] = [OptLevel::None, OptLevel::Full];
 
 /// FNV-1a over little-endian words.
 #[derive(Clone, Copy)]
@@ -865,81 +865,54 @@ const PINNED_WORKLOADS: &[(&str, u64, u64, u64)] = &[
     ("compress/net/none", 0x91efd572152906ae, 0x8448a770010312b7, 0xd9d98c08cbb47b89),
     ("compress/churn/none", 0xdff97abb6b877e9c, 0x5df395f3b663e76e, 0x88f89274047b160b),
     ("compress/faulted/none", 0x9b72762fa330870f, 0x92c2f99f7cd46d38, 0x72207e21abe07f8e),
-    ("compress/net/guards", 0x91efd572152906ae, 0x8448a770010312b7, 0xd9d98c08cbb47b89),
-    ("compress/churn/guards", 0xdff97abb6b877e9c, 0x5df395f3b663e76e, 0x88f89274047b160b),
-    ("compress/faulted/guards", 0x9b72762fa330870f, 0x92c2f99f7cd46d38, 0x72207e21abe07f8e),
     ("compress/net/full", 0x91efd572152906ae, 0x8448a770010312b7, 0xd9d98c08cbb47b89),
     ("compress/churn/full", 0xdff97abb6b877e9c, 0x5df395f3b663e76e, 0x88f89274047b160b),
     ("compress/faulted/full", 0x9b72762fa330870f, 0x92c2f99f7cd46d38, 0x72207e21abe07f8e),
     ("gcc/net/none", 0x05bf1bccdd5d9eae, 0x18be5c1797668eeb, 0x042bdb6556eac701),
     ("gcc/churn/none", 0xf051a64547d6d165, 0x0b2f92de7e4037e5, 0xcd0383d60b2d6ea9),
     ("gcc/faulted/none", 0x9026c0c8f4bab8ac, 0x5bd9054625e9a37b, 0x70e77e7d9d3d7b4d),
-    ("gcc/net/guards", 0x05bf1bccdd5d9eae, 0x18be5c1797668eeb, 0x042bdb6556eac701),
-    ("gcc/churn/guards", 0xf051a64547d6d165, 0x0b2f92de7e4037e5, 0xcd0383d60b2d6ea9),
-    ("gcc/faulted/guards", 0x9026c0c8f4bab8ac, 0x5bd9054625e9a37b, 0x70e77e7d9d3d7b4d),
     ("gcc/net/full", 0x05bf1bccdd5d9eae, 0x18be5c1797668eeb, 0x042bdb6556eac701),
     ("gcc/churn/full", 0xf051a64547d6d165, 0x0b2f92de7e4037e5, 0xcd0383d60b2d6ea9),
     ("gcc/faulted/full", 0x9026c0c8f4bab8ac, 0x5bd9054625e9a37b, 0x70e77e7d9d3d7b4d),
     ("go/net/none", 0xd688a378a1a2237f, 0x21cc5aba6b63a4ed, 0x2b1fc971adca5809),
     ("go/churn/none", 0x94dd65e4e1c8f11a, 0xe2a42bc45fac62ac, 0x9e9acd1cc6287a74),
     ("go/faulted/none", 0x84aff4d89d0c8049, 0x22155234c3c7414d, 0x2d294975b2381736),
-    ("go/net/guards", 0xd688a378a1a2237f, 0x21cc5aba6b63a4ed, 0x2b1fc971adca5809),
-    ("go/churn/guards", 0x94dd65e4e1c8f11a, 0xe2a42bc45fac62ac, 0x9e9acd1cc6287a74),
-    ("go/faulted/guards", 0x84aff4d89d0c8049, 0x22155234c3c7414d, 0x2d294975b2381736),
     ("go/net/full", 0xd688a378a1a2237f, 0x21cc5aba6b63a4ed, 0x2b1fc971adca5809),
     ("go/churn/full", 0x94dd65e4e1c8f11a, 0xe2a42bc45fac62ac, 0x9e9acd1cc6287a74),
     ("go/faulted/full", 0x84aff4d89d0c8049, 0x22155234c3c7414d, 0x2d294975b2381736),
     ("ijpeg/net/none", 0xfc340311b06f64e8, 0x3d277df1b13e58e7, 0x3bff6aa353803473),
     ("ijpeg/churn/none", 0xf1cbe8e924338f61, 0x43de754140427e77, 0x2db67ec3e80fffdd),
     ("ijpeg/faulted/none", 0x0e4b5c92d6b23c60, 0xbfc76909458255ce, 0xa1ab3cf87e3081f8),
-    ("ijpeg/net/guards", 0x8d879e14f88b4882, 0xbf3897fa67d33501, 0x3bff6aa353803473),
-    ("ijpeg/churn/guards", 0x91a2254fbfce8a8a, 0x5ac74324f543048c, 0x2db67ec3e80fffdd),
-    ("ijpeg/faulted/guards", 0x0e4b5c92d6b23c60, 0xbfc76909458255ce, 0xa1ab3cf87e3081f8),
     ("ijpeg/net/full", 0x8d879e14f88b4882, 0xbf3897fa67d33501, 0x3bff6aa353803473),
     ("ijpeg/churn/full", 0x91a2254fbfce8a8a, 0x5ac74324f543048c, 0x2db67ec3e80fffdd),
     ("ijpeg/faulted/full", 0x0e4b5c92d6b23c60, 0xbfc76909458255ce, 0xa1ab3cf87e3081f8),
     ("li/net/none", 0xd8ea60b649aa0e49, 0x2ec37157c724ac1e, 0x48af41ed58882225),
     ("li/churn/none", 0x245ada0c253e3fe2, 0x4f4ead488d40c0fb, 0x239420a69ab64fc6),
     ("li/faulted/none", 0xe564b77f059467bc, 0xe610ac6389cb93eb, 0x9073d433e599ac3a),
-    ("li/net/guards", 0xd8ea60b649aa0e49, 0x2ec37157c724ac1e, 0x48af41ed58882225),
-    ("li/churn/guards", 0x245ada0c253e3fe2, 0x4f4ead488d40c0fb, 0x239420a69ab64fc6),
-    ("li/faulted/guards", 0xe564b77f059467bc, 0xe610ac6389cb93eb, 0x9073d433e599ac3a),
     ("li/net/full", 0xd8ea60b649aa0e49, 0x2ec37157c724ac1e, 0x48af41ed58882225),
     ("li/churn/full", 0x245ada0c253e3fe2, 0x4f4ead488d40c0fb, 0x239420a69ab64fc6),
     ("li/faulted/full", 0xe564b77f059467bc, 0xe610ac6389cb93eb, 0x9073d433e599ac3a),
     ("m88ksim/net/none", 0x64a8173c6b3767c4, 0x0f42214f212755bd, 0x4efd7be269f14788),
     ("m88ksim/churn/none", 0x715d6b5e380c9a4a, 0xc0cffb3f8de0032e, 0x12e44baa84ca65a3),
     ("m88ksim/faulted/none", 0x92cfd3459de750a2, 0xbc46aabf1b57d52f, 0x5cc17736ea6a182c),
-    ("m88ksim/net/guards", 0x64a8173c6b3767c4, 0x0f42214f212755bd, 0x4efd7be269f14788),
-    ("m88ksim/churn/guards", 0x715d6b5e380c9a4a, 0xc0cffb3f8de0032e, 0x12e44baa84ca65a3),
-    ("m88ksim/faulted/guards", 0x92cfd3459de750a2, 0xbc46aabf1b57d52f, 0x5cc17736ea6a182c),
     ("m88ksim/net/full", 0x64a8173c6b3767c4, 0x0f42214f212755bd, 0x4efd7be269f14788),
     ("m88ksim/churn/full", 0x715d6b5e380c9a4a, 0xc0cffb3f8de0032e, 0x12e44baa84ca65a3),
     ("m88ksim/faulted/full", 0x92cfd3459de750a2, 0xbc46aabf1b57d52f, 0x5cc17736ea6a182c),
     ("perl/net/none", 0x6c93dceef7414b1d, 0xfa90da5572005774, 0x6a894f613fb6abe6),
     ("perl/churn/none", 0x5281f2d463bd1aa4, 0x11532e6bcf5eebc9, 0xd765751fc139e527),
     ("perl/faulted/none", 0xaa6256e8d75b5af5, 0xf9c2221972fc6d30, 0x9f9ef27661a52b6a),
-    ("perl/net/guards", 0x6c93dceef7414b1d, 0xfa90da5572005774, 0x6a894f613fb6abe6),
-    ("perl/churn/guards", 0x5281f2d463bd1aa4, 0x11532e6bcf5eebc9, 0xd765751fc139e527),
-    ("perl/faulted/guards", 0xaa6256e8d75b5af5, 0xf9c2221972fc6d30, 0x9f9ef27661a52b6a),
     ("perl/net/full", 0x6c93dceef7414b1d, 0xfa90da5572005774, 0x6a894f613fb6abe6),
     ("perl/churn/full", 0x5281f2d463bd1aa4, 0x11532e6bcf5eebc9, 0xd765751fc139e527),
     ("perl/faulted/full", 0xaa6256e8d75b5af5, 0xf9c2221972fc6d30, 0x9f9ef27661a52b6a),
     ("vortex/net/none", 0xbb844ad458565a07, 0xc76f397cc4b0492d, 0x48de44c83f41a73f),
     ("vortex/churn/none", 0x56c369313e40276f, 0xa3e2666885aed159, 0xf1acce5b99be705a),
     ("vortex/faulted/none", 0xcbf29ce484222325, 0x18b6260e701b8ddf, 0x3670356ed0082a0d),
-    ("vortex/net/guards", 0xbb844ad458565a07, 0xc76f397cc4b0492d, 0x48de44c83f41a73f),
-    ("vortex/churn/guards", 0x56c369313e40276f, 0xa3e2666885aed159, 0xf1acce5b99be705a),
-    ("vortex/faulted/guards", 0xcbf29ce484222325, 0x18b6260e701b8ddf, 0x3670356ed0082a0d),
     ("vortex/net/full", 0xbb844ad458565a07, 0xc76f397cc4b0492d, 0x48de44c83f41a73f),
     ("vortex/churn/full", 0x56c369313e40276f, 0xa3e2666885aed159, 0xf1acce5b99be705a),
     ("vortex/faulted/full", 0xcbf29ce484222325, 0x18b6260e701b8ddf, 0x3670356ed0082a0d),
     ("deltablue/net/none", 0x467a887af93a2bee, 0xdc82e163c9752420, 0x3a8d71999f7a765b),
     ("deltablue/churn/none", 0xdb7cd0b535053f92, 0x0dc26e0246769642, 0x8d1594dd0807695f),
     ("deltablue/faulted/none", 0x9f4f18822ef72a7c, 0x0dd51800b561e2ed, 0xb789d3ad7293a3ca),
-    ("deltablue/net/guards", 0x467a887af93a2bee, 0xdc82e163c9752420, 0x3a8d71999f7a765b),
-    ("deltablue/churn/guards", 0xdb7cd0b535053f92, 0x0dc26e0246769642, 0x8d1594dd0807695f),
-    ("deltablue/faulted/guards", 0x9f4f18822ef72a7c, 0x0dd51800b561e2ed, 0xb789d3ad7293a3ca),
     ("deltablue/net/full", 0x467a887af93a2bee, 0xdc82e163c9752420, 0x3a8d71999f7a765b),
     ("deltablue/churn/full", 0xdb7cd0b535053f92, 0x0dc26e0246769642, 0x8d1594dd0807695f),
     ("deltablue/faulted/full", 0x9f4f18822ef72a7c, 0x0dd51800b561e2ed, 0xb789d3ad7293a3ca),
@@ -949,33 +922,23 @@ const PINNED_WORKLOADS: &[(&str, u64, u64, u64)] = &[
 #[rustfmt::skip]
 const PINNED_CORNERS: &[(&str, u64, u64, u64)] = &[
     ("self-chain/none", 0x73dd9d15a91cedee, 0x676efdb9385a85d3, 0xe37864be9ba49098),
-    ("self-chain/guards", 0x73dd9d15a91cedee, 0x676efdb9385a85d3, 0xe37864be9ba49098),
     ("self-chain/full", 0x73dd9d15a91cedee, 0x676efdb9385a85d3, 0xe37864be9ba49098),
     ("cross-link/none", 0xca4dcb00d035d36d, 0xcf7c239df8d58852, 0x2f7732e78b6a84d1),
-    ("cross-link/guards", 0xca4dcb00d035d36d, 0xcf7c239df8d58852, 0x2f7732e78b6a84d1),
     ("cross-link/full", 0xca4dcb00d035d36d, 0xcf7c239df8d58852, 0x2f7732e78b6a84d1),
     ("guard-fail-chain/none", 0xe86bb8ad459941ec, 0x035ed1cab55862a5, 0x033e11bb40dcb495),
-    ("guard-fail-chain/guards", 0xe86bb8ad459941ec, 0x035ed1cab55862a5, 0x033e11bb40dcb495),
     ("guard-fail-chain/full", 0xe86bb8ad459941ec, 0x035ed1cab55862a5, 0x033e11bb40dcb495),
     ("switch-return-lookup/none", 0x87c02931dad1d328, 0x56735689af0dab80, 0x41b68bd95d7edb16),
-    ("switch-return-lookup/guards", 0x87c02931dad1d328, 0x56735689af0dab80, 0x41b68bd95d7edb16),
     ("switch-return-lookup/full", 0x87c02931dad1d328, 0x56735689af0dab80, 0x41b68bd95d7edb16),
     ("entry-guard-refusal/none", 0x927b94c0c6c25d92, 0xaaf37036fd27bb2b, 0x6a1a38969df23d16),
-    ("entry-guard-refusal/guards", 0x2dd0ffaf8c636c2b, 0xd3c324b4bc0b8f83, 0x2eaaf38d963032b8),
     ("entry-guard-refusal/full", 0x2dd0ffaf8c636c2b, 0xd3c324b4bc0b8f83, 0x2eaaf38d963032b8),
     ("fuel-exit/none", 0x2e60f50d45c8a3c1, 0x4a319a86710bd60a, 0x53599d3ff5937550),
-    ("fuel-exit/guards", 0x2e60f50d45c8a3c1, 0x4a319a86710bd60a, 0x53599d3ff5937550),
     ("fuel-exit/full", 0x2e60f50d45c8a3c1, 0x4a319a86710bd60a, 0x53599d3ff5937550),
     ("slices/none", 0x766aa13706d2c640, 0x33596f619954acd5, 0xb0dc60d995367dd6),
-    ("slices/guards", 0x766aa13706d2c640, 0x33596f619954acd5, 0xb0dc60d995367dd6),
     ("slices/full", 0x766aa13706d2c640, 0x33596f619954acd5, 0xb0dc60d995367dd6),
     ("no-link/none", 0x1911da74d8561721, 0xef29001fdbac343e, 0x1dc3f4ad35acf852),
-    ("no-link/guards", 0x1911da74d8561721, 0xef29001fdbac343e, 0x1dc3f4ad35acf852),
     ("no-link/full", 0x1911da74d8561721, 0xef29001fdbac343e, 0x1dc3f4ad35acf852),
     ("flush-mid-run/none", 0xeb3686df98628bfe, 0x170afad083162e18, 0x5e1d65593f730e87),
-    ("flush-mid-run/guards", 0xeb3686df98628bfe, 0x170afad083162e18, 0x5e1d65593f730e87),
     ("flush-mid-run/full", 0xeb3686df98628bfe, 0x170afad083162e18, 0x5e1d65593f730e87),
     ("faulted/none", 0xe4f1052175b6a644, 0xeb7b6a60e7752b1d, 0x48fae3af290e30e4),
-    ("faulted/guards", 0xe4f1052175b6a644, 0xeb7b6a60e7752b1d, 0x48fae3af290e30e4),
     ("faulted/full", 0xe4f1052175b6a644, 0xeb7b6a60e7752b1d, 0x48fae3af290e30e4),
 ];

@@ -26,7 +26,7 @@ use hotpath::vm::{
 };
 use hotpath::workloads::{suite, Scale};
 
-const LEVELS: [OptLevel; 3] = [OptLevel::None, OptLevel::Guards, OptLevel::Full];
+const LEVELS: [OptLevel; 2] = [OptLevel::None, OptLevel::Full];
 
 /// Runs `program` plain and linked-at-`level` (under `engine`), asserting
 /// stats, memory, and globals are bit-identical; returns the shared stats.
@@ -75,7 +75,7 @@ fn all_nine_workloads_bit_identical_at_every_level() {
 /// Block ids, in build order: 0 = implicit entry, then `new_block` order:
 /// header=1, body=2, hot=3, latch=4, exit=5. The loop condition `c` is
 /// `Mov`-copied in the body and the copy is guarded again — on-trace the
-/// second guard is always satisfied by the first, so `OptLevel::Guards`
+/// second guard is always satisfied by the first, so `OptLevel::Full`
 /// must elide it through the alias.
 fn aliased_guard_loop(trip: i64) -> Program {
     let mut fb = FunctionBuilder::new("main");
@@ -111,7 +111,7 @@ fn aliased_guard_loop(trip: i64) -> Program {
 }
 
 /// A guard on a `Mov` alias of an already-guarded register is redundant:
-/// `OptLevel::Guards` elides it, strictly reducing per-iteration guard
+/// `OptLevel::Full` elides it, strictly reducing per-iteration guard
 /// executions while staying bit-identical.
 #[test]
 fn aliased_guards_elide_through_copies() {
@@ -127,13 +127,9 @@ fn aliased_guards_elide_through_copies() {
     }
     assert!(
         guard_execs[1] < guard_execs[0],
-        "Guards must elide the aliased guard: {} vs {} at None",
+        "Full must elide the aliased guard: {} vs {} at None",
         guard_execs[1],
         guard_execs[0]
-    );
-    assert!(
-        guard_execs[2] <= guard_execs[1],
-        "Full must not reintroduce guards: {guard_execs:?}"
     );
 }
 
@@ -144,7 +140,7 @@ fn aliased_guards_elide_through_copies() {
 /// Two phases of an outer loop run the same inner loop with `flag` = 1
 /// then `flag` = 0. A trace over [3, 4, 5, 7] guards `flag` every
 /// iteration, but `flag` is never defined inside the (cyclic, call-free)
-/// trace — so `OptLevel::Guards` hoists it to a single entry guard. The
+/// trace — so `OptLevel::Full` hoists it to a single entry guard. The
 /// trip-count guard stays inline and takes its guard-fail exit at the
 /// end of each phase; phase two then fails the hoisted entry guard at
 /// dispatch and must fall back to interpretation, bit-identically.
@@ -229,7 +225,7 @@ fn hoisted_entry_guard_survives_guard_fail_exit_and_rejects_at_dispatch() {
     );
     assert!(
         excursions[1] < 10,
-        "at Guards phase two should be rejected at dispatch: {excursions:?}"
+        "at Full phase two should be rejected at dispatch: {excursions:?}"
     );
     assert!(
         interpreted[1] > interpreted[0],
@@ -465,11 +461,8 @@ fn full_engine_guard_execs_never_increase() {
 /// Guard executions summed over the nine workloads at `Scale::Smoke`
 /// through the full engine (NET, τ=50), recorded per level. The counts
 /// are deterministic, so a rise is an optimizer that stopped optimizing.
-const RECORDED_SMOKE_GUARD_EXECS: [(OptLevel, u64); 3] = [
-    (OptLevel::None, 219_173),
-    (OptLevel::Guards, 218_733),
-    (OptLevel::Full, 218_733),
-];
+const RECORDED_SMOKE_GUARD_EXECS: [(OptLevel, u64); 2] =
+    [(OptLevel::None, 219_173), (OptLevel::Full, 218_733)];
 
 /// Every level gives the same `RunStats` on every workload, executes no
 /// more guards than its recorded total, and `Full` executes no more than
@@ -498,7 +491,7 @@ fn suite_guard_execs_stay_at_or_below_the_recorded_totals() {
         totals.push(total);
     }
     assert!(
-        totals[2] <= totals[0],
+        totals[1] <= totals[0],
         "Full executes more guards than None: {totals:?}"
     );
 }
