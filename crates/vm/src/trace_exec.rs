@@ -15,6 +15,12 @@
 //! nests run trace→trace without ever returning to the dispatch loop.
 //! Flushing the cache drops every trace and thereby severs all links.
 //!
+//! Installed traces live in one flat arena inside [`TraceCache`], and
+//! [`run_excursion`] runs a whole excursion as one loop over its steps:
+//! following a link moves the step cursor to the target trace's first
+//! step, and counters are settled once per traversal (from per-step
+//! cumulative tallies) and once per excursion.
+//!
 //! Bit-identity with plain interpretation is load-bearing: `RunStats`,
 //! memory, globals, and error behavior must be indistinguishable from
 //! [`Vm::run`](crate::Vm::run) with a `NullObserver`. Terminator counters
