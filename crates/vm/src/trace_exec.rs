@@ -168,31 +168,33 @@ pub(crate) struct TraceStep {
     pub(crate) d_backward: u32,
 }
 
-/// What a traversal adds to `RunStats` and its excursion's guard count
-/// by the time it leaves its trace at some step: sums over the trace's
-/// steps up to and including that one — their blocks, instruction slots,
-/// `d_*` deltas, on-trace backward edges, and every end op reached
-/// (passed guards and the leaving op alike). Only the traversal's entry
-/// edge is added at run time.
+/// Counts toward `RunStats` and an excursion's guard executions.
+///
+/// Each installed step carries one: what a traversal has counted by the
+/// time it leaves its trace at that step — sums over the trace's steps
+/// up to and including it of their blocks, instruction slots, `d_*`
+/// deltas, on-trace backward edges, and every end op reached (passed
+/// guards and the leaving op alike). Only the traversal's entry edge is
+/// added at run time. An excursion sums the tallies of its traversals.
 #[derive(Clone, Copy, Default, Debug)]
 struct Tally {
-    blocks: u32,
-    insts: u32,
-    cond: u32,
-    indirect: u32,
-    calls: u32,
-    backward: u32,
-    guards: u32,
+    blocks: u64,
+    insts: u64,
+    cond: u64,
+    indirect: u64,
+    calls: u64,
+    backward: u64,
+    guards: u64,
 }
 
 impl Tally {
     /// What `step` counts before its code runs.
     fn prologue(step: &TraceStep, entered_backward: bool) -> Tally {
         Tally {
-            blocks: step.d_blocks,
-            insts: step.size,
-            cond: step.d_cond,
-            backward: step.d_backward + u32::from(entered_backward),
+            blocks: u64::from(step.d_blocks),
+            insts: u64::from(step.size),
+            cond: u64::from(step.d_cond),
+            backward: u64::from(step.d_backward) + u64::from(entered_backward),
             ..Tally::default()
         }
     }
@@ -210,6 +212,19 @@ impl Tally {
             EndOp::Next | EndOp::JumpExit { .. } | EndOp::ReturnExit | EndOp::HaltExit => {}
         }
         t
+    }
+
+    /// What a traversal counted before failing inside step `si` of the
+    /// trace whose first step is `first`: the steps before it, and what
+    /// the failing step counted up front.
+    #[cold]
+    fn partial(cache: &TraceCache, first: usize, si: usize) -> Tally {
+        let (before, into) = if si > first {
+            (cache.tallies[si - 1], cache.steps[si - 1].next_backward)
+        } else {
+            (Tally::default(), false)
+        };
+        before.add(Tally::prologue(&cache.steps[si], into))
     }
 
     fn add(self, o: Tally) -> Tally {
@@ -797,19 +812,21 @@ pub(crate) fn run_excursion(
     // `OutOfFuel` fires at exactly the block a plain interpretation
     // would have stopped at.
     let budget = config.max_blocks.saturating_sub(base);
-    // Totals of the traversals that have left their trace so far.
-    let mut done = Totals {
-        max_depth: stats.max_call_depth,
-        ..Totals::default()
-    };
+    // What the traversals that have left their trace so far counted.
     // The dispatcher already checked `start`'s entry guards; count them.
-    let mut guard_execs = u64::from(hdr.guards_end - hdr.guards_start);
+    let mut done = Tally {
+        guards: u64::from(hdr.guards_end - hdr.guards_start),
+        ..Tally::default()
+    };
+    let mut max_depth = stats.max_call_depth;
     let (mut entries, mut links, mut guard_fails) = (0u64, 0u64, 0u64);
     let mut from = NONE;
     let mut tid = start;
     let mut in_kind = entry_kind;
     let mut in_backward = entry_backward;
     let mut frame: &mut [i64] = &mut m.regs[*m.frame_base..];
+    // The current trace's first step, and the step running.
+    let (mut first, mut si) = (0, 0);
 
     // The loop ends with where control goes: `(target, kind, backward,
     // reason)`.
@@ -819,8 +836,8 @@ pub(crate) fn run_excursion(
             break 'run Ok((hdr.head, in_kind, in_backward, TraceExitReason::Fuel));
         }
         entries += 1;
-        let first = hdr.first_step as usize;
-        let mut si = first;
+        first = hdr.first_step as usize;
+        si = first;
         // Run steps until one leaves the trace: `(target, kind, backward,
         // guard failed, static link slot)`.
         let (target, kind, to_backward, fail, slot) = loop {
@@ -837,7 +854,6 @@ pub(crate) fn run_excursion(
                     .try_for_each(|inst| exec_inst(inst, frame, m.memory, m.globals, block_id))
             };
             if let Err(e) = ran {
-                done.fail_at(cache, first, si, in_backward);
                 break 'run Err(e);
             }
             match step.end {
@@ -861,7 +877,9 @@ pub(crate) fn run_excursion(
                     if taken != expect_taken {
                         break (fail_target, kind, fail_backward, true, Slot::A);
                     }
-                    if armed && spurious_guard(faults, base + done.at(cache, si)) {
+                    if armed
+                        && spurious_guard(faults, base + done.blocks + cache.tallies[si].blocks)
+                    {
                         let next = cache.steps[si + 1].entry;
                         break (next, kind, step.next_backward, true, Slot::None);
                     }
@@ -880,7 +898,9 @@ pub(crate) fn run_excursion(
                             .is_backward(BlockId::new(step.block), BlockId::new(t));
                         break (t, TransferKind::Indirect, back, true, Slot::None);
                     }
-                    if armed && spurious_guard(faults, base + done.at(cache, si)) {
+                    if armed
+                        && spurious_guard(faults, base + done.blocks + cache.tallies[si].blocks)
+                    {
                         break (
                             t,
                             TransferKind::Indirect,
@@ -895,16 +915,13 @@ pub(crate) fn run_excursion(
                     callee_regs,
                 } => {
                     if let Err(e) = call(m, config, ret_global, callee_regs, step.func) {
-                        done.fail_at(cache, first, si, in_backward);
-                        done.calls += 1;
                         break 'run Err(e);
                     }
-                    done.max_depth = done.max_depth.max(m.frames.len());
+                    max_depth = max_depth.max(m.frames.len());
                     frame = &mut m.regs[*m.frame_base..];
                 }
                 EndOp::ReturnNext => {
                     let Some(t) = ret(m) else {
-                        done.fail_at(cache, first, si, in_backward);
                         break 'run Err(VmError::ReturnWithoutCaller {
                             block: BlockId::new(step.block),
                         });
@@ -916,7 +933,9 @@ pub(crate) fn run_excursion(
                             .is_backward(BlockId::new(step.block), BlockId::new(t));
                         break (t, TransferKind::Return, back, true, Slot::None);
                     }
-                    if armed && spurious_guard(faults, base + done.at(cache, si)) {
+                    if armed
+                        && spurious_guard(faults, base + done.blocks + cache.tallies[si].blocks)
+                    {
                         break (
                             t,
                             TransferKind::Return,
@@ -974,17 +993,14 @@ pub(crate) fn run_excursion(
                     backward,
                 } => {
                     if let Err(e) = call(m, config, ret_global, callee_regs, step.func) {
-                        done.fail_at(cache, first, si, in_backward);
-                        done.calls += 1;
                         break 'run Err(e);
                     }
-                    done.max_depth = done.max_depth.max(m.frames.len());
+                    max_depth = max_depth.max(m.frames.len());
                     frame = &mut m.regs[*m.frame_base..];
                     break (target, TransferKind::Call, backward, false, Slot::A);
                 }
                 EndOp::ReturnExit => {
                     let Some(t) = ret(m) else {
-                        done.fail_at(cache, first, si, in_backward);
                         break 'run Err(VmError::ReturnWithoutCaller {
                             block: BlockId::new(step.block),
                         });
@@ -1005,9 +1021,8 @@ pub(crate) fn run_excursion(
 
         // Leaving the trace at step `si` (including a chain into another
         // trace or back into this one).
-        let t = cache.tallies[si];
-        done.leave(t, in_backward);
-        guard_execs += u64::from(t.guards);
+        done = done.add(cache.tallies[si]);
+        done.backward += u64::from(in_backward);
         let step = &cache.steps[si];
         // Materialize the constants sunk out of the executed prefix, so
         // the register frame is exactly what block-by-block
@@ -1060,7 +1075,7 @@ pub(crate) fn run_excursion(
         // interpreter at the target's head, leaving the link unpatched —
         // a link that did not transfer control was never taken.
         if next != tid && next_hdr.guards_end > next_hdr.guards_start {
-            guard_execs += u64::from(next_hdr.guards_end - next_hdr.guards_start);
+            done.guards += u64::from(next_hdr.guards_end - next_hdr.guards_start);
             if !cache.guards_hold(&next_hdr, frame) {
                 break 'run Ok((target, kind, to_backward, reason));
             }
@@ -1075,13 +1090,20 @@ pub(crate) fn run_excursion(
         hdr = next_hdr;
     };
 
+    if let Err(e) = &end {
+        // The failing step counted up front, and a call op its call,
+        // before failing, exactly as block-by-block accounting would.
+        done = done.add(Tally::partial(cache, first, si));
+        done.backward += u64::from(in_backward);
+        done.calls += u64::from(matches!(e, VmError::StackOverflow { .. }));
+    }
     stats.blocks_executed += done.blocks;
     stats.insts_executed += done.insts;
     stats.cond_branches += done.cond;
     stats.indirect_branches += done.indirect;
     stats.calls += done.calls;
     stats.backward_transfers += done.backward;
-    stats.max_call_depth = done.max_depth;
+    stats.max_call_depth = max_depth;
     let (target, kind, backward, reason) = end?;
     Ok(TraceExcursion {
         head: BlockId::new(head),
@@ -1096,57 +1118,9 @@ pub(crate) fn run_excursion(
         entries,
         links,
         guard_fails,
-        guard_execs,
+        guard_execs: done.guards,
         halted: reason == TraceExitReason::Halt,
     })
-}
-
-/// An excursion's running `RunStats` deltas.
-#[derive(Default)]
-struct Totals {
-    blocks: u64,
-    insts: u64,
-    cond: u64,
-    indirect: u64,
-    calls: u64,
-    backward: u64,
-    max_depth: usize,
-}
-
-impl Totals {
-    /// Adds a traversal that left its trace with tally `t`, entered over
-    /// a backward edge or not.
-    #[inline]
-    fn leave(&mut self, t: Tally, entered_backward: bool) {
-        self.blocks += u64::from(t.blocks);
-        self.insts += u64::from(t.insts);
-        self.cond += u64::from(t.cond);
-        self.indirect += u64::from(t.indirect);
-        self.calls += u64::from(t.calls);
-        self.backward += u64::from(t.backward) + u64::from(entered_backward);
-    }
-
-    /// Blocks executed by the time step `si`'s end op runs (its own
-    /// blocks included), relative to the excursion start.
-    fn at(&self, cache: &TraceCache, si: usize) -> u64 {
-        self.blocks + u64::from(cache.tallies[si].blocks)
-    }
-
-    /// Adds the partial traversal of a step `si` (of the trace whose
-    /// first step is `first`) that failed before reaching its end op:
-    /// the steps before it, and what it counted up front.
-    #[cold]
-    fn fail_at(&mut self, cache: &TraceCache, first: usize, si: usize, entered_backward: bool) {
-        let (before, into) = if si > first {
-            (cache.tallies[si - 1], cache.steps[si - 1].next_backward)
-        } else {
-            (Tally::default(), false)
-        };
-        self.leave(
-            before.add(Tally::prologue(&cache.steps[si], into)),
-            entered_backward,
-        );
-    }
 }
 
 /// Pushes a call frame for a trace's call op, exactly as the interpreter

@@ -27,8 +27,10 @@
 //! corners, each at every level: a self-chaining loop, a cross-trace
 //! link, a guard-fail chain, switch and return exits resolved by head
 //! lookup, an entry-guard refusal on a chain, a fuel exit in the middle
-//! of an excursion, fuel slices, no-link mode, a flush mid-run, and
-//! injected trace panics.
+//! of an excursion, fuel slices, no-link mode, a flush mid-run, a
+//! division by zero and a call-depth overflow inside traces (with the
+//! counts the run had reached when it failed), and injected trace
+//! panics.
 //!
 //! On a mismatch the test prints every cell in the table's own format; a
 //! deliberate behaviour change replaces the table with it and says in
@@ -40,7 +42,7 @@ use std::rc::Rc;
 
 use hotpath::dynamo::{DegradeConfig, DynamoConfig, FlushPolicy, LinkedEngine, Scheme};
 use hotpath::ir::builder::{FunctionBuilder, ProgramBuilder};
-use hotpath::ir::{CmpOp, GlobalReg, Layout, LocalBlockId, Program};
+use hotpath::ir::{BinOp, CmpOp, GlobalReg, Layout, LocalBlockId, Program};
 use hotpath::telemetry::{self, Event, Recorder};
 use hotpath::vm::{
     BlockEvent, ExecutionObserver, FaultInjector, FaultPlan, FaultPoint, OptLevel, RunConfig,
@@ -278,7 +280,11 @@ fn record<C: TraceController>(
                         rec.calls.word(state.stats().blocks_executed);
                     }
                     Ok(StepOutcome::Halted(stats)) => break Ok(stats),
-                    Err(e) => break Err(e),
+                    Err(e) => {
+                        // What the run had counted when it failed.
+                        rec.calls.bytes(format!("{:?}", state.stats()).as_bytes());
+                        break Err(e);
+                    }
                 }
             }
         }
@@ -677,6 +683,86 @@ impl TraceController for Driver {
     }
 }
 
+/// header=1, body=2, exit=3: `for i in 0..trip { x = 1000 / (zero_at - i) }`,
+/// which divides by zero inside the loop body once `i` reaches `zero_at`.
+fn dividing_loop(trip: i64, zero_at: i64) -> Program {
+    let mut fb = FunctionBuilder::new("main");
+    let i = fb.reg();
+    let x = fb.reg();
+    let t = fb.reg();
+    let k = fb.reg();
+    let header = fb.new_block();
+    let body = fb.new_block();
+    let exit = fb.new_block();
+    fb.const_(i, 0);
+    fb.const_(k, 1000);
+    fb.jump(header);
+    fb.switch_to(header);
+    let c = fb.cmp_imm(CmpOp::Lt, i, trip);
+    fb.branch(c, body, exit);
+    fb.switch_to(body);
+    fb.mul_imm(t, i, -1);
+    fb.add_imm(t, t, zero_at);
+    fb.bin(BinOp::Div, x, k, t);
+    fb.add_imm(i, i, 1);
+    fb.jump(header);
+    fb.switch_to(exit);
+    fb.set_global(GlobalReg::new(0), x);
+    fb.halt();
+    finish(fb)
+}
+
+/// `for i in 0..trip { rec(i) }` with `rec(n)` recursing `n` deep
+/// (its argument passed in global 0), so a small call-depth limit
+/// overflows inside a trace of the unrolled recursion. Returns the
+/// program and the global ids of `rec`'s `[entry, recurse]` blocks.
+fn recursive_loop(trip: i64) -> (Program, [u32; 7]) {
+    let mut pb = ProgramBuilder::new();
+    let rec_id = pb.declare("rec");
+    let mut fb = FunctionBuilder::new("main");
+    let i = fb.reg();
+    let header = fb.new_block();
+    let body = fb.new_block();
+    let latch = fb.new_block();
+    let exit = fb.new_block();
+    fb.const_(i, 0);
+    fb.jump(header);
+    fb.switch_to(header);
+    let c = fb.cmp_imm(CmpOp::Lt, i, trip);
+    fb.branch(c, body, exit);
+    fb.switch_to(body);
+    fb.set_global(GlobalReg::new(0), i);
+    fb.call(rec_id, latch);
+    fb.switch_to(latch);
+    fb.add_imm(i, i, 1);
+    fb.jump(header);
+    fb.switch_to(exit);
+    fb.halt();
+    pb.add_function(fb).unwrap();
+
+    let mut rb = FunctionBuilder::new("rec");
+    let n = rb.reg();
+    let recurse = rb.new_block();
+    let done = rb.new_block();
+    rb.get_global(n, GlobalReg::new(0));
+    let zero = rb.cmp_imm(CmpOp::Eq, n, 0);
+    rb.branch(zero, done, recurse);
+    rb.switch_to(recurse);
+    rb.add_imm(n, n, -1);
+    rb.set_global(GlobalReg::new(0), n);
+    rb.call(rec_id, done);
+    rb.switch_to(done);
+    rb.ret();
+    pb.add_function(rb).unwrap();
+    let p = pb.finish().unwrap();
+    let layout = Layout::new(&p);
+    let entry = layout.func_entry(rec_id).as_u32();
+    let mut ids = [0; 7];
+    ids[0] = entry;
+    ids[1] = layout.global_id(rec_id, recurse).as_u32();
+    (p, ids)
+}
+
 /// A scripted corner: a program and a fresh controller per level.
 struct Corner {
     name: &'static str,
@@ -703,6 +789,7 @@ fn corner(name: &'static str, program: Program, script: fn(&[u32; 7]) -> Script)
 
 fn corners() -> Vec<Corner> {
     let (switch_call, ids) = switch_call_loop(400);
+    let (recursive, rec_ids) = recursive_loop(12);
     vec![
         // The latch's jump stub patches back to its own head.
         corner("self-chain", loop_program(1_000), |_| {
@@ -780,6 +867,28 @@ fn corners() -> Vec<Corner> {
                 ],
             )
         }),
+        // A division by zero inside a linked trace: the counts the run
+        // had reached when it failed are part of the digest.
+        Corner {
+            slice: Some(1 << 40),
+            ..corner("error-in-trace", dividing_loop(1_000, 300), |_| {
+                Script::installs(&[&[1, 2]])
+            })
+        },
+        // The call-depth limit overflows on a call inside a trace of the
+        // unrolled recursion.
+        Corner {
+            config: RunConfig {
+                max_call_depth: 6,
+                ..RunConfig::default()
+            },
+            slice: Some(1 << 40),
+            ids: rec_ids,
+            ..corner("overflow-in-trace", recursive, |id| {
+                let [entry, recurse, ..] = *id;
+                Script::installs(&[&[entry, recurse, entry, recurse, entry, recurse, entry]])
+            })
+        },
         // Injected trace panics poison heads; spurious guard failures,
         // flushes, starvation and install rejections fire between them,
         // and NET keeps reinstalling what they take away.
@@ -939,6 +1048,10 @@ const PINNED_CORNERS: &[(&str, u64, u64, u64)] = &[
     ("no-link/full", 0x1911da74d8561721, 0xef29001fdbac343e, 0x1dc3f4ad35acf852),
     ("flush-mid-run/none", 0xeb3686df98628bfe, 0x170afad083162e18, 0x5e1d65593f730e87),
     ("flush-mid-run/full", 0xeb3686df98628bfe, 0x170afad083162e18, 0x5e1d65593f730e87),
+    ("error-in-trace/none", 0xcbf29ce484222325, 0xc8fdd691b6fe896c, 0x122a9fb549f67d24),
+    ("error-in-trace/full", 0xcbf29ce484222325, 0xc8fdd691b6fe896c, 0x122a9fb549f67d24),
+    ("overflow-in-trace/none", 0xb3bd5ccf8985783f, 0xb7f1fe43caad1ca1, 0xb86ce6c8aa639b6b),
+    ("overflow-in-trace/full", 0xb3bd5ccf8985783f, 0xb7f1fe43caad1ca1, 0xb86ce6c8aa639b6b),
     ("faulted/none", 0xe4f1052175b6a644, 0xeb7b6a60e7752b1d, 0x48fae3af290e30e4),
     ("faulted/full", 0xe4f1052175b6a644, 0xeb7b6a60e7752b1d, 0x48fae3af290e30e4),
 ];
