@@ -23,6 +23,10 @@
 //! blocks, so every micro-op carries its own block id for error
 //! attribution. Ops share index ranges with `insts`, so the merge's
 //! range arithmetic covers both.
+//!
+//! Last, a step whose final micro-op is the compare its conditional end
+//! op branches on hands that compare to the end op (see
+//! [`fused_compare`]): the step's range stops just before it.
 
 use hotpath_ir::{BinOp, BlockId, CmpOp, GlobalReg, Inst, UnOp};
 
