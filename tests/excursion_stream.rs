@@ -646,39 +646,39 @@ fn switch_call_loop(trip: i64) -> (Program, [u32; 7]) {
 }
 
 /// A corner's controller: a script, or NET with a short delay.
-enum Driver {
+enum CornerControl {
     Script(Script),
     Net(Box<LinkedEngine>),
 }
 
-impl ExecutionObserver for Driver {
+impl ExecutionObserver for CornerControl {
     fn on_block(&mut self, event: &BlockEvent) {
         match self {
-            Driver::Script(s) => s.on_block(event),
-            Driver::Net(e) => e.on_block(event),
+            CornerControl::Script(s) => s.on_block(event),
+            CornerControl::Net(e) => e.on_block(event),
         }
     }
 
     fn on_halt(&mut self) {
         match self {
-            Driver::Script(s) => s.on_halt(),
-            Driver::Net(e) => e.on_halt(),
+            CornerControl::Script(s) => s.on_halt(),
+            CornerControl::Net(e) => e.on_halt(),
         }
     }
 }
 
-impl TraceController for Driver {
+impl TraceController for CornerControl {
     fn on_trace_exit(&mut self, excursion: &TraceExcursion) {
         match self {
-            Driver::Script(s) => s.on_trace_exit(excursion),
-            Driver::Net(e) => e.on_trace_exit(excursion),
+            CornerControl::Script(s) => s.on_trace_exit(excursion),
+            CornerControl::Net(e) => e.on_trace_exit(excursion),
         }
     }
 
     fn poll_command(&mut self) -> Option<TraceCommand> {
         match self {
-            Driver::Script(s) => s.poll_command(),
-            Driver::Net(e) => e.poll_command(),
+            CornerControl::Script(s) => s.poll_command(),
+            CornerControl::Net(e) => e.poll_command(),
         }
     }
 }
@@ -914,8 +914,8 @@ fn corner_cells() -> Vec<(String, Digests)> {
                 vm = vm.with_faults(FaultInjector::new(plan));
             }
             let script = match c.script {
-                Some(script) => Driver::Script(script(&c.ids)),
-                None => Driver::Net(Box::new(LinkedEngine::new(
+                Some(script) => CornerControl::Script(script(&c.ids)),
+                None => CornerControl::Net(Box::new(LinkedEngine::new(
                     DynamoConfig::new(Scheme::Net, 5).with_opt_level(level),
                 ))),
             };
