@@ -1,61 +1,39 @@
-//! Regenerates every table and figure in one invocation, recording each
-//! workload once and reusing the streams (Tables 1–2, Figures 2–4), then
-//! running the Dynamo matrix (Figure 5).
+//! Regenerates every table and figure in one invocation: records each
+//! workload once and reuses the streams (Tables 1–2, Figures 2–4), then
+//! runs the Dynamo matrix (Figure 5) and its linked-trace cross-check.
 //!
 //! ```text
 //! cargo run -p hotpath-bench --release --bin all -- --scale full
 //! ```
 
-use hotpath_bench::{
-    average_series, record_suite_parallel, sweep_suite, write_csv, write_telemetry, Options,
-};
-use hotpath_core::SchemeKind;
-use hotpath_dynamo::{run_dynamo, run_dynamo_linked, run_native, DynamoConfig, Scheme};
+use std::time::Instant;
+
+use hotpath_bench::{paper, record_suite_parallel, sweep_suite, write_telemetry, Options};
 use hotpath_telemetry as telemetry;
-use hotpath_workloads::{build, ALL_WORKLOADS};
 
 fn main() {
     let opts = Options::from_env();
-    // All run telemetry funnels into one summary, written alongside the
-    // CSVs as telemetry.json. Recording runs on worker threads (where no
-    // recorder is installed), so the measured times are re-emitted as
-    // Timing events below; the Figure 5 Dynamo runs execute on this thread
-    // and stream their engine events straight into the summary.
+    let out = opts.out_dir.as_path();
+    // The Dynamo runs execute on this thread and stream their engine
+    // events into one summary, written alongside the CSVs as
+    // telemetry.json. Recording runs on worker threads, where no recorder
+    // is installed.
     let (recorder, summary) = telemetry::SummaryRecorder::new();
     let _guard = telemetry::install(Box::new(recorder));
 
-    let wall = std::time::Instant::now();
+    let wall = Instant::now();
     let runs = record_suite_parallel(opts.scale);
     let wall = wall.elapsed().as_secs_f64();
 
-    for run in &runs {
-        telemetry::emit!(telemetry::Event::Timing {
-            label: &format!("record/{}", run.name),
-            secs: run.record_secs,
-        });
-    }
-    telemetry::emit!(telemetry::Event::Timing {
-        label: "record/suite_wall",
-        secs: wall,
-    });
-
-    // Per-workload record times: the parallel recorder's wall clock is the
-    // slowest workload, the serial sum is what it replaced.
+    // The parallel recorder's wall clock is the slowest workload; the
+    // serial sum is what it replaced.
     println!("== Recording times ==");
-    let timed = summary.snapshot();
-    if timed.timings().next().is_none() {
-        // Telemetry compiled out (--no-default-features): report directly.
-        for run in &runs {
-            println!(
-                "record/{:<17} {:>6.2}s",
-                run.name.to_string(),
-                run.record_secs
-            );
-        }
-    } else {
-        for (label, secs) in timed.timings() {
-            println!("{label:<24} {secs:>6.2}s");
-        }
+    for run in &runs {
+        println!(
+            "record/{:<17} {:>6.2}s",
+            run.name.to_string(),
+            run.record_secs
+        );
     }
     let serial_sum: f64 = runs.iter().map(|r| r.record_secs).sum();
     println!(
@@ -63,192 +41,18 @@ fn main() {
         serial_sum / wall.max(1e-9)
     );
 
-    // ---- Table 1 -------------------------------------------------------
-    println!("\n== Table 1: benchmark set ==");
-    let mut rows = Vec::new();
-    for run in &runs {
-        println!(
-            "{:<10} paths={:<7} flow={:<11} hot_paths={:<5} hot_flow={:.1}%",
-            run.name.to_string(),
-            run.table.len(),
-            run.flow(),
-            run.hot.len(),
-            run.hot.flow_percentage()
-        );
-        rows.push(format!(
-            "{},{},{},{},{:.2}",
-            run.name,
-            run.table.len(),
-            run.flow(),
-            run.hot.len(),
-            run.hot.flow_percentage()
-        ));
-    }
-    write_csv(
-        &opts.out_dir,
-        "table1.csv",
-        "benchmark,paths,flow,hot_paths,hot_flow_pct",
-        &rows,
-    );
-
-    // ---- Table 2 + Figure 4 ---------------------------------------------
-    println!("\n== Table 2 / Figure 4: counter space ==");
-    let mut t2 = Vec::new();
-    let mut f4 = Vec::new();
-    let mut ratios = Vec::new();
-    for run in &runs {
-        let heads = run.table.unique_heads();
-        let paths = run.table.len().max(1);
-        let ratio = heads as f64 / paths as f64;
-        ratios.push(ratio);
-        println!(
-            "{:<10} heads={:<6} paths={:<7} net/pp={:.3}",
-            run.name.to_string(),
-            heads,
-            paths,
-            ratio
-        );
-        t2.push(format!("{},{},{}", run.name, paths, heads));
-        f4.push(format!("{},{heads},{paths},{ratio:.4}", run.name));
-    }
-    let avg_ratio = ratios.iter().sum::<f64>() / ratios.len() as f64;
-    println!("Average net/pp counter space: {avg_ratio:.3}");
-    f4.push(format!("average,,,{avg_ratio:.4}"));
-    write_csv(
-        &opts.out_dir,
-        "table2.csv",
-        "benchmark,paths,unique_path_heads",
-        &t2,
-    );
-    write_csv(
-        &opts.out_dir,
-        "fig4_counter_space.csv",
-        "benchmark,unique_heads,paths,net_over_pathprofile",
-        &f4,
-    );
-
-    // ---- Figures 2 and 3 -------------------------------------------------
-    println!("\n== Figures 2 & 3: tau sweeps ==");
+    paper::table1(&runs, out);
+    paper::table2(&runs, out);
     let swept = sweep_suite(&runs);
-    let mut f2 = Vec::new();
-    for sr in &swept {
-        for pt in &sr.points {
-            f2.push(format!(
-                "{},{},{},{:.4},{:.4},{:.4},{:.4},{}",
-                sr.name,
-                sr.scheme,
-                pt.delay,
-                pt.outcome.profiled_flow_pct(),
-                pt.outcome.hit_rate(),
-                pt.outcome.noise_rate(),
-                pt.outcome.moc_pct(),
-                pt.outcome.counter_space,
-            ));
-        }
-    }
-    write_csv(
-        &opts.out_dir,
-        "fig2_hit_rates.csv",
-        "benchmark,scheme,delay,profiled_flow_pct,hit_rate_pct,noise_rate_pct,moc_pct,counter_space",
-        &f2,
-    );
-    write_csv(
-        &opts.out_dir,
-        "fig3_noise_rates.csv",
-        "benchmark,scheme,delay,profiled_flow_pct,noise_rate_pct",
-        &f2,
-    );
-    for scheme in [SchemeKind::PathProfile, SchemeKind::Net] {
-        println!("-- {scheme} average: delay profiled% hit% noise% --");
-        for (delay, prof, hit, noise) in average_series(&swept, scheme) {
-            println!("  {delay:>8} {prof:>7.2}% {hit:>7.2}% {noise:>7.2}%");
-        }
-    }
+    paper::fig2(&swept, out);
+    paper::fig3(&swept, out);
+    paper::fig4(&runs, out);
+    paper::fig5(opts.scale, out);
+    paper::linked_crosscheck(opts.scale, out);
 
-    // ---- Figure 5 ---------------------------------------------------------
-    println!("\n== Figure 5: Dynamo speedups ==");
-    let mut f5 = Vec::new();
-    for name in ALL_WORKLOADS.iter().filter(|w| w.in_dynamo_figure()) {
-        let w = build(*name, opts.scale);
-        let native = run_native(&w.program).expect("native");
-        for scheme in [Scheme::Net, Scheme::PathProfile] {
-            for delay in [10u64, 50, 100] {
-                let label = format!("fig5/{name}/{scheme}/tau{delay}");
-                telemetry::emit!(telemetry::Event::RunStart { label: &label });
-                let out =
-                    run_dynamo(&w.program, &DynamoConfig::new(scheme, delay)).expect("dynamo");
-                telemetry::emit!(telemetry::Event::RunEnd { label: &label });
-                println!(
-                    "{:<10} {:<12} tau={:<4} speedup={:+.1}%{}",
-                    name.to_string(),
-                    scheme.to_string(),
-                    delay,
-                    out.speedup_percent(native),
-                    if out.bailed_out { " (bail-out)" } else { "" }
-                );
-                f5.push(format!(
-                    "{name},{scheme},{delay},{:.3},{}",
-                    out.speedup_percent(native),
-                    out.bailed_out
-                ));
-            }
-        }
-    }
-    write_csv(
-        &opts.out_dir,
-        "fig5_dynamo_speedup.csv",
-        "benchmark,scheme,delay,speedup_pct,bailed_out",
-        &f5,
-    );
-
-    // ---- Linked-trace cross-check -----------------------------------------
-    // The same selection policy, but executing predicted paths for real on
-    // the VM's compiled-trace backend. Its cycle model is charged from the
-    // measured link/guard counts, so simulated and executed speedups land
-    // close — and the executed run must reproduce the simulated run's
-    // fragment story.
-    println!("\n== Linked-trace backend: simulated vs. executed (NET tau=50) ==");
-    let mut linked_rows = Vec::new();
-    for name in ALL_WORKLOADS.iter().filter(|w| w.in_dynamo_figure()) {
-        let w = build(*name, opts.scale);
-        let native = run_native(&w.program).expect("native");
-        let config = DynamoConfig::new(Scheme::Net, 50);
-        let sim = run_dynamo(&w.program, &config).expect("dynamo");
-        let label = format!("linked/{name}/NET/tau50");
-        telemetry::emit!(telemetry::Event::RunStart { label: &label });
-        let real = run_dynamo_linked(&w.program, &config).expect("dynamo-linked");
-        telemetry::emit!(telemetry::Event::RunEnd { label: &label });
-        println!(
-            "{:<10} sim={:+.1}% exec={:+.1}% cached={:.1}% fragments={}{}",
-            name.to_string(),
-            sim.speedup_percent(native),
-            real.outcome.speedup_percent(native),
-            real.outcome.cached_block_fraction * 100.0,
-            real.outcome.fragments_installed,
-            if real.outcome.bailed_out {
-                " (bail-out)"
-            } else {
-                ""
-            }
-        );
-        linked_rows.push(format!(
-            "{name},{:.3},{:.3},{:.4},{},{}",
-            sim.speedup_percent(native),
-            real.outcome.speedup_percent(native),
-            real.outcome.cached_block_fraction,
-            real.outcome.fragments_installed,
-            real.outcome.bailed_out
-        ));
-    }
-    write_csv(
-        &opts.out_dir,
-        "linked_crosscheck.csv",
-        "benchmark,sim_speedup_pct,exec_speedup_pct,cached_fraction,fragments,bailed_out",
-        &linked_rows,
-    );
-    write_telemetry(&opts.out_dir, "all", &summary.snapshot());
+    write_telemetry(out, "all", &summary.snapshot());
     println!(
         "\nAll tables and figures regenerated into {}",
-        opts.out_dir.display()
+        out.display()
     );
 }

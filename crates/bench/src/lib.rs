@@ -1,15 +1,18 @@
-//! Shared harness for the table/figure regeneration binaries.
+//! Shared harness for the paper's results and the ablation binaries.
 //!
-//! Every binary follows the same recipe: build workloads at a scale chosen
-//! on the command line, record each workload's path stream once
-//! ([`record_workload`]), then compute whatever the table or figure needs
-//! and print paper-style rows (also written as CSV under `results/`).
+//! The recipe: build workloads at a scale chosen on the command line,
+//! record each workload's path stream once ([`record_workload`],
+//! [`record_suite_parallel`]), then compute whatever a table or figure
+//! needs and print paper-style rows (also written as CSV under
+//! `results/`). [`paper`] holds one function per table and figure; the
+//! `all` binary runs them in order.
 
 #![warn(missing_docs)]
 
 mod chart;
 pub mod compare;
 pub mod difffuzz;
+pub mod paper;
 
 pub use chart::ascii_chart;
 
@@ -87,20 +90,6 @@ pub fn record_workload(workload: &Workload) -> RecordedRun {
     }
 }
 
-/// Records the whole suite serially, in [`ALL_WORKLOADS`] order — the
-/// reference recorder; total wall clock is the sum over workloads.
-///
-/// [`ALL_WORKLOADS`]: hotpath_workloads::ALL_WORKLOADS
-pub fn record_suite_serial(scale: Scale) -> Vec<RecordedRun> {
-    hotpath_workloads::ALL_WORKLOADS
-        .iter()
-        .map(|&name| {
-            let w = hotpath_workloads::build(name, scale);
-            record_workload(&w)
-        })
-        .collect()
-}
-
 /// Records the whole suite with one scoped thread per workload; wall clock
 /// is roughly the slowest workload instead of the sum. Results come back
 /// in [`ALL_WORKLOADS`] order regardless of which worker finishes first,
@@ -123,11 +112,6 @@ pub fn record_suite_parallel(scale: Scale) -> Vec<RecordedRun> {
             .map(|h| h.join().expect("no panics"))
             .collect()
     })
-}
-
-/// Records the whole suite; alias for [`record_suite_parallel`].
-pub fn record_suite(scale: Scale) -> Vec<RecordedRun> {
-    record_suite_parallel(scale)
 }
 
 /// Command-line options shared by all experiment binaries.

@@ -68,4 +68,4 @@ pub use server::{serve, DrainTrigger, ServerHandle};
 pub use session::{Session, SessionConfig, SessionStatus};
 pub use snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 #[cfg(unix)]
-pub use sys::{block_until_signal, install_drain_signals, max_rss_bytes};
+pub use sys::{block_until_signal, install_drain_signals};

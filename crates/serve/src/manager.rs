@@ -636,7 +636,7 @@ impl SessionManager {
     pub fn server_stats(&self) -> ServerStats {
         let store_stats = self.store.stats();
         let mut stats = ServerStats {
-            rss_max_bytes: max_rss(),
+            rss_max_bytes: selfprof::peak_rss_bytes(),
             profiles_held: store_stats.profiles_held,
             profile_bytes: store_stats.bytes,
             profiles_quarantined: store_stats.quarantined,
@@ -707,12 +707,4 @@ impl Drop for SessionManager {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Peak RSS of this process; zero where the platform offers no cheap
-/// readout. Goes through the self-profiler's cached high-water mark, so
-/// with the selfprof feature on the aggregator keeps it fresh between
-/// stats requests.
-fn max_rss() -> u64 {
-    selfprof::peak_rss_bytes()
 }

@@ -480,15 +480,6 @@ pub fn block_until_signal(read_fd: RawFd) {
     }
 }
 
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`); `0` where unavailable. The 10K-session sweep
-/// records it to prove memory stays bounded. The sampling itself lives in
-/// `hotpath-selfprof`, whose background aggregator also refreshes the
-/// high-water cache this reads.
-pub fn max_rss_bytes() -> u64 {
-    hotpath_selfprof::peak_rss_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,12 +520,5 @@ mod tests {
         poller.wait(&mut events, 1000).expect("wait");
         assert!(events.iter().any(|e| e.token == 1 && e.writable));
         poller.remove(stream.as_raw_fd()).expect("remove");
-    }
-
-    #[test]
-    fn max_rss_is_positive_on_linux() {
-        if cfg!(target_os = "linux") {
-            assert!(max_rss_bytes() > 0);
-        }
     }
 }

@@ -5,21 +5,10 @@ use std::fmt::Write as _;
 /// One thing the pipeline did.
 ///
 /// Every variant carries logical clocks only (paths completed, blocks
-/// executed, observations made); [`Event::Timing`] is the sole wall-clock
+/// executed, observations made); [`Event::OptPass`] is the sole wall-clock
 /// exception and is excluded from determinism guarantees.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Event<'a> {
-    /// A labelled phase of a benchmark run began (e.g. one workload of
-    /// the `all` bench binary's linked-trace cross-check).
-    RunStart {
-        /// Free-form label, e.g. `"compress/net"`.
-        label: &'a str,
-    },
-    /// The matching end of a [`Event::RunStart`].
-    RunEnd {
-        /// The label passed to the matching start.
-        label: &'a str,
-    },
     /// A VM run reached `Halt`.
     VmHalt {
         /// Basic blocks executed over the run.
@@ -187,8 +176,9 @@ pub enum Event<'a> {
         /// Dead constants sunk into exit stubs.
         sunk: u32,
     },
-    /// Wall-clock duration of one optimizer pass over one trace.
-    /// Nondeterministic, like [`Event::Timing`].
+    /// Wall-clock duration of one optimizer pass over one trace. The one
+    /// **nondeterministic** event: excluded from the byte-identical stream
+    /// guarantee.
     OptPass {
         /// Pass name (`"hoist"`, `"constfold"`, `"guard_elim"`, `"sink"`,
         /// `"thread"`).
@@ -401,15 +391,6 @@ pub enum Event<'a> {
         /// Fragments held in the key's quarantine bucket afterwards.
         fragments: u64,
     },
-    /// A measured wall-clock duration. **Nondeterministic** — excluded
-    /// from the byte-identical stream guarantee; summaries keep timings
-    /// separate from event counts for the same reason.
-    Timing {
-        /// What was timed (e.g. a workload name).
-        label: &'a str,
-        /// Measured wall seconds.
-        secs: f64,
-    },
 }
 
 impl Event<'_> {
@@ -417,8 +398,6 @@ impl Event<'_> {
     /// `"ev"` field and as the summary count key.
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::RunStart { .. } => "run_start",
-            Event::RunEnd { .. } => "run_end",
             Event::VmHalt { .. } => "vm_halt",
             Event::PathCompleted { .. } => "path_completed",
             Event::CounterTableGrow { .. } => "counter_table_grow",
@@ -458,7 +437,6 @@ impl Event<'_> {
             Event::SessionReadmitted { .. } => "session_readmitted",
             Event::WireFaultInjected { .. } => "wire_fault_injected",
             Event::ProfileQuarantined { .. } => "profile_quarantined",
-            Event::Timing { .. } => "timing",
         }
     }
 
@@ -469,9 +447,6 @@ impl Event<'_> {
         out.push_str(self.kind());
         out.push('"');
         match *self {
-            Event::RunStart { label } | Event::RunEnd { label } => {
-                push_str_field(out, "label", label);
-            }
             Event::VmHalt { blocks, insts } => {
                 push_u64_field(out, "blocks", blocks);
                 push_u64_field(out, "insts", insts);
@@ -733,10 +708,6 @@ impl Event<'_> {
                 push_str_field(out, "workload", workload);
                 push_u64_field(out, "fragments", fragments);
             }
-            Event::Timing { label, secs } => {
-                push_str_field(out, "label", label);
-                let _ = write!(out, ",\"secs\":{secs:.6}");
-            }
         }
         out.push('}');
     }
@@ -793,22 +764,21 @@ mod tests {
     #[test]
     fn labels_are_escaped() {
         let mut out = String::new();
-        Event::Timing {
-            label: "a\"b\\c\n",
-            secs: 0.5,
+        Event::ProfileQuarantined {
+            session: 1,
+            workload: "a\"b\\c\n",
+            fragments: 2,
         }
         .write_json(&mut out);
         assert_eq!(
             out,
-            "{\"ev\":\"timing\",\"label\":\"a\\\"b\\\\c\\n\",\"secs\":0.500000}"
+            "{\"ev\":\"profile_quarantined\",\"session\":1,\"workload\":\"a\\\"b\\\\c\\n\",\"fragments\":2}"
         );
     }
 
     #[test]
     fn every_variant_round_trips_through_the_parser() {
         let events = [
-            Event::RunStart { label: "w/net" },
-            Event::RunEnd { label: "w/net" },
             Event::VmHalt {
                 blocks: 10,
                 insts: 20,
@@ -985,10 +955,6 @@ mod tests {
                 session: 9,
                 workload: "compress",
                 fragments: 4,
-            },
-            Event::Timing {
-                label: "compress",
-                secs: 1.25,
             },
         ];
         for event in events {

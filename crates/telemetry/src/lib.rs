@@ -12,8 +12,9 @@
 //!   flushes, mode transitions, counter-table growth. Events carry only
 //!   *logical* clocks (paths completed, blocks executed, observations
 //!   made), never wall-clock time, so two identical runs emit byte-identical
-//!   streams. The one exception is [`Event::Timing`], which reports measured
-//!   wall seconds and is documented as nondeterministic.
+//!   streams. The one exception is [`Event::OptPass`], which reports an
+//!   optimizer pass's measured wall nanoseconds and is documented as
+//!   nondeterministic.
 //! * [`Recorder`] — the consumer interface. [`NullRecorder`] discards
 //!   everything (and is verified to leave results bit-identical),
 //!   [`JsonlRecorder`] writes one JSON object per line, and

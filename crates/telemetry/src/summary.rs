@@ -15,7 +15,8 @@ use crate::recorder::Recorder;
 /// Counts every event kind and maintains the three distributions the
 /// paper's overhead argument cares about: how long paths are, how often
 /// trace formation happens, and how hot exit stubs get. Deterministic for
-/// identical runs, except for the `timings` section (wall clock).
+/// identical runs: it counts `opt_pass_ns` events but keeps none of their
+/// wall-clock readings.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySummary {
     /// Events seen, by [`Event::kind`] tag.
@@ -35,14 +36,6 @@ pub struct TelemetrySummary {
     /// Distribution of guard checks executed per trace entry (one sample
     /// per trace excursion) — the trace optimizer's target metric.
     guards_per_trace_entry: Option<Histogram>,
-    /// Distinct timing labels in first-seen order. Labels are interned:
-    /// repeated `Timing` events with the same label reuse the stored
-    /// `String` instead of allocating a fresh one per event, so the
-    /// steady-state observe path is allocation-free (pinned by the
-    /// selfprof allocation-count test).
-    timing_labels: Vec<String>,
-    /// Wall-clock timings, in emission order, as `(label index, secs)`.
-    timings: Vec<(u32, f64)>,
     /// Logical timestamp of the previous fragment install.
     last_install_at: Option<u64>,
     /// Logical timestamp of the previous τ-trigger, per scheme.
@@ -100,24 +93,7 @@ impl TelemetrySummary {
                     .get_or_insert_with(Histogram::pow2)
                     .add(guards / entries.max(1));
             }
-            Event::Timing { label, secs } => {
-                let idx = self.intern_timing_label(label);
-                self.timings.push((idx, secs));
-            }
             _ => {}
-        }
-    }
-
-    /// Index of `label` in the interned label table, adding it on first
-    /// sight. Timing labels are few (a handful of phase names per run), so
-    /// a linear scan beats hashing and keeps repeats allocation-free.
-    fn intern_timing_label(&mut self, label: &str) -> u32 {
-        match self.timing_labels.iter().position(|l| l == label) {
-            Some(i) => i as u32,
-            None => {
-                self.timing_labels.push(label.to_string());
-                (self.timing_labels.len() - 1) as u32
-            }
         }
     }
 
@@ -129,13 +105,6 @@ impl TelemetrySummary {
     /// All event counts, ordered by kind tag.
     pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counts.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Wall-clock timings in emission order.
-    pub fn timings(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.timings
-            .iter()
-            .map(move |&(idx, secs)| (self.timing_labels[idx as usize].as_str(), secs))
     }
 
     /// The path-length histogram, if any path completed.
@@ -169,9 +138,9 @@ impl TelemetrySummary {
         self.guards_per_trace_entry.as_ref()
     }
 
-    /// Folds another summary in (counts and histograms add; timings
-    /// concatenate; the interarrival chains stay per-summary and do not
-    /// bridge across the merge).
+    /// Folds another summary in (counts and histograms add; the
+    /// interarrival chains stay per-summary and do not bridge across the
+    /// merge).
     pub fn merge(&mut self, other: &TelemetrySummary) {
         for (kind, n) in &other.counts {
             *self.counts.entry(kind).or_insert(0) += n;
@@ -193,10 +162,6 @@ impl TelemetrySummary {
             if let Some(theirs) = theirs {
                 mine.get_or_insert_with(Histogram::pow2).merge(theirs);
             }
-        }
-        for &(idx, secs) in &other.timings {
-            let mine = self.intern_timing_label(&other.timing_labels[idx as usize]);
-            self.timings.push((mine, secs));
         }
     }
 
@@ -233,18 +198,7 @@ impl TelemetrySummary {
                 hist.write_json(&mut out);
             }
         }
-        out.push_str("\n  },\n  \"timings\": [");
-        let mut first = true;
-        for (label, secs) in self.timings() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    {\"label\": ");
-            push_json_string(&mut out, label);
-            let _ = write!(out, ", \"secs\": {secs:.6}}}");
-        }
-        out.push_str("\n  ]\n}\n");
+        out.push_str("\n  }\n}\n");
         out
     }
 }
@@ -378,45 +332,14 @@ mod tests {
         };
         a.observe(&halt);
         b.observe(&halt);
-        b.observe(&Event::Timing {
-            label: "x",
-            secs: 1.0,
+        b.observe(&Event::ExitStubHotness {
+            target: 1,
+            count: 9,
         });
         a.merge(&b);
         assert_eq!(a.count("vm_halt"), 2);
-        assert_eq!(a.timings().count(), 1);
-        assert_eq!(a.timings().next(), Some(("x", 1.0)));
-    }
-
-    #[test]
-    fn timing_labels_intern_across_repeats_and_merges() {
-        let mut a = TelemetrySummary::new();
-        for secs in [1.0, 2.0] {
-            a.observe(&Event::Timing { label: "x", secs });
-        }
-        let mut b = TelemetrySummary::new();
-        b.observe(&Event::Timing {
-            label: "y",
-            secs: 3.0,
-        });
-        b.observe(&Event::Timing {
-            label: "x",
-            secs: 4.0,
-        });
-        a.merge(&b);
-        let got: Vec<(String, f64)> = a.timings().map(|(l, s)| (l.to_string(), s)).collect();
-        assert_eq!(
-            got,
-            vec![
-                ("x".to_string(), 1.0),
-                ("x".to_string(), 2.0),
-                ("y".to_string(), 3.0),
-                ("x".to_string(), 4.0),
-            ]
-        );
-        // Two distinct labels, four samples — repeats share the interned
-        // String rather than cloning per event.
-        assert_eq!(a.timing_labels.len(), 2);
+        assert_eq!(a.count("exit_stub_hotness"), 1);
+        assert_eq!(a.exit_stub_hotness().map(|h| h.total()), Some(1));
     }
 
     #[test]
@@ -429,10 +352,6 @@ mod tests {
             insts: 8,
             start: "backward",
             end: "backward",
-        });
-        s.observe(&Event::Timing {
-            label: "compress",
-            secs: 0.25,
         });
         let text = s.to_json("unit");
         let v = crate::json::JsonValue::parse(&text).unwrap();
@@ -447,9 +366,5 @@ mod tests {
             .get("histograms")
             .and_then(|h| h.get("path_length_blocks"))
             .is_some());
-        assert_eq!(
-            v.get("timings").and_then(|t| t.as_arr()).map(|a| a.len()),
-            Some(1)
-        );
     }
 }

@@ -301,7 +301,10 @@ mod recorded {
         let mut evaluated = false;
         telemetry::emit!({
             evaluated = true;
-            Event::RunStart { label: "x" }
+            Event::VmHalt {
+                blocks: 0,
+                insts: 0,
+            }
         });
         assert!(!evaluated, "emit! evaluated its argument with no recorder");
     }
