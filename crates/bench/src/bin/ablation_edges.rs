@@ -1,4 +1,4 @@
-//! Ablation: the edge-vs-path "showdown" (paper §7, reference [6]).
+//! Ablation: the edge-vs-path "showdown" (paper §7, reference \[6\]).
 //!
 //! For each benchmark, rank true paths by their edge-profile estimate and
 //! measure how much of the 0.1% hot path profile the edge-derived top set

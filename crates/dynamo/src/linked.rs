@@ -790,6 +790,7 @@ impl TraceController for LinkedEngine {
         self.resume_pending = true;
     }
 
+    #[inline]
     fn poll_command(&mut self) -> Option<TraceCommand> {
         self.pending.pop_front()
     }

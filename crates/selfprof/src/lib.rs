@@ -18,7 +18,7 @@
 //! * **The measuring allocator** (`alloc` feature) — a
 //!   `#[global_allocator]` wrapper over `System` attributing every
 //!   allocation's size to the innermost active stage on the allocating
-//!   thread via destructor-free thread-local cells. See [`MeasuringAlloc`].
+//!   thread via destructor-free thread-local cells. See `MeasuringAlloc`.
 //! * **The background aggregator** — a detached thread that every ~200ms
 //!   drains per-thread counter slots into a global accumulator (hot paths
 //!   never contend a shared line) and refreshes the cached peak-RSS

@@ -15,7 +15,7 @@
 //! bit tells the two apart on the wire. Variable-length fields (strings,
 //! event batches, snapshot blobs) are `u32`-length-prefixed; batched
 //! control-flow events use the VM's 14-byte
-//! [`encode_events`](hotpath_vm::encode_events) wire form. Frames are
+//! [`encode_events`] wire form. Frames are
 //! capped at [`MAX_FRAME_BYTES`] so a corrupt length prefix cannot make
 //! the server allocate unboundedly.
 //!

@@ -321,7 +321,7 @@ impl Session {
     ///
     /// Fails for exec sessions — their event stream comes from the
     /// server-side VM — and rejects a batch naming any block at or beyond
-    /// [`INGEST_BLOCK_LIMIT`] whole, before the engine sees any of it.
+    /// `INGEST_BLOCK_LIMIT` whole, before the engine sees any of it.
     pub fn ingest(&mut self, events: &[BlockEvent]) -> Result<(u64, u64, u64), String> {
         if self.exec.is_some() {
             return Err("exec sessions generate their own events; use run".into());

@@ -34,12 +34,16 @@ use hotpath_ir::{BlockId, GlobalReg, Inst, Layout, Terminator};
 use hotpath_telemetry as telemetry;
 
 use crate::error::VmError;
-use crate::event::{TraceExcursion, TraceExitReason, TransferKind};
+use crate::event::{BlockEvent, TraceExcursion, TraceExitReason, TransferKind};
 use crate::opt::{exec_op, fused_compare, MicroOp};
-use crate::vm::{exec_inst, CallFrame, FlatBlock, RunConfig, RunStats};
+use crate::vm::{exec_inst, CallFrame, FlatBlock, RunStats};
 
 /// Sentinel for "no trace here" / "link not patched".
 const NONE: u32 = u32::MAX;
+
+/// Set in a link (see [`TraceHeader::link`]) whose target trace has
+/// hoisted entry guards.
+const GUARDED: u32 = 1 << 31;
 
 /// Guard/terminator operation ending one trace step.
 ///
@@ -144,7 +148,7 @@ pub(crate) struct TraceStep {
     /// targets ([`NONE`] = unpatched): the branch-fail stub or the final
     /// jump/call/branch-taken target uses `link_a`, the final
     /// branch-fallthrough target uses `link_b`. A link holds the target
-    /// trace's id.
+    /// trace's [`TraceHeader::link`].
     pub(crate) link_a: u32,
     pub(crate) link_b: u32,
     /// Exit stub: range into [`CompiledTrace::stubs`] of the constants
@@ -506,6 +510,10 @@ struct TraceHeader {
     /// The trace's hoisted entry guards in [`TraceCache::guards`].
     guards_start: u32,
     guards_end: u32,
+    /// What a link into this trace holds: `first_step`, with [`GUARDED`]
+    /// set when the trace has entry guards. A chain moves the step
+    /// cursor there without reading the header unless the bit is set.
+    link: u32,
 }
 
 /// The VM-side trace cache: one trace per head block (the primary
@@ -533,6 +541,10 @@ pub(crate) struct TraceCache {
     /// Trace id per head block ([`NONE`] = no trace), indexed by global
     /// block id.
     at_head: Vec<u32>,
+    /// The largest block count of an installed trace: an excursion that
+    /// has that many blocks of budget left can chain into any trace
+    /// without reading the target's header.
+    max_blocks: u32,
     /// Links currently patched (for `LinkSevered` accounting on flush).
     patched_links: u64,
     /// Whether trace-to-trace linking is enabled (the degradation ladder's
@@ -556,6 +568,7 @@ impl TraceCache {
             guards: Vec::new(),
             targets: Vec::new(),
             at_head: vec![NONE; block_count],
+            max_blocks: 0,
             patched_links: 0,
             linking: true,
             poisoned: vec![false; block_count],
@@ -571,6 +584,7 @@ impl TraceCache {
         }
     }
 
+    #[inline]
     pub(crate) fn trace_len(&self, tid: u32) -> usize {
         self.traces[tid as usize].blocks as usize
     }
@@ -610,13 +624,25 @@ impl TraceCache {
         let stubs = self.stubs.len() as u32;
         let targets = self.targets.len() as u32;
         let guards_start = self.guards.len() as u32;
+        let first_step = self.steps.len() as u32;
+        assert!(
+            first_step < GUARDED,
+            "step index collides with the link flag"
+        );
+        let guarded = if trace.entry_guards.is_empty() {
+            0
+        } else {
+            GUARDED
+        };
         self.at_head[head] = self.traces.len() as u32;
+        self.max_blocks = self.max_blocks.max(trace.blocks);
         self.traces.push(TraceHeader {
             head: trace.head,
             blocks: trace.blocks,
-            first_step: self.steps.len() as u32,
+            first_step,
             guards_start,
             guards_end: guards_start + trace.entry_guards.len() as u32,
+            link: first_step | guarded,
         });
         let mut sum = Tally::default();
         let mut entered_backward = false;
@@ -663,6 +689,7 @@ impl TraceCache {
         self.guards.clear();
         self.targets.clear();
         self.at_head.fill(NONE);
+        self.max_blocks = 0;
         std::mem::take(&mut self.patched_links)
     }
 
@@ -695,10 +722,15 @@ impl TraceCache {
         std::mem::take(&mut self.patched_links)
     }
 
+    /// The header of the trace anchored at `block`, if any.
+    #[inline]
+    fn at(&self, block: u32) -> Option<&TraceHeader> {
+        self.traces.get(self.at_head[block as usize] as usize)
+    }
+
     /// Patches a static exit stub of arena step `si` to transfer directly
-    /// into trace `to`.
-    fn patch(&mut self, si: usize, slot: Slot, to: u32) {
-        let to_head = self.traces[to as usize].head;
+    /// into the trace headed at `to_head`, whose header's link is `link`.
+    fn patch(&mut self, si: usize, slot: Slot, link: u32, to_head: u32) {
         let step = &mut self.steps[si];
         let cell = match slot {
             Slot::A => &mut step.link_a,
@@ -706,22 +738,28 @@ impl TraceCache {
             Slot::None => unreachable!("dynamic exits have no stub to patch"),
         };
         debug_assert_eq!(*cell, NONE, "patching an already-linked stub");
-        *cell = to;
+        *cell = link;
         let from = step.block;
         self.patched_links += 1;
         telemetry::emit!(telemetry::Event::LinkPatched { from, to: to_head });
     }
 }
 
-/// Mutable machine state threaded through an excursion, borrowed from the
-/// interpreter loop.
+/// Machine state and limits an excursion works on, borrowed from the
+/// dispatcher.
 pub(crate) struct Machine<'a> {
     pub(crate) memory: &'a mut [i64],
     pub(crate) globals: &'a mut [i64; GlobalReg::COUNT],
     pub(crate) regs: &'a mut Vec<i64>,
     pub(crate) frames: &'a mut Vec<CallFrame>,
     pub(crate) frame_base: &'a mut usize,
-    pub(crate) layout: &'a Layout,
+    /// The run's counts; an excursion adds its own once, at exit.
+    pub(crate) stats: &'a mut RunStats,
+    pub(crate) faults: &'a mut FaultInjector,
+    /// Block budget (the slice's or the run's): a traversal starts only
+    /// when all its blocks fit.
+    pub(crate) max_blocks: u64,
+    pub(crate) max_call_depth: usize,
 }
 
 /// Panic payload for an injected [`FaultPoint::TracePanic`]; carries the
@@ -746,6 +784,16 @@ fn spurious_guard(faults: &mut FaultInjector, at_block: u64) -> bool {
     false
 }
 
+/// Whether a transfer from block `from` to block `to` is backward in
+/// the program's [`Layout`]. The layout places blocks at strictly
+/// increasing addresses in global id order (every block holds at least
+/// its terminator), so comparing ids answers [`Layout::is_backward`]
+/// without its two address lookups.
+#[inline]
+fn backward(from: u32, to: u32) -> bool {
+    to <= from
+}
+
 /// The switch target for index value `v`, exactly as the interpreter
 /// picks it.
 #[inline]
@@ -759,15 +807,18 @@ fn switch_target(cases: &[u32], v: i64, default: u32) -> u32 {
 /// Executes one whole excursion through trace-land, starting at trace
 /// `start`, chasing links until control leaves the cache (or the program
 /// halts, or fuel denies the next traversal), mirroring the interpreter's
-/// semantics exactly.
+/// semantics exactly. `entry` is the event that announced the start
+/// trace's head.
 ///
 /// One loop moves a step cursor through the cache's arena. A guard that
 /// passes advances the cursor; leaving a trace at a step resolves the
 /// target (patched link, else head lookup while linking is on) and either
 /// points the cursor at the target trace's first step or ends the
 /// excursion. Steps do no accounting: leaving a trace adds the leaving
-/// step's [`Tally`], and the totals reach `stats` and the returned
-/// [`TraceExcursion`] once, at the end.
+/// step's [`Tally`], and the totals reach the run's stats and the
+/// returned [`TraceExcursion`] once, at the end. A patched link holds
+/// the target's first step, so a chain reads the target's header only
+/// when the target has entry guards or the budget runs low.
 ///
 /// Fault injection: after a guard *passes*, [`FaultPoint::GuardFail`] may
 /// fire; the trace is then left toward the block it would have continued
@@ -775,10 +826,13 @@ fn switch_target(cases: &[u32], v: i64, default: u32) -> u32 {
 /// interpreter resumes at exactly the right block and bit-identity is
 /// preserved while the exit machinery takes the adversarial path.
 ///
+/// The excursion is written to `exit`, with `target_size` 0: the
+/// caller, which owns the program, fills it in.
+///
 /// # Errors
 ///
-/// Exactly the interpreter's errors. `stats` then holds what plain
-/// interpretation would have counted up to the failing block.
+/// Exactly the interpreter's errors. The run's stats then hold what
+/// plain interpretation would have counted up to the failing block.
 ///
 /// # Panics
 ///
@@ -786,61 +840,55 @@ fn switch_target(cases: &[u32], v: i64, default: u32) -> u32 {
 /// [`FaultPoint::TracePanic`] fires — deliberately *before* any step
 /// executes, so the dispatch loop's `catch_unwind` recovers with program
 /// state exactly as it was at dispatch.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_excursion(
     cache: &mut TraceCache,
     start: u32,
-    entry_kind: TransferKind,
-    entry_backward: bool,
+    entry: &BlockEvent,
     m: &mut Machine<'_>,
-    stats: &mut RunStats,
-    config: &RunConfig,
-    faults: &mut FaultInjector,
-) -> Result<TraceExcursion, VmError> {
-    let mut hdr = cache.traces[start as usize];
+    exit: &mut TraceExcursion,
+) -> Result<(), VmError> {
+    let hdr = cache.traces[start as usize];
     let head = hdr.head;
-    let armed = faults.armed();
-    if armed && faults.fire(FaultPoint::TracePanic) {
+    let armed = m.faults.armed();
+    if armed && m.faults.fire(FaultPoint::TracePanic) {
         telemetry::emit!(telemetry::Event::FaultInjected {
             point: "trace_panic",
-            at_block: stats.blocks_executed,
+            at_block: m.stats.blocks_executed,
         });
         std::panic::panic_any(InjectedTracePanic { head });
     }
-    let base = stats.blocks_executed;
+    // No recorder can come or go while the excursion runs.
+    let recording = telemetry::enabled();
+    // The run's count before the excursion; `m.stats` takes the
+    // excursion's counts at the end.
+    let base = m.stats.blocks_executed;
     // Fuel: a traversal is entered only when all its blocks fit, so
     // `OutOfFuel` fires at exactly the block a plain interpretation
-    // would have stopped at.
-    let budget = config.max_blocks.saturating_sub(base);
+    // would have stopped at. The dispatcher checked the first traversal;
+    // while at most `roomy` blocks are done, any trace fits.
+    let budget = m.max_blocks.saturating_sub(base);
+    debug_assert!(u64::from(hdr.blocks) <= budget, "dispatch prechecks fuel");
+    let roomy = budget.saturating_sub(u64::from(cache.max_blocks));
     // What the traversals that have left their trace so far counted.
     // The dispatcher already checked `start`'s entry guards; count them.
     let mut done = Tally {
         guards: u64::from(hdr.guards_end - hdr.guards_start),
         ..Tally::default()
     };
-    let mut max_depth = stats.max_call_depth;
-    let (mut entries, mut links, mut guard_fails) = (0u64, 0u64, 0u64);
-    let mut from = NONE;
-    let mut tid = start;
-    let mut in_kind = entry_kind;
-    let mut in_backward = entry_backward;
+    let mut max_depth = m.stats.max_call_depth;
+    let (mut links, mut guard_fails) = (0u64, 0u64);
+    let mut in_backward = entry.backward;
     let mut frame: &mut [i64] = &mut m.regs[*m.frame_base..];
     // The current trace's first step, and the step running.
-    let (mut first, mut si) = (0, 0);
+    let mut first = hdr.first_step as usize;
+    let mut si = first;
 
     // The loop ends with where control goes: `(target, kind, backward,
     // reason)`.
     let end: Result<(u32, TransferKind, bool, TraceExitReason), VmError> = 'run: loop {
-        // Enter trace `tid`.
-        if done.blocks + u64::from(hdr.blocks) > budget {
-            break 'run Ok((hdr.head, in_kind, in_backward, TraceExitReason::Fuel));
-        }
-        entries += 1;
-        first = hdr.first_step as usize;
-        si = first;
         // Run steps until one leaves the trace: `(target, kind, backward,
-        // guard failed, static link slot)`.
-        let (target, kind, to_backward, fail, slot) = loop {
+        // guard failed, static link slot, its link)`.
+        let (target, kind, to_backward, fail, slot, link) = loop {
             let step = &cache.steps[si];
             let code = step.inst_start as usize..step.inst_end as usize;
             let ran = if step.threaded {
@@ -875,13 +923,13 @@ pub(crate) fn run_excursion(
                         TransferKind::BranchNotTaken
                     };
                     if taken != expect_taken {
-                        break (fail_target, kind, fail_backward, true, Slot::A);
+                        break (fail_target, kind, fail_backward, true, Slot::A, step.link_a);
                     }
                     if armed
-                        && spurious_guard(faults, base + done.blocks + cache.tallies[si].blocks)
+                        && spurious_guard(m.faults, base + done.blocks + cache.tallies[si].blocks)
                     {
                         let next = cache.steps[si + 1].entry;
-                        break (next, kind, step.next_backward, true, Slot::None);
+                        break (next, kind, step.next_backward, true, Slot::None, NONE);
                     }
                 }
                 EndOp::SwitchNext {
@@ -893,28 +941,21 @@ pub(crate) fn run_excursion(
                     let cases = &cache.targets[targets as usize..(targets + arms) as usize];
                     let t = switch_target(cases, frame[index as usize], default);
                     if t != cache.steps[si + 1].entry {
-                        let back = m
-                            .layout
-                            .is_backward(BlockId::new(step.block), BlockId::new(t));
-                        break (t, TransferKind::Indirect, back, true, Slot::None);
+                        let back = backward(step.block, t);
+                        break (t, TransferKind::Indirect, back, true, Slot::None, NONE);
                     }
                     if armed
-                        && spurious_guard(faults, base + done.blocks + cache.tallies[si].blocks)
+                        && spurious_guard(m.faults, base + done.blocks + cache.tallies[si].blocks)
                     {
-                        break (
-                            t,
-                            TransferKind::Indirect,
-                            step.next_backward,
-                            true,
-                            Slot::None,
-                        );
+                        let back = step.next_backward;
+                        break (t, TransferKind::Indirect, back, true, Slot::None, NONE);
                     }
                 }
                 EndOp::CallNext {
                     ret_global,
                     callee_regs,
                 } => {
-                    if let Err(e) = call(m, config, ret_global, callee_regs, step.func) {
+                    if let Err(e) = call(m, ret_global, callee_regs, step.func) {
                         break 'run Err(e);
                     }
                     max_depth = max_depth.max(m.frames.len());
@@ -928,25 +969,25 @@ pub(crate) fn run_excursion(
                     };
                     frame = &mut m.regs[*m.frame_base..];
                     if t != cache.steps[si + 1].entry {
-                        let back = m
-                            .layout
-                            .is_backward(BlockId::new(step.block), BlockId::new(t));
-                        break (t, TransferKind::Return, back, true, Slot::None);
+                        let back = backward(step.block, t);
+                        break (t, TransferKind::Return, back, true, Slot::None, NONE);
                     }
                     if armed
-                        && spurious_guard(faults, base + done.blocks + cache.tallies[si].blocks)
+                        && spurious_guard(m.faults, base + done.blocks + cache.tallies[si].blocks)
                     {
-                        break (
-                            t,
-                            TransferKind::Return,
-                            step.next_backward,
-                            true,
-                            Slot::None,
-                        );
+                        let back = step.next_backward;
+                        break (t, TransferKind::Return, back, true, Slot::None, NONE);
                     }
                 }
                 EndOp::JumpExit { target, backward } => {
-                    break (target, TransferKind::Jump, backward, false, Slot::A);
+                    break (
+                        target,
+                        TransferKind::Jump,
+                        backward,
+                        false,
+                        Slot::A,
+                        step.link_a,
+                    );
                 }
                 EndOp::BranchExit {
                     cond,
@@ -961,16 +1002,12 @@ pub(crate) fn run_excursion(
                         frame[cond as usize] != 0
                     };
                     break if holds {
-                        (
-                            taken,
-                            TransferKind::BranchTaken,
-                            taken_backward,
-                            false,
-                            Slot::A,
-                        )
+                        let kind = TransferKind::BranchTaken;
+                        (taken, kind, taken_backward, false, Slot::A, step.link_a)
                     } else {
                         let kind = TransferKind::BranchNotTaken;
-                        (fallthrough, kind, fallthrough_backward, false, Slot::B)
+                        let back = fallthrough_backward;
+                        (fallthrough, kind, back, false, Slot::B, step.link_b)
                     };
                 }
                 EndOp::SwitchExit {
@@ -981,10 +1018,8 @@ pub(crate) fn run_excursion(
                 } => {
                     let cases = &cache.targets[targets as usize..(targets + arms) as usize];
                     let t = switch_target(cases, frame[index as usize], default);
-                    let back = m
-                        .layout
-                        .is_backward(BlockId::new(step.block), BlockId::new(t));
-                    break (t, TransferKind::Indirect, back, false, Slot::None);
+                    let back = backward(step.block, t);
+                    break (t, TransferKind::Indirect, back, false, Slot::None, NONE);
                 }
                 EndOp::CallExit {
                     ret_global,
@@ -992,12 +1027,19 @@ pub(crate) fn run_excursion(
                     target,
                     backward,
                 } => {
-                    if let Err(e) = call(m, config, ret_global, callee_regs, step.func) {
+                    if let Err(e) = call(m, ret_global, callee_regs, step.func) {
                         break 'run Err(e);
                     }
                     max_depth = max_depth.max(m.frames.len());
                     frame = &mut m.regs[*m.frame_base..];
-                    break (target, TransferKind::Call, backward, false, Slot::A);
+                    break (
+                        target,
+                        TransferKind::Call,
+                        backward,
+                        false,
+                        Slot::A,
+                        step.link_a,
+                    );
                 }
                 EndOp::ReturnExit => {
                     let Some(t) = ret(m) else {
@@ -1006,14 +1048,19 @@ pub(crate) fn run_excursion(
                         });
                     };
                     frame = &mut m.regs[*m.frame_base..];
-                    let back = m
-                        .layout
-                        .is_backward(BlockId::new(step.block), BlockId::new(t));
-                    break (t, TransferKind::Return, back, false, Slot::None);
+                    let back = backward(step.block, t);
+                    break (t, TransferKind::Return, back, false, Slot::None, NONE);
                 }
                 EndOp::HaltExit => {
                     // Halting keeps the excursion's entry transfer.
-                    break (step.block, entry_kind, entry_backward, false, Slot::None);
+                    break (
+                        step.block,
+                        entry.kind,
+                        entry.backward,
+                        false,
+                        Slot::None,
+                        NONE,
+                    );
                 }
             }
             si += 1;
@@ -1033,39 +1080,33 @@ pub(crate) fn run_excursion(
         for &(r, v) in &cache.stubs[step.stub_start as usize..step.stub_end as usize] {
             frame[r as usize] = v;
         }
-        from = step.block;
-        if matches!(step.end, EndOp::HaltExit) {
-            break 'run Ok((from, kind, to_backward, TraceExitReason::Halt));
-        }
-        let link = match slot {
-            Slot::A => step.link_a,
-            Slot::B => step.link_b,
-            Slot::None => NONE,
-        };
-        // Links exist only while linking is on: turning it off severs
-        // them all.
-        let next = if link != NONE || !cache.linking {
-            link
-        } else {
-            cache.at_head[target as usize]
-        };
         if fail {
             guard_fails += 1;
-            telemetry::emit!(telemetry::Event::GuardFail {
-                block: from,
-                target,
-                at_block: base + done.blocks,
-            });
+            if recording {
+                telemetry::emit!(telemetry::Event::GuardFail {
+                    block: step.block,
+                    target,
+                    at_block: base + done.blocks,
+                });
+            }
         }
         let reason = if fail {
             TraceExitReason::GuardFail
         } else {
             TraceExitReason::TraceEnd
         };
-        if next == NONE {
+        // Links exist only while linking is on: turning it off severs
+        // them all.
+        let next = if link != NONE {
+            link
+        } else if matches!(step.end, EndOp::HaltExit) {
+            break 'run Ok((step.block, kind, to_backward, TraceExitReason::Halt));
+        } else if let Some(h) = cache.at(target).filter(|_| cache.linking) {
+            h.link
+        } else {
             break 'run Ok((target, kind, to_backward, reason));
-        }
-        let next_hdr = cache.traces[next as usize];
+        };
+        let next_first = (next & !GUARDED) as usize;
         // Chaining into a *different* trace must re-establish that
         // trace's hoisted entry guards; the register frame here is
         // whatever this traversal left behind, not what the dispatcher
@@ -1074,20 +1115,27 @@ pub(crate) fn run_excursion(
         // registers it never writes. On failure, fall back to the
         // interpreter at the target's head, leaving the link unpatched —
         // a link that did not transfer control was never taken.
-        if next != tid && next_hdr.guards_end > next_hdr.guards_start {
-            done.guards += u64::from(next_hdr.guards_end - next_hdr.guards_start);
-            if !cache.guards_hold(&next_hdr, frame) {
+        if next & GUARDED != 0 && next_first != first {
+            let to = cache.at(target).expect("a link targets an installed head");
+            done.guards += u64::from(to.guards_end - to.guards_start);
+            if !cache.guards_hold(to, frame) {
                 break 'run Ok((target, kind, to_backward, reason));
             }
         }
         if link == NONE && slot != Slot::None {
-            cache.patch(si, slot, next);
+            cache.patch(si, slot, next, target);
         }
         links += 1;
-        in_kind = kind;
         in_backward = to_backward;
-        tid = next;
-        hdr = next_hdr;
+        // The target's head is `target`; enter it if its blocks fit.
+        if done.blocks > roomy {
+            let to = cache.at(target).expect("a link targets an installed head");
+            if done.blocks + u64::from(to.blocks) > budget {
+                break 'run Ok((target, kind, to_backward, TraceExitReason::Fuel));
+            }
+        }
+        first = next_first;
+        si = first;
     };
 
     if let Err(e) = &end {
@@ -1097,6 +1145,7 @@ pub(crate) fn run_excursion(
         done.backward += u64::from(in_backward);
         done.calls += u64::from(matches!(e, VmError::StackOverflow { .. }));
     }
+    let stats = &mut *m.stats;
     stats.blocks_executed += done.blocks;
     stats.insts_executed += done.insts;
     stats.cond_branches += done.cond;
@@ -1105,9 +1154,12 @@ pub(crate) fn run_excursion(
     stats.backward_transfers += done.backward;
     stats.max_call_depth = max_depth;
     let (target, kind, backward, reason) = end?;
-    Ok(TraceExcursion {
+    // Every traversal but one that fuel refused was entered.
+    let entries = links + 1 - u64::from(reason == TraceExitReason::Fuel);
+    *exit = TraceExcursion {
         head: BlockId::new(head),
-        from: (from != NONE).then(|| BlockId::new(from)),
+        // Control left through step `si`.
+        from: Some(BlockId::new(cache.steps[si].block)),
         target: BlockId::new(target),
         kind,
         backward,
@@ -1120,22 +1172,17 @@ pub(crate) fn run_excursion(
         guard_fails,
         guard_execs: done.guards,
         halted: reason == TraceExitReason::Halt,
-    })
+    };
+    Ok(())
 }
 
 /// Pushes a call frame for a trace's call op, exactly as the interpreter
 /// does; the caller counts the call.
 #[inline]
-fn call(
-    m: &mut Machine<'_>,
-    config: &RunConfig,
-    ret_global: u32,
-    callee_regs: u32,
-    func: u32,
-) -> Result<(), VmError> {
-    if m.frames.len() >= config.max_call_depth {
+fn call(m: &mut Machine<'_>, ret_global: u32, callee_regs: u32, func: u32) -> Result<(), VmError> {
+    if m.frames.len() >= m.max_call_depth {
         return Err(VmError::StackOverflow {
-            limit: config.max_call_depth,
+            limit: m.max_call_depth,
         });
     }
     m.frames.push(CallFrame {
@@ -1209,6 +1256,39 @@ mod tests {
         // Nothing follows a halt.
         assert!(compile_trace(&vm.view(), &[3, 1]).is_none());
         assert!(compile_trace(&vm.view(), &[]).is_none());
+    }
+
+    #[test]
+    fn id_order_is_layout_order() {
+        // Two functions, blocks of differing sizes (one holds only its
+        // terminator): comparing ids must agree with the layout's
+        // addresses for every pair.
+        let mut pb = ProgramBuilder::new();
+        let helper = pb.declare("helper");
+        let mut fb = FunctionBuilder::new("main");
+        let i = fb.imm(3);
+        let next = fb.new_block();
+        let done = fb.new_block();
+        fb.call(helper, next);
+        fb.switch_to(next);
+        fb.jump(done);
+        fb.switch_to(done);
+        fb.add_imm(i, i, 1);
+        fb.add_imm(i, i, 1);
+        fb.halt();
+        pb.add_function(fb).unwrap();
+        let mut fb = FunctionBuilder::new("helper");
+        fb.ret();
+        pb.add_function(fb).unwrap();
+        let p = pb.finish().unwrap();
+        let layout = Layout::new(&p);
+        let n = layout.block_count() as u32;
+        for from in 0..n {
+            for to in 0..n {
+                let expect = layout.is_backward(BlockId::new(from), BlockId::new(to));
+                assert_eq!(backward(from, to), expect, "{from} -> {to}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@ use hotpath_faultinject::{FaultInjector, FaultPoint};
 use hotpath_ir::{BinOp, BlockId, GlobalReg, Inst, Layout, Program, Reg, Terminator, UnOp};
 
 use crate::error::VmError;
-use crate::event::{BlockEvent, ExecutionObserver, TraceCommand, TraceController, TransferKind};
+use crate::event::{
+    BlockEvent, ExecutionObserver, TraceCommand, TraceController, TraceExcursion, TraceExitReason,
+    TransferKind,
+};
 use crate::trace_exec::{compile_trace, run_excursion, Machine, ProgramView, TraceCache};
 
 /// Limits for one [`Vm::run`].
@@ -76,7 +79,28 @@ pub struct LinkedState {
     pub(crate) pending: BlockEvent,
     pub(crate) cur: u32,
     pub(crate) done: bool,
+    /// The latest excursion, written in place by the trace backend and
+    /// lent to the controller, so it is never copied on the way.
+    pub(crate) exit: TraceExcursion,
 }
+
+/// [`LinkedState::exit`] before the first excursion.
+const NO_EXIT: TraceExcursion = TraceExcursion {
+    head: BlockId::new(0),
+    from: None,
+    target: BlockId::new(0),
+    kind: TransferKind::Start,
+    backward: false,
+    target_size: 0,
+    reason: TraceExitReason::TraceEnd,
+    blocks: 0,
+    insts: 0,
+    entries: 0,
+    links: 0,
+    guard_fails: 0,
+    guard_execs: 0,
+    halted: false,
+};
 
 impl LinkedState {
     /// Statistics accumulated so far (final once [`LinkedState::done`]).
@@ -326,128 +350,165 @@ impl Vm {
         let entry_func = self.entry;
         let mut cur = self.layout.func_entry(entry_func).as_u32();
         regs.resize(self.num_regs[entry_func.index()] as usize, 0);
+        let mut pending = self.start_event(cur);
 
-        let mut pending = BlockEvent {
+        loop {
+            let mut at = At {
+                regs: &mut regs,
+                frames: &mut frames,
+                frame_base: &mut frame_base,
+                cur: &mut cur,
+                pending: &mut pending,
+                stats: &mut stats,
+            };
+            if self.interp_block(observer, &mut at)? {
+                return Ok(stats);
+            }
+        }
+    }
+
+    /// The event announcing the run's first block.
+    fn start_event(&self, cur: u32) -> BlockEvent {
+        BlockEvent {
             from: None,
             block: BlockId::new(cur),
             kind: TransferKind::Start,
             backward: false,
             block_size: self.flat[cur as usize].size,
-        };
-
-        loop {
-            if stats.blocks_executed >= self.config.max_blocks {
-                return Err(VmError::OutOfFuel {
-                    budget: self.config.max_blocks,
-                });
-            }
-            stats.blocks_executed += 1;
-            if pending.backward {
-                stats.backward_transfers += 1;
-            }
-            observer.on_block(&pending);
-
-            let fb = &self.flat[cur as usize];
-            let func = fb.func as usize;
-            let func_base = fb.func_base;
-            stats.insts_executed += fb.size as u64;
-            let block_id = BlockId::new(cur);
-
-            // Straight-line instructions.
-            for inst in &self.insts[fb.inst_start as usize..fb.inst_end as usize] {
-                exec_inst(
-                    inst,
-                    &mut regs[frame_base..],
-                    &mut self.memory,
-                    &mut self.globals,
-                    block_id,
-                )?;
-            }
-
-            // Terminator.
-            let (next, kind) = match &self.terms[cur as usize] {
-                Terminator::Jump(t) => (func_base + t.index() as u32, TransferKind::Jump),
-                Terminator::Branch {
-                    cond,
-                    taken,
-                    fallthrough,
-                } => {
-                    stats.cond_branches += 1;
-                    if regs[frame_base + cond.index()] != 0 {
-                        (func_base + taken.index() as u32, TransferKind::BranchTaken)
-                    } else {
-                        (
-                            func_base + fallthrough.index() as u32,
-                            TransferKind::BranchNotTaken,
-                        )
-                    }
-                }
-                Terminator::Switch {
-                    index,
-                    targets,
-                    default,
-                } => {
-                    stats.indirect_branches += 1;
-                    let v = regs[frame_base + index.index()];
-                    let t = usize::try_from(v)
-                        .ok()
-                        .and_then(|i| targets.get(i).copied())
-                        .unwrap_or(*default);
-                    (func_base + t.index() as u32, TransferKind::Indirect)
-                }
-                Terminator::Call { callee, ret_to } => {
-                    stats.calls += 1;
-                    if frames.len() >= self.config.max_call_depth {
-                        return Err(VmError::StackOverflow {
-                            limit: self.config.max_call_depth,
-                        });
-                    }
-                    frames.push(CallFrame {
-                        ret_global: func_base + ret_to.index() as u32,
-                        frame_base,
-                        func: func as u32,
-                    });
-                    stats.max_call_depth = stats.max_call_depth.max(frames.len());
-                    frame_base = regs.len();
-                    regs.resize(frame_base + self.num_regs[callee.index()] as usize, 0);
-                    (self.layout.func_entry(*callee).as_u32(), TransferKind::Call)
-                }
-                Terminator::Return => match frames.pop() {
-                    Some(frame) => {
-                        regs.truncate(frame_base);
-                        frame_base = frame.frame_base;
-                        let _ = frame.func;
-                        (frame.ret_global, TransferKind::Return)
-                    }
-                    None => {
-                        return Err(VmError::ReturnWithoutCaller { block: block_id });
-                    }
-                },
-                Terminator::Halt => {
-                    observer.on_halt();
-                    stats.halted = true;
-                    hotpath_telemetry::emit!(hotpath_telemetry::Event::VmHalt {
-                        blocks: stats.blocks_executed,
-                        insts: stats.insts_executed,
-                    });
-                    return Ok(stats);
-                }
-            };
-
-            let backward = self.layout.is_backward(block_id, BlockId::new(next));
-            pending = BlockEvent {
-                from: Some(block_id),
-                block: BlockId::new(next),
-                kind,
-                backward,
-                block_size: self.flat[next as usize].size,
-            };
-            cur = next;
         }
     }
 
+    /// Interprets the block at `at.cur`, which `at.pending` announces:
+    /// counts it (failing with [`VmError::OutOfFuel`] once the run's
+    /// budget is spent), reports it to `observer`, runs its straight-line
+    /// instructions and terminator, and leaves the next block and its
+    /// event in `at`. Returns `true` when the terminator halted the
+    /// program, after `on_halt` and the `VmHalt` event.
+    ///
+    /// [`Vm::run`] and [`Vm::step_linked`]'s interpreted blocks both run
+    /// through here, so the reference and linked interpreters cannot
+    /// drift apart.
+    #[inline(always)]
+    fn interp_block<O: ExecutionObserver>(
+        &mut self,
+        observer: &mut O,
+        at: &mut At<'_>,
+    ) -> Result<bool, VmError> {
+        let stats = &mut *at.stats;
+        if stats.blocks_executed >= self.config.max_blocks {
+            return Err(VmError::OutOfFuel {
+                budget: self.config.max_blocks,
+            });
+        }
+        stats.blocks_executed += 1;
+        if at.pending.backward {
+            stats.backward_transfers += 1;
+        }
+        observer.on_block(at.pending);
+
+        let cur = *at.cur;
+        let frame_base = *at.frame_base;
+        let regs = &mut *at.regs;
+        let fb = &self.flat[cur as usize];
+        let func = fb.func;
+        let func_base = fb.func_base;
+        stats.insts_executed += fb.size as u64;
+        let block_id = BlockId::new(cur);
+
+        // Straight-line instructions.
+        for inst in &self.insts[fb.inst_start as usize..fb.inst_end as usize] {
+            exec_inst(
+                inst,
+                &mut regs[frame_base..],
+                &mut self.memory,
+                &mut self.globals,
+                block_id,
+            )?;
+        }
+
+        // Terminator.
+        let (next, kind) = match &self.terms[cur as usize] {
+            Terminator::Jump(t) => (func_base + t.index() as u32, TransferKind::Jump),
+            Terminator::Branch {
+                cond,
+                taken,
+                fallthrough,
+            } => {
+                stats.cond_branches += 1;
+                if regs[frame_base + cond.index()] != 0 {
+                    (func_base + taken.index() as u32, TransferKind::BranchTaken)
+                } else {
+                    (
+                        func_base + fallthrough.index() as u32,
+                        TransferKind::BranchNotTaken,
+                    )
+                }
+            }
+            Terminator::Switch {
+                index,
+                targets,
+                default,
+            } => {
+                stats.indirect_branches += 1;
+                let v = regs[frame_base + index.index()];
+                let t = usize::try_from(v)
+                    .ok()
+                    .and_then(|i| targets.get(i).copied())
+                    .unwrap_or(*default);
+                (func_base + t.index() as u32, TransferKind::Indirect)
+            }
+            Terminator::Call { callee, ret_to } => {
+                stats.calls += 1;
+                if at.frames.len() >= self.config.max_call_depth {
+                    return Err(VmError::StackOverflow {
+                        limit: self.config.max_call_depth,
+                    });
+                }
+                at.frames.push(CallFrame {
+                    ret_global: func_base + ret_to.index() as u32,
+                    frame_base,
+                    func,
+                });
+                stats.max_call_depth = stats.max_call_depth.max(at.frames.len());
+                let base = regs.len();
+                *at.frame_base = base;
+                regs.resize(base + self.num_regs[callee.index()] as usize, 0);
+                (self.layout.func_entry(*callee).as_u32(), TransferKind::Call)
+            }
+            Terminator::Return => match at.frames.pop() {
+                Some(frame) => {
+                    regs.truncate(frame_base);
+                    *at.frame_base = frame.frame_base;
+                    (frame.ret_global, TransferKind::Return)
+                }
+                None => {
+                    return Err(VmError::ReturnWithoutCaller { block: block_id });
+                }
+            },
+            Terminator::Halt => {
+                observer.on_halt();
+                stats.halted = true;
+                hotpath_telemetry::emit!(hotpath_telemetry::Event::VmHalt {
+                    blocks: stats.blocks_executed,
+                    insts: stats.insts_executed,
+                });
+                return Ok(true);
+            }
+        };
+
+        let backward = self.layout.is_backward(block_id, BlockId::new(next));
+        *at.pending = BlockEvent {
+            from: Some(block_id),
+            block: BlockId::new(next),
+            kind,
+            backward,
+            block_size: self.flat[next as usize].size,
+        };
+        *at.cur = next;
+        Ok(false)
+    }
+
     /// Read-only view of the flattened program for the trace compiler.
-    #[cfg(test)]
     pub(crate) fn view(&self) -> ProgramView<'_> {
         ProgramView {
             flat: &self.flat,
@@ -469,12 +530,17 @@ impl Vm {
     /// [`TraceExcursion`](crate::TraceExcursion) via
     /// [`TraceController::on_trace_exit`]. Guard exits whose targets are
     /// other trace heads are patched into direct links, so hot loop nests
-    /// run trace→trace without returning here.
+    /// run trace→trace without returning here. Blocks outside traces run
+    /// through the same block interpreter as [`Vm::run`], in a loop that
+    /// leaves for the trace dispatcher only at a trace head (see
+    /// [`Vm::step_linked`]).
     ///
     /// The `controller` observes interpreted blocks exactly as an
     /// [`ExecutionObserver`] would under [`Vm::run`] and supplies
-    /// [`TraceCommand`]s (install / flush), polled after every interpreted
-    /// block and every excursion.
+    /// [`TraceCommand`]s (install / flush). Every interpreted block
+    /// (except the one that halts) and every excursion is followed by
+    /// polls until exactly one [`TraceController::poll_command`] returns
+    /// `None`.
     ///
     /// # Errors
     ///
@@ -503,15 +569,10 @@ impl Vm {
             regs,
             frames: Vec::with_capacity(64),
             frame_base: 0,
-            pending: BlockEvent {
-                from: None,
-                block: BlockId::new(cur),
-                kind: TransferKind::Start,
-                backward: false,
-                block_size: self.flat[cur as usize].size,
-            },
+            pending: self.start_event(cur),
             cur,
             done: false,
+            exit: NO_EXIT,
         }
     }
 
@@ -525,6 +586,19 @@ impl Vm {
     /// and globals — is bit-identical to one unbounded call. Only the
     /// overall `RunConfig::max_blocks` budget produces
     /// [`VmError::OutOfFuel`]; exhausting a slice yields instead.
+    ///
+    /// Dispatch has two levels. The outer loop checks the slice, draws
+    /// the flush and fuel-starvation faults, and enters a trace when one
+    /// is anchored at the current block, its entry guards hold and its
+    /// first traversal fits the budget. Otherwise it hands over to an
+    /// inner loop that interprets blocks with the current block and
+    /// frame base in locals. After each interpreted block the inner loop
+    /// polls the controller until `poll_command` returns `None`, then
+    /// goes back to the outer loop only when the next block heads a
+    /// trace, the slice or the budget is spent, the program halted or
+    /// failed, or faults are armed. An armed run takes the outer loop
+    /// every block, so every fault point is drawn at the same blocks and
+    /// in the same order as in a one-level loop.
     ///
     /// Once the program halts the state is final and further calls return
     /// [`StepOutcome::Halted`] immediately.
@@ -543,45 +617,29 @@ impl Vm {
             return Ok(StepOutcome::Halted(state.stats));
         }
         let _selfprof_slice = hotpath_selfprof::StageGuard::enter(hotpath_selfprof::Stage::VmSlice);
+        let max = self.config.max_blocks;
         let limit = match fuel {
-            None => self.config.max_blocks,
-            Some(f) => state
-                .stats
-                .blocks_executed
-                .saturating_add(f)
-                .min(self.config.max_blocks),
+            None => max,
+            Some(f) => state.stats.blocks_executed.saturating_add(f).min(max),
         };
-        let slice_config = RunConfig {
-            max_blocks: limit,
-            ..self.config
-        };
-        let LinkedState {
-            cache,
-            stats,
-            regs,
-            frames,
-            frame_base,
-            pending,
-            cur,
-            done,
-        } = state;
+        let armed = self.faults.armed();
 
         loop {
             // Slice boundary: yield (resumable) rather than error. When
             // the slice cap coincides with the real budget, fall through
             // so `OutOfFuel` fires at exactly the block an unbounded run
             // would have stopped at.
-            if stats.blocks_executed >= limit && limit < self.config.max_blocks {
+            if state.stats.blocks_executed >= limit && limit < max {
                 return Ok(StepOutcome::Yielded);
             }
             // Fault point: a forced cache flush at the top of a dispatch
             // iteration (models asynchronous invalidation).
-            if self.faults.armed() && self.faults.fire(FaultPoint::Flush) {
+            if armed && self.faults.fire(FaultPoint::Flush) {
                 hotpath_telemetry::emit!(hotpath_telemetry::Event::FaultInjected {
                     point: "flush",
-                    at_block: stats.blocks_executed,
+                    at_block: state.stats.blocks_executed,
                 });
-                let severed = cache.flush();
+                let severed = state.cache.flush();
                 hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered { links: severed });
             }
 
@@ -595,242 +653,205 @@ impl Vm {
             // this block (the trace would have bailed on its first guard
             // anyway, and interpreting makes progress so dispatch cannot
             // spin on the same head).
+            let cache = &state.cache;
             let mut enter = cache
-                .entry(*cur)
-                .filter(|&tid| stats.blocks_executed + cache.trace_len(tid) as u64 <= limit)
-                .filter(|&tid| cache.entry_ok(tid, regs, *frame_base));
+                .entry(state.cur)
+                .filter(|&tid| state.stats.blocks_executed + cache.trace_len(tid) as u64 <= limit)
+                .filter(|&tid| cache.entry_ok(tid, &state.regs, state.frame_base));
             // Fault point: fuel starvation — deny this dispatch as if the
             // precheck had failed; the block interprets instead (exactly
             // the fallback the real precheck takes, hence bit-identical).
-            if enter.is_some() && self.faults.armed() && self.faults.fire(FaultPoint::FuelStarve) {
+            if enter.is_some() && armed && self.faults.fire(FaultPoint::FuelStarve) {
                 hotpath_telemetry::emit!(hotpath_telemetry::Event::FaultInjected {
                     point: "fuel_starve",
-                    at_block: stats.blocks_executed,
+                    at_block: state.stats.blocks_executed,
                 });
                 enter = None;
             }
             if let Some(tid) = enter {
-                hotpath_telemetry::emit!(hotpath_telemetry::Event::TraceEnter {
-                    head: *cur,
-                    at_block: stats.blocks_executed,
-                });
-                // `catch_unwind` isolates a panicking trace: execution
-                // recovers to the interpreter instead of taking the
-                // process down. An injected TracePanic fires at excursion
-                // entry, before any step runs, so recovery resumes at
-                // `cur` with state untouched; for a genuine mid-trace
-                // panic (a trace-compiler bug) this is best-effort — the
-                // committed prefix matches what interpretation would have
-                // done, but counters may sit mid-excursion.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut machine = Machine {
-                        memory: &mut self.memory,
-                        globals: &mut self.globals,
-                        regs: &mut *regs,
-                        frames: &mut *frames,
-                        frame_base: &mut *frame_base,
-                        layout: &self.layout,
-                    };
-                    run_excursion(
-                        &mut *cache,
-                        tid,
-                        pending.kind,
-                        pending.backward,
-                        &mut machine,
-                        &mut *stats,
-                        &slice_config,
-                        &mut self.faults,
-                    )
-                }));
-                let mut exc = match caught {
-                    Ok(result) => result?,
-                    Err(_payload) => {
-                        // Poison the head (installs there are refused for
-                        // the rest of the run) and drop the whole cache:
-                        // a trace that may link into the poisoned one
-                        // must not reach it.
-                        let severed = cache.poison(*cur);
-                        hotpath_telemetry::emit!(hotpath_telemetry::Event::FragmentPoisoned {
-                            head: *cur,
-                            at_block: stats.blocks_executed,
-                        });
-                        hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered {
-                            links: severed,
-                        });
-                        continue;
-                    }
-                };
-                if !exc.halted {
-                    exc.target_size = self.flat[exc.target.as_u32() as usize].size;
+                if !self.excursion(state, tid, limit)? {
+                    continue;
                 }
-                hotpath_telemetry::emit!(hotpath_telemetry::Event::TraceExit {
-                    reason: exc.reason.as_str(),
-                    target: exc.target.as_u32(),
-                    blocks: exc.blocks,
-                    entries: exc.entries,
-                    links: exc.links,
-                    guards: exc.guard_execs,
-                    at_block: stats.blocks_executed,
-                });
-                controller.on_trace_exit(&exc);
-                let view = ProgramView {
-                    flat: &self.flat,
-                    insts: &self.insts,
-                    terms: &self.terms,
-                    layout: &self.layout,
-                    num_regs: &self.num_regs,
-                };
-                drain_commands(
-                    controller,
-                    &mut *cache,
-                    &view,
-                    &mut self.faults,
-                    self.opt_level,
-                    stats.blocks_executed,
-                );
-                if exc.halted {
+                controller.on_trace_exit(&state.exit);
+                self.drain_commands(controller, &mut state.cache, state.stats.blocks_executed);
+                if state.exit.halted {
                     controller.on_halt();
-                    stats.halted = true;
-                    *done = true;
+                    state.stats.halted = true;
+                    state.done = true;
                     hotpath_telemetry::emit!(hotpath_telemetry::Event::VmHalt {
-                        blocks: stats.blocks_executed,
-                        insts: stats.insts_executed,
+                        blocks: state.stats.blocks_executed,
+                        insts: state.stats.insts_executed,
                     });
-                    return Ok(StepOutcome::Halted(*stats));
+                    return Ok(StepOutcome::Halted(state.stats));
                 }
-                let next = exc.target.as_u32();
-                *pending = BlockEvent {
-                    from: exc.from,
-                    block: exc.target,
-                    kind: exc.kind,
-                    backward: exc.backward,
-                    block_size: exc.target_size,
-                };
-                *cur = next;
                 continue;
             }
 
-            // Interpretation: one block, exactly as in `run`.
-            if stats.blocks_executed >= self.config.max_blocks {
-                return Err(VmError::OutOfFuel {
-                    budget: self.config.max_blocks,
+            // Interpretation, exactly as in `run`: the current block and
+            // frame base live in locals until control leaves for the
+            // outer loop. The counts and the pending event stay in place:
+            // the controller borrows the event for every block anyway,
+            // and copying the counts in and out at every hand-over costs
+            // more than updating them where they are.
+            let (mut cur, mut frame_base) = (state.cur, state.frame_base);
+            let halted = loop {
+                let mut at = At {
+                    regs: &mut state.regs,
+                    frames: &mut state.frames,
+                    frame_base: &mut frame_base,
+                    cur: &mut cur,
+                    pending: &mut state.pending,
+                    stats: &mut state.stats,
+                };
+                match self.interp_block(controller, &mut at) {
+                    Ok(false) => {}
+                    end => break end,
+                }
+                let blocks = state.stats.blocks_executed;
+                self.drain_commands(controller, &mut state.cache, blocks);
+                if armed || blocks >= limit || state.cache.entry(cur).is_some() {
+                    break Ok(false);
+                }
+            };
+            (state.cur, state.frame_base) = (cur, frame_base);
+            if halted? {
+                state.done = true;
+                return Ok(StepOutcome::Halted(state.stats));
+            }
+        }
+    }
+
+    /// Runs one excursion from trace `tid` under the block budget `limit`,
+    /// leaves it in `state.exit` and moves `state` to the block control
+    /// leaves trace-land for. Returns `false` when the trace panicked:
+    /// its head is then poisoned, the cache flushed, and `state` left at
+    /// the head.
+    ///
+    /// `catch_unwind` isolates a panicking trace: execution recovers to
+    /// the interpreter instead of taking the process down. An injected
+    /// `TracePanic` fires at excursion entry, before any step runs, so
+    /// recovery resumes at the head with state untouched; for a genuine
+    /// mid-trace panic (a trace-compiler bug) this is best-effort — the
+    /// committed prefix matches what interpretation would have done, but
+    /// counters may sit mid-excursion.
+    #[inline(never)]
+    fn excursion(
+        &mut self,
+        state: &mut LinkedState,
+        tid: u32,
+        limit: u64,
+    ) -> Result<bool, VmError> {
+        hotpath_telemetry::emit!(hotpath_telemetry::Event::TraceEnter {
+            head: state.cur,
+            at_block: state.stats.blocks_executed,
+        });
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut machine = Machine {
+                memory: &mut self.memory,
+                globals: &mut self.globals,
+                regs: &mut state.regs,
+                frames: &mut state.frames,
+                frame_base: &mut state.frame_base,
+                stats: &mut state.stats,
+                faults: &mut self.faults,
+                max_blocks: limit,
+                max_call_depth: self.config.max_call_depth,
+            };
+            run_excursion(
+                &mut state.cache,
+                tid,
+                &state.pending,
+                &mut machine,
+                &mut state.exit,
+            )
+        }));
+        match caught {
+            Ok(result) => result?,
+            Err(_payload) => {
+                // Poison the head (installs there are refused for the
+                // rest of the run) and drop the whole cache: a trace that
+                // may link into the poisoned one must not reach it.
+                let severed = state.cache.poison(state.cur);
+                hotpath_telemetry::emit!(hotpath_telemetry::Event::FragmentPoisoned {
+                    head: state.cur,
+                    at_block: state.stats.blocks_executed,
                 });
+                hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered { links: severed });
+                return Ok(false);
             }
-            stats.blocks_executed += 1;
-            if pending.backward {
-                stats.backward_transfers += 1;
-            }
-            controller.on_block(pending);
+        }
+        let exc = &mut state.exit;
+        if !exc.halted {
+            exc.target_size = self.flat[exc.target.as_u32() as usize].size;
+            state.cur = exc.target.as_u32();
+            state.pending = BlockEvent {
+                from: exc.from,
+                block: exc.target,
+                kind: exc.kind,
+                backward: exc.backward,
+                block_size: exc.target_size,
+            };
+        }
+        hotpath_telemetry::emit!(hotpath_telemetry::Event::TraceExit {
+            reason: exc.reason.as_str(),
+            target: exc.target.as_u32(),
+            blocks: exc.blocks,
+            entries: exc.entries,
+            links: exc.links,
+            guards: exc.guard_execs,
+            at_block: state.stats.blocks_executed,
+        });
+        Ok(true)
+    }
 
-            let fb = &self.flat[*cur as usize];
-            let func = fb.func as usize;
-            let func_base = fb.func_base;
-            stats.insts_executed += fb.size as u64;
-            let block_id = BlockId::new(*cur);
+    /// Polls `controller` until it returns `None`, applying each command
+    /// to the trace cache.
+    #[inline(always)]
+    fn drain_commands<C: TraceController>(
+        &mut self,
+        controller: &mut C,
+        cache: &mut TraceCache,
+        at_block: u64,
+    ) {
+        while let Some(command) = controller.poll_command() {
+            self.apply_command(cache, command, at_block);
+        }
+    }
 
-            for inst in &self.insts[fb.inst_start as usize..fb.inst_end as usize] {
-                exec_inst(
-                    inst,
-                    &mut regs[*frame_base..],
-                    &mut self.memory,
-                    &mut self.globals,
-                    block_id,
-                )?;
-            }
-
-            let (next, kind) = match &self.terms[*cur as usize] {
-                Terminator::Jump(t) => (func_base + t.index() as u32, TransferKind::Jump),
-                Terminator::Branch {
-                    cond,
-                    taken,
-                    fallthrough,
-                } => {
-                    stats.cond_branches += 1;
-                    if regs[*frame_base + cond.index()] != 0 {
-                        (func_base + taken.index() as u32, TransferKind::BranchTaken)
-                    } else {
-                        (
-                            func_base + fallthrough.index() as u32,
-                            TransferKind::BranchNotTaken,
-                        )
-                    }
-                }
-                Terminator::Switch {
-                    index,
-                    targets,
-                    default,
-                } => {
-                    stats.indirect_branches += 1;
-                    let v = regs[*frame_base + index.index()];
-                    let t = usize::try_from(v)
-                        .ok()
-                        .and_then(|i| targets.get(i).copied())
-                        .unwrap_or(*default);
-                    (func_base + t.index() as u32, TransferKind::Indirect)
-                }
-                Terminator::Call { callee, ret_to } => {
-                    stats.calls += 1;
-                    if frames.len() >= self.config.max_call_depth {
-                        return Err(VmError::StackOverflow {
-                            limit: self.config.max_call_depth,
-                        });
-                    }
-                    frames.push(CallFrame {
-                        ret_global: func_base + ret_to.index() as u32,
-                        frame_base: *frame_base,
-                        func: func as u32,
+    /// Applies one controller command to the trace cache.
+    ///
+    /// Fault point: [`FaultPoint::InstallReject`] drops an `Install`
+    /// command before compilation — indistinguishable from
+    /// `compile_trace` declining the sequence, so the run proceeds
+    /// (bit-identically) without the trace.
+    #[inline(never)]
+    fn apply_command(&mut self, cache: &mut TraceCache, command: TraceCommand, at_block: u64) {
+        match command {
+            TraceCommand::Install(blocks) => {
+                if self.faults.armed() && self.faults.fire(FaultPoint::InstallReject) {
+                    hotpath_telemetry::emit!(hotpath_telemetry::Event::FaultInjected {
+                        point: "install_reject",
+                        at_block,
                     });
-                    stats.max_call_depth = stats.max_call_depth.max(frames.len());
-                    *frame_base = regs.len();
-                    regs.resize(*frame_base + self.num_regs[callee.index()] as usize, 0);
-                    (self.layout.func_entry(*callee).as_u32(), TransferKind::Call)
+                    return;
                 }
-                Terminator::Return => match frames.pop() {
-                    Some(frame) => {
-                        regs.truncate(*frame_base);
-                        *frame_base = frame.frame_base;
-                        (frame.ret_global, TransferKind::Return)
-                    }
-                    None => {
-                        return Err(VmError::ReturnWithoutCaller { block: block_id });
-                    }
-                },
-                Terminator::Halt => {
-                    controller.on_halt();
-                    stats.halted = true;
-                    *done = true;
-                    hotpath_telemetry::emit!(hotpath_telemetry::Event::VmHalt {
-                        blocks: stats.blocks_executed,
-                        insts: stats.insts_executed,
+                if let Some(mut trace) = compile_trace(&self.view(), &blocks) {
+                    crate::opt::optimize(&mut trace, self.opt_level);
+                    cache.install(trace);
+                }
+            }
+            TraceCommand::Flush => {
+                let severed = cache.flush();
+                hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered { links: severed });
+            }
+            TraceCommand::SetLinking(on) => {
+                let severed = cache.set_linking(on);
+                if severed > 0 {
+                    hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered {
+                        links: severed
                     });
-                    return Ok(StepOutcome::Halted(*stats));
                 }
-            };
-
-            let view = ProgramView {
-                flat: &self.flat,
-                insts: &self.insts,
-                terms: &self.terms,
-                layout: &self.layout,
-                num_regs: &self.num_regs,
-            };
-            drain_commands(
-                controller,
-                &mut *cache,
-                &view,
-                &mut self.faults,
-                self.opt_level,
-                stats.blocks_executed,
-            );
-            let backward = self.layout.is_backward(block_id, BlockId::new(next));
-            *pending = BlockEvent {
-                from: Some(block_id),
-                block: BlockId::new(next),
-                kind,
-                backward,
-                block_size: self.flat[next as usize].size,
-            };
-            *cur = next;
+            }
         }
     }
 
@@ -928,52 +949,21 @@ impl Vm {
             pending,
             cur: saved.cur,
             done: saved.done,
+            exit: NO_EXIT,
         })
     }
 }
 
-/// Applies every queued controller command to the trace cache.
-///
-/// Fault point: [`FaultPoint::InstallReject`] drops an `Install` command
-/// before compilation — indistinguishable from `compile_trace` declining
-/// the sequence, so the run proceeds (bit-identically) without the trace.
-fn drain_commands<C: TraceController>(
-    controller: &mut C,
-    cache: &mut TraceCache,
-    view: &ProgramView<'_>,
-    faults: &mut FaultInjector,
-    level: crate::opt::OptLevel,
-    at_block: u64,
-) {
-    while let Some(command) = controller.poll_command() {
-        match command {
-            TraceCommand::Install(blocks) => {
-                if faults.armed() && faults.fire(FaultPoint::InstallReject) {
-                    hotpath_telemetry::emit!(hotpath_telemetry::Event::FaultInjected {
-                        point: "install_reject",
-                        at_block,
-                    });
-                    continue;
-                }
-                if let Some(mut trace) = compile_trace(view, &blocks) {
-                    crate::opt::optimize(&mut trace, level);
-                    cache.install(trace);
-                }
-            }
-            TraceCommand::Flush => {
-                let severed = cache.flush();
-                hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered { links: severed });
-            }
-            TraceCommand::SetLinking(on) => {
-                let severed = cache.set_linking(on);
-                if severed > 0 {
-                    hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered {
-                        links: severed
-                    });
-                }
-            }
-        }
-    }
+/// The interpreter's position between blocks, borrowed from the
+/// caller: the register and call stacks, the current frame, the block
+/// about to run with the event announcing it, and the run's counts.
+struct At<'a> {
+    regs: &'a mut Vec<i64>,
+    frames: &'a mut Vec<CallFrame>,
+    frame_base: &'a mut usize,
+    cur: &'a mut u32,
+    pending: &'a mut BlockEvent,
+    stats: &'a mut RunStats,
 }
 
 #[inline]

@@ -42,6 +42,9 @@ if [[ -z "${VERIFY_SKIP_LINT:-}" ]]; then
     cargo clippy --workspace --all-targets -- -D warnings
 fi
 
+echo "== cargo doc --workspace --no-deps (deny rustdoc warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== profile_sim (merge policies replayed offline, order-independent) =="
 ./target/release/profile_sim --scale smoke --sessions 4
 

@@ -15,13 +15,20 @@
 //!    chaining into a tail fragment.
 //! 3. **Error equivalence.** Fuel exhaustion aborts at the exact same
 //!    block with the exact same error, trace cache or not.
+//! 4. **Boundary sweep.** Every budget from one block to past the end of
+//!    a small looping program, at several fuel-slice sizes, with and
+//!    without injected faults: each sliced linked run ends like plain
+//!    interpretation at that budget, and the controller sees the same
+//!    calls it saw before the dispatcher learned to interpret whole runs
+//!    of blocks between trace heads.
 
 use hotpath::dynamo::{DynamoConfig, LinkedEngine, Scheme};
 use hotpath::ir::builder::{FunctionBuilder, ProgramBuilder};
 use hotpath::ir::{CmpOp, GlobalReg, Program};
 use hotpath::vm::{
-    BlockEvent, ExecutionObserver, NullObserver, RunConfig, ScriptedController, TraceCommand,
-    TraceController, TraceExcursion, Vm, VmError,
+    BlockEvent, ExecutionObserver, FaultInjector, FaultPlan, FaultPoint, NullObserver, RunConfig,
+    RunStats, ScriptedController, StepOutcome, TraceCommand, TraceController, TraceExcursion,
+    TransferKind, Vm, VmError,
 };
 use hotpath::workloads::{suite, Scale};
 
@@ -224,4 +231,292 @@ fn fuel_exhaustion_matches_plain_interpretation() {
 
     assert_eq!(plain, linked);
     assert_eq!(plain, VmError::OutOfFuel { budget: 777 });
+}
+
+/// Block ids: 0 = main's entry, header=1, body=2, odd=3, even=4,
+/// latch=5, exit=6, then the helper's one block (7). The odd arm calls a
+/// helper that stores the counter to memory and bumps a global, so the
+/// sweep covers frames, memory and globals as well as guard fails into a
+/// tail.
+fn calling_loop(trip: i64) -> Program {
+    let mut pb = ProgramBuilder::new();
+    // Declared first, main keeps the low block ids.
+    pb.declare("main");
+    let helper_id = pb.declare("helper");
+
+    let mut fb = FunctionBuilder::new("main");
+    let i = fb.reg();
+    let header = fb.new_block();
+    let body = fb.new_block();
+    let odd = fb.new_block();
+    let even = fb.new_block();
+    let latch = fb.new_block();
+    let exit = fb.new_block();
+    fb.const_(i, 0);
+    fb.jump(header);
+    fb.switch_to(header);
+    let c = fb.cmp_imm(CmpOp::Lt, i, trip);
+    fb.branch(c, body, exit);
+    fb.switch_to(body);
+    let par = fb.reg();
+    fb.and_imm(par, i, 1);
+    fb.branch(par, odd, even);
+    fb.switch_to(odd);
+    fb.set_global(GlobalReg::new(0), i);
+    fb.call(helper_id, latch);
+    fb.switch_to(even);
+    fb.jump(latch);
+    fb.switch_to(latch);
+    fb.add_imm(i, i, 1);
+    fb.jump(header);
+    fb.switch_to(exit);
+    fb.halt();
+    pb.add_function(fb).unwrap();
+
+    let mut fb = FunctionBuilder::new("helper");
+    let x = fb.reg();
+    let slot = fb.reg();
+    fb.get_global(x, GlobalReg::new(0));
+    fb.and_imm(slot, x, 7);
+    fb.store(x, slot, 0);
+    let n = fb.reg();
+    fb.get_global(n, GlobalReg::new(1));
+    fb.add_imm(n, n, 1);
+    fb.set_global(GlobalReg::new(1), n);
+    fb.ret();
+    pb.add_function(fb).unwrap();
+    pb.memory_words(8);
+    pb.finish().unwrap()
+}
+
+/// Budgets of the boundary sweep: `calling_loop(SWEEP_TRIP)` runs 2,140
+/// blocks, so the last budgets let it halt.
+const SWEEP_TRIP: i64 = 475;
+const SWEEP_BUDGETS: u64 = 2_200;
+
+/// Per slice size of the boundary sweep (`None`: one unbounded call),
+/// faults off then on: a digest of every controller call over the whole
+/// budget sweep. The calls depend on the slice size (a one-block slice
+/// never fits a multi-block trace's first traversal, so it never enters
+/// one), so each size has its own digest. They were computed on the
+/// one-level dispatcher that took every interpreted block through the
+/// trace dispatch checks; a dispatcher that interprets runs of blocks
+/// between trace heads must show its controller exactly the same calls.
+const SWEEP_DIGESTS: [(Option<u64>, u64, u64); 6] = [
+    (Some(1), 0x47366b10186613f3, 0x6d1a0d3963ee3bad),
+    (Some(2), 0x7857335514576f0b, 0x1efbf93ac9f30c83),
+    (Some(3), 0x47e127f87952732e, 0x51d371ca6a324362),
+    (Some(7), 0x3721137fa656fb39, 0x4e7684b0c83ba5cc),
+    (Some(37), 0xaabac12d6ef64c4f, 0x9fadf4857b231fca),
+    (None, 0x3f302cf342c8bedf, 0xd85bf4d86f50f1bb),
+];
+
+/// FNV-1a taken a word at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Wraps a controller: digests every call the VM makes on it and checks
+/// that exactly one `poll_command` returning `None` closes every
+/// interpreted block (but the halting one) and every excursion.
+struct Calls<C> {
+    inner: C,
+    digest: Fnv,
+    open: bool,
+}
+
+impl<C: TraceController> ExecutionObserver for Calls<C> {
+    fn on_block(&mut self, event: &BlockEvent) {
+        assert!(
+            !self.open,
+            "on_block before the previous call's closing poll"
+        );
+        self.open = true;
+        let d = &mut self.digest;
+        d.word(1);
+        d.word(event.from.map_or(u64::MAX, |b| u64::from(b.as_u32())));
+        d.word(u64::from(event.block.as_u32()));
+        d.word(u64::from(event.kind.tag()));
+        d.word(u64::from(event.backward));
+        d.word(u64::from(event.block_size));
+        self.inner.on_block(event);
+    }
+
+    fn on_halt(&mut self) {
+        self.open = false;
+        self.digest.word(4);
+        self.inner.on_halt();
+    }
+}
+
+impl<C: TraceController> TraceController for Calls<C> {
+    fn on_trace_exit(&mut self, e: &TraceExcursion) {
+        assert!(
+            !self.open,
+            "on_trace_exit before the previous call's closing poll"
+        );
+        self.open = true;
+        let d = &mut self.digest;
+        d.word(2);
+        d.word(u64::from(e.head.as_u32()));
+        d.word(e.from.map_or(u64::MAX, |b| u64::from(b.as_u32())));
+        d.word(u64::from(e.target.as_u32()));
+        d.word(u64::from(e.kind.tag()));
+        d.word(u64::from(e.backward));
+        d.word(u64::from(e.target_size));
+        d.word(e.reason as u64);
+        for n in [
+            e.blocks,
+            e.insts,
+            e.entries,
+            e.links,
+            e.guard_fails,
+            e.guard_execs,
+        ] {
+            d.word(n);
+        }
+        d.word(u64::from(e.halted));
+        self.inner.on_trace_exit(e);
+    }
+
+    fn poll_command(&mut self) -> Option<TraceCommand> {
+        assert!(self.open, "poll_command with nothing to close");
+        let command = self.inner.poll_command();
+        let d = &mut self.digest;
+        d.word(3);
+        match &command {
+            None => {
+                d.word(0);
+                self.open = false;
+            }
+            Some(TraceCommand::Install(blocks)) => {
+                d.word(1);
+                blocks.iter().for_each(|&b| d.word(u64::from(b)));
+            }
+            Some(TraceCommand::Flush) => d.word(2),
+            Some(TraceCommand::SetLinking(on)) => d.word(3 + u64::from(*on)),
+        }
+        command
+    }
+}
+
+/// Plain interpretation's counts after the first `n` blocks of the run
+/// whose event stream is `events` (`n` below the run's length): the
+/// event announcing block `k + 1` names the kind of block `k`'s
+/// terminator.
+fn prefix_stats(events: &[BlockEvent], n: usize) -> RunStats {
+    let mut stats = RunStats {
+        blocks_executed: n as u64,
+        ..RunStats::default()
+    };
+    for e in &events[..n] {
+        stats.insts_executed += u64::from(e.block_size);
+        stats.backward_transfers += u64::from(e.backward);
+    }
+    let mut depth = 0usize;
+    for e in &events[1..=n] {
+        match e.kind {
+            TransferKind::BranchTaken | TransferKind::BranchNotTaken => stats.cond_branches += 1,
+            TransferKind::Indirect => stats.indirect_branches += 1,
+            TransferKind::Call => {
+                stats.calls += 1;
+                depth += 1;
+                stats.max_call_depth = stats.max_call_depth.max(depth);
+            }
+            TransferKind::Return => depth -= 1,
+            TransferKind::Start | TransferKind::Jump => {}
+        }
+    }
+    stats
+}
+
+struct EventLog(Vec<BlockEvent>);
+
+impl ExecutionObserver for EventLog {
+    fn on_block(&mut self, event: &BlockEvent) {
+        self.0.push(*event);
+    }
+}
+
+/// The boundary sweep: for every budget in `1..=SWEEP_BUDGETS` and every
+/// slice size, a sliced linked run under NET τ = 50 ends exactly as
+/// plain interpretation at that budget — the same `Ok` stats or the same
+/// error with the counts plain interpretation had reached, the same
+/// memory and globals — with faults off and with seeded faults on. This
+/// pins every way the interpreted-block loop hands back to the trace
+/// dispatcher: a slice that yields, `OutOfFuel` when the slice cap
+/// equals the budget, and a trace head reached by fallthrough. The calls
+/// the controller sees are pinned per slice size.
+#[test]
+fn boundary_sweep_matches_plain_interpretation_at_every_budget_and_slice() {
+    let p = calling_loop(SWEEP_TRIP);
+    let mut log = EventLog(Vec::new());
+    let full = Vm::new(&p).run(&mut log).unwrap();
+    assert_eq!(full.blocks_executed, 2_140);
+    let plain: Vec<_> = (1..=SWEEP_BUDGETS)
+        .map(|budget| {
+            let mut vm = Vm::new(&p).with_config(RunConfig {
+                max_blocks: budget,
+                ..RunConfig::default()
+            });
+            let result = vm.run(&mut NullObserver);
+            (result, vm.memory().to_vec(), vm.globals().to_vec())
+        })
+        .collect();
+    let faults = FaultPlan::new(0x5EE9)
+        .with(FaultPoint::GuardFail, 0.05)
+        .with(FaultPoint::Flush, 0.005)
+        .with(FaultPoint::FuelStarve, 0.05)
+        .with(FaultPoint::InstallReject, 0.25);
+
+    let mut table = String::new();
+    let mut moved = false;
+    for (slice, pinned_off, pinned_on) in SWEEP_DIGESTS {
+        let mut digests = [0xcbf2_9ce4_8422_2325u64; 2];
+        for (armed, digest) in digests.iter_mut().enumerate() {
+            for (budget, (want, memory, globals)) in (1..=SWEEP_BUDGETS).zip(&plain) {
+                let tag = format!("budget {budget}, slice {slice:?}, faults {}", armed == 1);
+                let mut vm = Vm::new(&p).with_config(RunConfig {
+                    max_blocks: budget,
+                    ..RunConfig::default()
+                });
+                if armed == 1 {
+                    vm = vm.with_faults(FaultInjector::new(faults));
+                }
+                let mut calls = Calls {
+                    inner: LinkedEngine::new(DynamoConfig::new(Scheme::Net, 50)),
+                    digest: Fnv(*digest),
+                    open: false,
+                };
+                let mut state = vm.start_linked();
+                let got = loop {
+                    match vm.step_linked(&mut state, &mut calls, slice) {
+                        Ok(StepOutcome::Yielded) => calls.digest.word(5),
+                        Ok(StepOutcome::Halted(stats)) => break Ok(stats),
+                        Err(e) => break Err(e),
+                    }
+                };
+                assert!(!calls.open, "{tag}: a call awaits its closing poll");
+                assert_eq!(&got, want, "{tag}: result");
+                if got.is_err() {
+                    let reached = prefix_stats(&log.0, budget as usize);
+                    assert_eq!(state.stats(), reached, "{tag}: counts at the error");
+                }
+                assert_eq!(vm.memory(), &memory[..], "{tag}: memory");
+                assert_eq!(vm.globals(), &globals[..], "{tag}: globals");
+                calls.digest.word(budget);
+                *digest = calls.digest.0;
+            }
+        }
+        table += &format!(
+            "    ({slice:?}, 0x{:016x}, 0x{:016x}),\n",
+            digests[0], digests[1]
+        );
+        moved |= digests != [pinned_off, pinned_on];
+    }
+    assert!(!moved, "controller call digests moved; now:\n{table}");
 }
