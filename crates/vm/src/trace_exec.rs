@@ -544,7 +544,7 @@ pub(crate) struct TraceCache {
     /// The largest block count of an installed trace: an excursion that
     /// has that many blocks of budget left can chain into any trace
     /// without reading the target's header.
-    max_blocks: u32,
+    longest_trace: u32,
     /// Links currently patched (for `LinkSevered` accounting on flush).
     patched_links: u64,
     /// Whether trace-to-trace linking is enabled (the degradation ladder's
@@ -568,7 +568,7 @@ impl TraceCache {
             guards: Vec::new(),
             targets: Vec::new(),
             at_head: vec![NONE; block_count],
-            max_blocks: 0,
+            longest_trace: 0,
             patched_links: 0,
             linking: true,
             poisoned: vec![false; block_count],
@@ -635,7 +635,7 @@ impl TraceCache {
             GUARDED
         };
         self.at_head[head] = self.traces.len() as u32;
-        self.max_blocks = self.max_blocks.max(trace.blocks);
+        self.longest_trace = self.longest_trace.max(trace.blocks);
         self.traces.push(TraceHeader {
             head: trace.head,
             blocks: trace.blocks,
@@ -689,7 +689,7 @@ impl TraceCache {
         self.guards.clear();
         self.targets.clear();
         self.at_head.fill(NONE);
-        self.max_blocks = 0;
+        self.longest_trace = 0;
         std::mem::take(&mut self.patched_links)
     }
 
@@ -868,7 +868,7 @@ pub(crate) fn run_excursion(
     // while at most `roomy` blocks are done, any trace fits.
     let budget = m.max_blocks.saturating_sub(base);
     debug_assert!(u64::from(hdr.blocks) <= budget, "dispatch prechecks fuel");
-    let roomy = budget.saturating_sub(u64::from(cache.max_blocks));
+    let roomy = budget.saturating_sub(u64::from(cache.longest_trace));
     // What the traversals that have left their trace so far counted.
     // The dispatcher already checked `start`'s entry guards; count them.
     let mut done = Tally {
