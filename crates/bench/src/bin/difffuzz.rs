@@ -46,12 +46,12 @@ fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let mut blocks = 0u64;
     let mut injected = [0u64; FAULT_RATES.len()];
-    let mut degraded = 0u64;
+    let mut churning = 0u64;
     for seed in start..start.saturating_add(seeds) {
         match check_seed(seed, &options) {
             Ok(report) => {
                 blocks += report.blocks;
-                degraded += u64::from(report.degraded_config);
+                churning += u64::from(report.churning_config);
                 for (total, n) in injected.iter_mut().zip(report.injected) {
                     *total += n;
                 }
@@ -71,9 +71,9 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "difffuzz: {} seeds ok ({} with degrade ladder), {} reference blocks, {:.1}s",
+        "difffuzz: {} seeds ok ({} with a churning cache), {} reference blocks, {:.1}s",
         seeds,
-        degraded,
+        churning,
         blocks,
         started.elapsed().as_secs_f64()
     );

@@ -26,7 +26,7 @@
 //! generator configurations and reporting the smallest program that
 //! still diverges.
 
-use hotpath_dynamo::{DegradeConfig, DynamoConfig, Engine, LinkedEngine, Scheme};
+use hotpath_dynamo::{DynamoConfig, Engine, FlushPolicy, LinkedEngine, Scheme};
 use hotpath_ir::gen::{generate, GenConfig};
 use hotpath_ir::Program;
 use hotpath_profiles::{PathExecution, PathExtractor, PathSink, DEFAULT_PATH_CAP};
@@ -187,14 +187,16 @@ pub struct SeedReport {
     /// Faults injected across the faulted stages (summed over opt
     /// levels), per [`FAULT_RATES`] entry.
     pub injected: [u64; FAULT_RATES.len()],
-    /// Whether the seed ran with the degradation ladder enabled.
-    pub degraded_config: bool,
+    /// Whether the seed ran the churning configuration (a small cache
+    /// with spike flushes).
+    pub churning_config: bool,
 }
 
 /// The engine configuration a seed runs under: scheme alternates by
 /// parity, the prediction delay is short so traces form quickly, and
-/// every fourth seed enables the degradation ladder with a window small
-/// enough to actually step during a fuzz-sized run.
+/// every fourth seed churns — a cache small enough and a spike window
+/// short enough that capacity and spike flushes fire mid-run in a
+/// fuzz-sized program.
 pub fn engine_config(seed: u64) -> DynamoConfig {
     let scheme = if seed % 2 == 0 {
         Scheme::Net
@@ -203,11 +205,12 @@ pub fn engine_config(seed: u64) -> DynamoConfig {
     };
     let mut config = DynamoConfig::new(scheme, 5);
     if seed % 4 == 3 {
-        config.degrade = Some(DegradeConfig {
-            window_events: 512,
-            max_flushes_per_window: 2,
-            ..DegradeConfig::default()
-        });
+        config.max_fragments = 4;
+        config.flush = FlushPolicy::OnSpike {
+            window: 50,
+            factor: 1.5,
+            min_predictions: 2,
+        };
     }
     config
 }
@@ -272,7 +275,7 @@ pub fn check_program(
     let config = engine_config(seed);
     let mut report = SeedReport {
         blocks: expect.result.map_or(0, |s| s.blocks_executed),
-        degraded_config: config.degrade.is_some(),
+        churning_config: matches!(config.flush, FlushPolicy::OnSpike { .. }),
         ..SeedReport::default()
     };
 

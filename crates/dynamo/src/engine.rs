@@ -71,11 +71,6 @@ pub struct DynamoConfig {
     pub flush: FlushPolicy,
     /// Bail-out policy; `None` never bails.
     pub bailout: Option<BailoutPolicy>,
-    /// Staged degradation ladder for the linked engine; `None` disables
-    /// it. When set, the ladder supersedes `bailout` in
-    /// [`LinkedEngine`](crate::LinkedEngine) (the simulated [`Engine`]
-    /// ignores it — it has no linking to degrade).
-    pub degrade: Option<crate::degrade::DegradeConfig>,
     /// Path length cap in blocks.
     pub path_cap: u32,
     /// Optimization level applied to traces at install time by the linked
@@ -95,7 +90,6 @@ impl DynamoConfig {
             max_fragments: 8_192,
             flush: FlushPolicy::Never,
             bailout: Some(BailoutPolicy::default()),
-            degrade: None,
             path_cap: DEFAULT_PATH_CAP,
             opt_level: hotpath_vm::OptLevel::Full,
         }

@@ -52,14 +52,12 @@
 #![warn(missing_debug_implementations)]
 
 mod cost;
-mod degrade;
 mod engine;
 mod fragment;
 mod linked;
 mod phases;
 
 pub use cost::{CostModel, CycleBreakdown};
-pub use degrade::{DegradeConfig, LadderMode, LadderStep, Watchdog};
 pub use engine::{
     run_dynamo, run_native, BailoutPolicy, DynamoConfig, DynamoOutcome, Engine, Scheme,
 };

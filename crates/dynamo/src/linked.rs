@@ -48,7 +48,6 @@ use hotpath_vm::{
 };
 
 use crate::cost::CycleBreakdown;
-use crate::degrade::{LadderMode, LadderStep, Watchdog};
 use crate::engine::{DynamoConfig, DynamoOutcome, LastSink, Scheme};
 use crate::fragment::FragmentCache;
 use crate::phases::{FlushPolicy, SpikeDetector};
@@ -301,8 +300,6 @@ pub struct LinkedEngine {
     /// Guard-fail targets whose stub counter reached τ: the next completed
     /// interpreted path starting there installs as a tail fragment.
     armed: Vec<u32>,
-    /// Degradation-ladder health monitor; `None` when the ladder is off.
-    watchdog: Option<Watchdog>,
     /// Blocks of the interpreted path currently being accumulated.
     cur_blocks: Vec<u32>,
     /// An empty buffer that replaces `cur_blocks` when a path completes,
@@ -337,7 +334,6 @@ impl LinkedEngine {
                 min_predictions,
             } => Some(SpikeDetector::new(window, factor, min_predictions)),
         };
-        let watchdog = config.degrade.map(Watchdog::new);
         LinkedEngine {
             config,
             profiler,
@@ -347,7 +343,6 @@ impl LinkedEngine {
             detector,
             exit_counts: CounterTable::new(),
             armed: Vec::new(),
-            watchdog,
             cur_blocks: Vec::with_capacity(64),
             spare_blocks: Vec::with_capacity(64),
             cur_insts: 0,
@@ -371,14 +366,6 @@ impl LinkedEngine {
     /// True once the engine has bailed out.
     pub fn bailed_out(&self) -> bool {
         self.bailed
-    }
-
-    /// The degradation ladder's current rung. [`LadderMode::FullLinking`]
-    /// when the ladder is disabled.
-    pub fn mode(&self) -> LadderMode {
-        self.watchdog
-            .as_ref()
-            .map_or(LadderMode::FullLinking, Watchdog::mode)
     }
 
     /// Completed interpreted paths observed so far.
@@ -456,41 +443,6 @@ impl LinkedEngine {
         self.resume_pending = true;
     }
 
-    fn interp_only(&self) -> bool {
-        self.mode() == LadderMode::InterpOnly
-    }
-
-    /// Applies a watchdog decision: telemetry plus the commands that
-    /// realize the new rung in the VM's trace cache.
-    fn apply_step(&mut self, step: LadderStep) {
-        match step {
-            LadderStep::Down { from, to } => {
-                telemetry::emit!(telemetry::Event::ModeDegraded {
-                    from: from.as_str(),
-                    to: to.as_str(),
-                    at_path: self.paths_completed,
-                });
-                match to {
-                    LadderMode::NoLink => {
-                        self.pending.push_back(TraceCommand::SetLinking(false));
-                    }
-                    LadderMode::InterpOnly => self.flush("degrade"),
-                    LadderMode::FullLinking => {}
-                }
-            }
-            LadderStep::Up { from, to } => {
-                telemetry::emit!(telemetry::Event::ModeRepromoted {
-                    from: from.as_str(),
-                    to: to.as_str(),
-                    at_path: self.paths_completed,
-                });
-                if to == LadderMode::FullLinking {
-                    self.pending.push_back(TraceCommand::SetLinking(true));
-                }
-            }
-        }
-    }
-
     /// Finalizes the run into an outcome.
     pub fn finish(self) -> DynamoOutcome {
         if telemetry::enabled() {
@@ -500,17 +452,13 @@ impl LinkedEngine {
                 }
             }
         }
-        // Ending at the ladder's bottom rung is reported as a bail-out:
-        // the run finished without trace execution, the same observable
-        // condition the wholesale bail-out reports.
-        let degraded_out = self.mode() == LadderMode::InterpOnly;
         DynamoOutcome {
             cycles: self.cycles,
             fragments_installed: self.mirror.installs(),
             fragments_live: self.mirror.len(),
             flushes: self.mirror.flushes(),
             spike_flushes: self.spike_flushes,
-            bailed_out: self.bailed || degraded_out,
+            bailed_out: self.bailed,
             paths_completed: self.paths_completed,
             cached_block_fraction: if self.blocks_total == 0 {
                 0.0
@@ -525,10 +473,6 @@ impl LinkedEngine {
     /// Installs a fragment in the mirror and, when it anchors a new head,
     /// commands the VM to compile it into a trace.
     fn install(&mut self, blocks: &[u32], insts: u32) {
-        if self.interp_only() {
-            // Bottom rung: no new traces until the watchdog re-promotes.
-            return;
-        }
         let Ok((id, new_head)) = self.mirror.install_anchoring(blocks, insts) else {
             // An unrecordable path (defensively: empty) is simply not
             // cached; the run continues interpreted.
@@ -557,13 +501,6 @@ impl LinkedEngine {
             evicted: self.mirror.len() as u64,
             at_path: self.paths_completed,
         });
-        if kind != "degrade" {
-            // The ladder's own flush must not count against the next
-            // window's flush budget.
-            if let Some(w) = &mut self.watchdog {
-                w.observe_flush();
-            }
-        }
         self.mirror.flush();
         self.profiler.reset();
         self.exit_counts.clear();
@@ -658,15 +595,6 @@ impl LinkedEngine {
         }
         if self.mirror.len() > self.config.max_fragments {
             self.flush("capacity");
-        }
-        if self.watchdog.is_some() {
-            // The ladder supersedes the wholesale bail-out: step down and
-            // recover instead of abandoning the run.
-            let step = self.watchdog.as_mut().and_then(Watchdog::observe_path);
-            if let Some(s) = step {
-                self.apply_step(s);
-            }
-            return;
         }
         if let Some(bp) = self.config.bailout {
             if self.paths_completed % bp.check_every_paths == 0
@@ -779,13 +707,6 @@ impl TraceController for LinkedEngine {
                     self.armed.push(target);
                 }
             }
-        }
-        let step = self
-            .watchdog
-            .as_mut()
-            .and_then(|w| w.observe_excursion(exc.entries, exc.guard_fails, exc.blocks));
-        if let Some(s) = step {
-            self.apply_step(s);
         }
         self.resume_pending = true;
     }

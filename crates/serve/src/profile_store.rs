@@ -500,10 +500,10 @@ impl KeyAggregate {
 struct Inner {
     keys: BTreeMap<ProfileKey, KeyAggregate>,
     aggregates: BTreeMap<ProfileKey, Arc<PrewarmProfile>>,
-    /// Publishes from unhealthy sessions (degraded ladder, bail-out,
-    /// poisoned trace heads). Held apart from `keys`: nothing here
-    /// reaches a derived aggregate or bumps the generation until the
-    /// key is explicitly re-promoted.
+    /// Publishes from unhealthy sessions (bailed out, poisoned trace
+    /// heads). Held apart from `keys`: nothing here reaches a derived
+    /// aggregate or bumps the generation until the key is explicitly
+    /// re-promoted.
     quarantine: BTreeMap<ProfileKey, KeyAggregate>,
     encoded_bytes: u64,
 }
@@ -592,7 +592,7 @@ impl ProfileStore {
     /// Folds a profile into the key's **quarantine** bucket instead of
     /// the fleet aggregate. Quarantined state is structurally validated
     /// and retained (it may be perfectly good warm state from a session
-    /// that merely tripped the degradation ladder), but it never reaches
+    /// that merely bailed out on cache churn), but it never reaches
     /// a derived aggregate — and never bumps the store generation — until
     /// [`ProfileStore::repromote`] clears the key.
     ///

@@ -226,7 +226,10 @@ pub enum Response {
         /// Live fragments in the engine cache.
         fragments: u64,
     },
-    /// Session status (`0x83`).
+    /// Session status (`0x83`). Body: `session` u64, `shard` u32,
+    /// `workload` string, `done` u8 (0/1), `stats`, then `fragments`,
+    /// `installs`, `flushes` and `paths` as u64, and `bailed_out` u8
+    /// (0/1).
     Status(SessionStatus),
     /// A snapshot blob (`0x84`).
     SnapshotBlob {
@@ -262,7 +265,7 @@ pub enum Response {
         /// The publisher's logical epoch at capture.
         epoch: u64,
         /// True when the publish landed in the quarantine bucket (the
-        /// session was degraded or poisoned) instead of the fleet
+        /// session bailed out or was poisoned) instead of the fleet
         /// aggregate.
         quarantined: bool,
     },
@@ -506,7 +509,7 @@ impl Response {
                 put_u64(&mut out, status.installs);
                 put_u64(&mut out, status.flushes);
                 put_u64(&mut out, status.paths);
-                put_str(&mut out, &status.mode);
+                out.push(u8::from(status.bailed_out));
             }
             Response::SnapshotBlob { blob } => {
                 out.push(0x84);
@@ -600,7 +603,7 @@ impl Response {
                 installs: r.u64("installs")?,
                 flushes: r.u64("flushes")?,
                 paths: r.u64("paths")?,
-                mode: r.str("mode")?.to_string(),
+                bailed_out: flag(&mut r, "bailed_out")?,
             }),
             0x84 => Response::SnapshotBlob {
                 blob: r.bytes("blob")?.to_vec(),
@@ -826,7 +829,7 @@ mod tests {
                 installs: 6,
                 flushes: 1,
                 paths: 123,
-                mode: "full_linking".to_string(),
+                bailed_out: true,
             }),
             Response::SnapshotBlob {
                 blob: vec![0xAB; 37],
@@ -939,6 +942,35 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `Status` frames in the layout that ended with a ladder-mode string
+    /// where the `bailed_out` byte now goes: the string's length prefix
+    /// is no flag, so the decoder refuses the frame without panicking.
+    #[test]
+    fn status_frames_with_the_old_mode_string_are_malformed() {
+        let status = SessionStatus {
+            session: 11,
+            shard: 2,
+            workload: "compress".to_string(),
+            done: false,
+            stats: RunStats::default(),
+            fragments: 4,
+            installs: 6,
+            flushes: 1,
+            paths: 123,
+            bailed_out: false,
+        };
+        for mode in ["full_linking", "no_link", "interp_only"] {
+            let mut old = Response::Status(status.clone()).encode();
+            old.pop();
+            put_str(&mut old, mode);
+            assert_eq!(
+                Response::decode(&old),
+                Err(ProtocolError::Malformed("bailed_out")),
+                "old-layout status with mode {mode}"
+            );
         }
     }
 

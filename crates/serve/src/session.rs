@@ -116,8 +116,9 @@ pub struct SessionStatus {
     pub flushes: u64,
     /// Completed profiled paths.
     pub paths: u64,
-    /// Degradation-ladder rung (`full_linking` when the ladder is off).
-    pub mode: String,
+    /// True once the engine bailed out: the cache churned without reuse
+    /// and the rest of the run interprets (paper §6).
+    pub bailed_out: bool,
 }
 
 /// Exec-mode machine state: the VM and its resumable linked run.
@@ -222,13 +223,12 @@ impl Session {
     }
 
     /// True while the session's optimization machinery is unblemished:
-    /// the degradation ladder still at full linking, no bail-out, and no
-    /// trace heads poisoned by panics. Unhealthy sessions publish into
-    /// the profile store's quarantine bucket instead of the fleet
-    /// aggregate — their warm state is suspect until re-promoted.
+    /// no bail-out and no trace heads poisoned by panics. Unhealthy
+    /// sessions publish into the profile store's quarantine bucket
+    /// instead of the fleet aggregate — their warm state is suspect until
+    /// re-promoted.
     pub fn healthy(&self) -> bool {
-        self.engine.mode() == hotpath_dynamo::LadderMode::FullLinking
-            && !self.engine.bailed_out()
+        !self.engine.bailed_out()
             && self
                 .exec
                 .as_ref()
@@ -375,7 +375,7 @@ impl Session {
             installs: cache.installs(),
             flushes: cache.flushes(),
             paths: self.engine.paths_completed(),
-            mode: self.engine.mode().as_str().to_string(),
+            bailed_out: self.engine.bailed_out(),
         }
     }
 

@@ -606,8 +606,8 @@ fn handle(
                     epoch: session.epoch(),
                     warm: session.engine().export_warm_state(),
                 };
-                // Unhealthy sessions (degraded ladder, bail-out,
-                // poisoned trace heads) — or an injected poison — must
+                // Unhealthy sessions (bailed out, poisoned trace
+                // heads) — or an injected poison — must
                 // not feed the fleet aggregate; their warm state goes
                 // to quarantine until an operator re-promotes the key.
                 let quarantined = !session.healthy()

@@ -198,26 +198,6 @@ pub enum Event<'a> {
         /// Links that were patched when the flush hit.
         links: u64,
     },
-    /// The degradation ladder stepped the linked engine down one rung
-    /// (full linking → no-link → interpreter-only).
-    ModeDegraded {
-        /// Mode before the step (`"full_linking"`, `"no_link"`).
-        from: &'static str,
-        /// Mode after the step (`"no_link"`, `"interp_only"`).
-        to: &'static str,
-        /// Paths completed when the ladder stepped.
-        at_path: u64,
-    },
-    /// The degradation ladder re-promoted the linked engine one rung
-    /// after a cooldown of healthy windows.
-    ModeRepromoted {
-        /// Mode before the step (`"no_link"`, `"interp_only"`).
-        from: &'static str,
-        /// Mode after the step (`"full_linking"`, `"no_link"`).
-        to: &'static str,
-        /// Paths completed when the ladder stepped.
-        at_path: u64,
-    },
     /// A trace panicked during execution; its head was blacklisted and
     /// the VM recovered to the interpreter.
     FragmentPoisoned {
@@ -416,8 +396,6 @@ impl Event<'_> {
             Event::OptPass { .. } => "opt_pass_ns",
             Event::LinkPatched { .. } => "link_patched",
             Event::LinkSevered { .. } => "link_severed",
-            Event::ModeDegraded { .. } => "mode_degraded",
-            Event::ModeRepromoted { .. } => "mode_repromoted",
             Event::FragmentPoisoned { .. } => "fragment_poisoned",
             Event::FaultInjected { .. } => "fault_injected",
             Event::SessionOpened { .. } => "session_opened",
@@ -570,12 +548,6 @@ impl Event<'_> {
             }
             Event::LinkSevered { links } => {
                 push_u64_field(out, "links", links);
-            }
-            Event::ModeDegraded { from, to, at_path }
-            | Event::ModeRepromoted { from, to, at_path } => {
-                push_str_field(out, "from", from);
-                push_str_field(out, "to", to);
-                push_u64_field(out, "at_path", at_path);
             }
             Event::FragmentPoisoned { head, at_block } => {
                 push_u64_field(out, "head", head as u64);
@@ -776,9 +748,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_variant_round_trips_through_the_parser() {
-        let events = [
+    /// One sample of every variant.
+    fn samples() -> Vec<Event<'static>> {
+        vec![
             Event::VmHalt {
                 blocks: 10,
                 insts: 20,
@@ -861,16 +833,6 @@ mod tests {
             },
             Event::LinkPatched { from: 9, to: 12 },
             Event::LinkSevered { links: 4 },
-            Event::ModeDegraded {
-                from: "full_linking",
-                to: "no_link",
-                at_path: 4_000,
-            },
-            Event::ModeRepromoted {
-                from: "no_link",
-                to: "full_linking",
-                at_path: 9_000,
-            },
             Event::FragmentPoisoned {
                 head: 7,
                 at_block: 640,
@@ -956,8 +918,12 @@ mod tests {
                 workload: "compress",
                 fragments: 4,
             },
-        ];
-        for event in events {
+        ]
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_the_parser() {
+        for event in samples() {
             let mut line = String::new();
             event.write_json(&mut line);
             let value =
@@ -968,5 +934,31 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    /// DESIGN.md §11's event table names every event kind exactly once
+    /// and nothing else, so the table cannot drift from the code.
+    #[test]
+    fn design_event_table_lists_every_kind() {
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split("\n## 11. Telemetry event model")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("DESIGN.md has a telemetry event model section");
+        let mut table: Vec<&str> = section
+            .lines()
+            .skip_while(|l| !l.starts_with("| Event |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|row| {
+                let cell = row.split('|').nth(1).unwrap_or_default().trim();
+                cell.trim_matches('`')
+            })
+            .collect();
+        table.sort_unstable();
+        let mut kinds: Vec<&str> = samples().iter().map(Event::kind).collect();
+        kinds.sort_unstable();
+        assert_eq!(table, kinds, "DESIGN.md §11 event table vs Event::kind");
     }
 }

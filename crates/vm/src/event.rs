@@ -185,11 +185,6 @@ pub enum TraceCommand {
     Install(Vec<u32>),
     /// Drop every compiled trace and sever all links.
     Flush,
-    /// Enable or disable trace-to-trace linking. Disabling severs every
-    /// patched link and stops new links from forming, so each traversal
-    /// returns to the dispatch loop (the degradation ladder's "no-link"
-    /// rung); re-enabling lets links re-patch organically.
-    SetLinking(bool),
 }
 
 /// Drives [`Vm::run_linked`](crate::Vm::run_linked): observes interpreted

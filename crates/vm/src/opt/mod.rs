@@ -32,8 +32,7 @@
 //!   every path that leaves the trace.
 //! * **Exit-stub identity.** A surviving guard keeps its step's
 //!   `link_a`/`link_b` slots and its pre-resolved fail target, so
-//!   fragment linking, link severing, and the degradation ladder work
-//!   unchanged at every level.
+//!   fragment linking and link severing work unchanged at every level.
 //! * **Dataflow gating.** Passes that reason about registers only run on
 //!   call-free traces (one function, constant frame base). Threading and
 //!   merging are shape-only and run on any trace.

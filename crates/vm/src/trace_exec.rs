@@ -547,9 +547,6 @@ pub(crate) struct TraceCache {
     longest_trace: u32,
     /// Links currently patched (for `LinkSevered` accounting on flush).
     patched_links: u64,
-    /// Whether trace-to-trace linking is enabled (the degradation ladder's
-    /// no-link rung turns it off).
-    linking: bool,
     /// Heads blacklisted after a trace panicked there; installs at a
     /// poisoned head are refused for the rest of the run (flushes do not
     /// forgive).
@@ -570,7 +567,6 @@ impl TraceCache {
             at_head: vec![NONE; block_count],
             longest_trace: 0,
             patched_links: 0,
-            linking: true,
             poisoned: vec![false; block_count],
         }
     }
@@ -706,22 +702,6 @@ impl TraceCache {
         self.poisoned.iter().filter(|&&p| p).count() as u64
     }
 
-    /// Turns trace-to-trace linking on or off. Turning it off severs
-    /// every patched link (returned for `LinkSevered` accounting) and
-    /// stops head lookups at exits, so each traversal returns to the
-    /// dispatch loop.
-    pub(crate) fn set_linking(&mut self, on: bool) -> u64 {
-        self.linking = on;
-        if on {
-            return 0;
-        }
-        for step in &mut self.steps {
-            step.link_a = NONE;
-            step.link_b = NONE;
-        }
-        std::mem::take(&mut self.patched_links)
-    }
-
     /// The header of the trace anchored at `block`, if any.
     #[inline]
     fn at(&self, block: u32) -> Option<&TraceHeader> {
@@ -812,13 +792,13 @@ fn switch_target(cases: &[u32], v: i64, default: u32) -> u32 {
 ///
 /// One loop moves a step cursor through the cache's arena. A guard that
 /// passes advances the cursor; leaving a trace at a step resolves the
-/// target (patched link, else head lookup while linking is on) and either
-/// points the cursor at the target trace's first step or ends the
-/// excursion. Steps do no accounting: leaving a trace adds the leaving
-/// step's [`Tally`], and the totals reach the run's stats and the
-/// returned [`TraceExcursion`] once, at the end. A patched link holds
-/// the target's first step, so a chain reads the target's header only
-/// when the target has entry guards or the budget runs low.
+/// target (patched link, else head lookup) and either points the cursor
+/// at the target trace's first step or ends the excursion. Steps do no
+/// accounting: leaving a trace adds the leaving step's [`Tally`], and the
+/// totals reach the run's stats and the returned [`TraceExcursion`]
+/// once, at the end. A patched link holds the target's first step, so a
+/// chain reads the target's header only when the target has entry guards
+/// or the budget runs low.
 ///
 /// Fault injection: after a guard *passes*, [`FaultPoint::GuardFail`] may
 /// fire; the trace is then left toward the block it would have continued
@@ -1095,13 +1075,11 @@ pub(crate) fn run_excursion(
         } else {
             TraceExitReason::TraceEnd
         };
-        // Links exist only while linking is on: turning it off severs
-        // them all.
         let next = if link != NONE {
             link
         } else if matches!(step.end, EndOp::HaltExit) {
             break 'run Ok((step.block, kind, to_backward, TraceExitReason::Halt));
-        } else if let Some(h) = cache.at(target).filter(|_| cache.linking) {
+        } else if let Some(h) = cache.at(target) {
             h.link
         } else {
             break 'run Ok((target, kind, to_backward, reason));

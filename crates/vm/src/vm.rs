@@ -844,14 +844,6 @@ impl Vm {
                 let severed = cache.flush();
                 hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered { links: severed });
             }
-            TraceCommand::SetLinking(on) => {
-                let severed = cache.set_linking(on);
-                if severed > 0 {
-                    hotpath_telemetry::emit!(hotpath_telemetry::Event::LinkSevered {
-                        links: severed
-                    });
-                }
-            }
         }
     }
 

@@ -21,14 +21,13 @@
 //! calls (hotbench's traced engine) rely on it.
 //!
 //! Cells: the nine workloads at `Scale::Smoke` under NET τ = 50, under a
-//! churning configuration (spike flushes, a 32-fragment cache and the
-//! degradation ladder, so no-link rungs and flushes fire mid-run) and
-//! under seeded fault injection, at every [`OptLevel`]; plus scripted
-//! corners, each at every level: a self-chaining loop, a cross-trace
-//! link, a guard-fail chain, switch and return exits resolved by head
-//! lookup, an entry-guard refusal on a chain, a fuel exit in the middle
-//! of an excursion, fuel slices, no-link mode, a flush mid-run, a
-//! division by zero and a call-depth overflow inside traces (with the
+//! churning configuration (spike flushes and a 32-fragment cache, so
+//! flushes fire mid-run) and under seeded fault injection, at every
+//! [`OptLevel`]; plus scripted corners, each at every level: a
+//! self-chaining loop, a cross-trace link, a guard-fail chain, switch and
+//! return exits resolved by head lookup, an entry-guard refusal on a
+//! chain, a fuel exit in the middle of an excursion, fuel slices, a flush
+//! mid-run, a division by zero and a call-depth overflow inside traces (with the
 //! counts the run had reached when it failed), and injected trace
 //! panics.
 //!
@@ -40,7 +39,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use hotpath::dynamo::{DegradeConfig, DynamoConfig, FlushPolicy, LinkedEngine, Scheme};
+use hotpath::dynamo::{DynamoConfig, FlushPolicy, LinkedEngine, Scheme};
 use hotpath::ir::builder::{FunctionBuilder, ProgramBuilder};
 use hotpath::ir::{BinOp, CmpOp, GlobalReg, Layout, LocalBlockId, Program};
 use hotpath::telemetry::{self, Event, Recorder};
@@ -200,10 +199,6 @@ impl<C: TraceController> TraceController for Recording<C> {
                 }
             }
             Some(TraceCommand::Flush) => d.word(2),
-            Some(TraceCommand::SetLinking(on)) => {
-                d.word(3);
-                d.word(u64::from(*on));
-            }
         }
         command
     }
@@ -315,23 +310,17 @@ fn record<C: TraceController>(
     }
 }
 
-/// The churning configuration of `tests/linked_outcomes.rs`: small
-/// windows and a small cache, so spike flushes, capacity flushes and
-/// ladder steps (the no-link rung among them) fire within a smoke run.
+/// The churning configuration of `tests/linked_outcomes.rs`: a small
+/// spike window and a small cache, so spike flushes and capacity flushes
+/// fire within a smoke run.
 fn churning(level: OptLevel) -> DynamoConfig {
     let mut config = DynamoConfig::new(Scheme::Net, 10).with_opt_level(level);
     config.max_fragments = 32;
     config.flush = FlushPolicy::OnSpike {
-        window: 100,
+        window: 50,
         factor: 1.5,
         min_predictions: 2,
     };
-    config.degrade = Some(DegradeConfig {
-        window_events: 1_000,
-        max_flushes_per_window: 1,
-        cooldown_windows: 2,
-        ..DegradeConfig::default()
-    });
     config
 }
 
@@ -841,19 +830,6 @@ fn corners() -> Vec<Corner> {
                 Script::installs(&[&[5, 7], &[3, 4, 6, 7]])
             })
         },
-        // Linking off after 3 excursions, back on after 40.
-        corner("no-link", nested_two_path_loop(20, 100), |_| {
-            Script::new(
-                vec![
-                    TraceCommand::Install(vec![5, 7]),
-                    TraceCommand::Install(vec![3, 4, 6, 7]),
-                ],
-                vec![
-                    (3, TraceCommand::SetLinking(false)),
-                    (40, TraceCommand::SetLinking(true)),
-                ],
-            )
-        }),
         // A flush after 5 excursions, then a reinstall of one trace.
         corner("flush-mid-run", nested_two_path_loop(20, 100), |_| {
             Script::new(
@@ -996,10 +972,10 @@ const PINNED_WORKLOADS: &[(&str, u64, u64, u64)] = &[
     ("ijpeg/churn/full", 0x91a2254fbfce8a8a, 0x5ac74324f543048c, 0x2db67ec3e80fffdd),
     ("ijpeg/faulted/full", 0x0e4b5c92d6b23c60, 0xbfc76909458255ce, 0xa1ab3cf87e3081f8),
     ("li/net/none", 0xd8ea60b649aa0e49, 0x2ec37157c724ac1e, 0x48af41ed58882225),
-    ("li/churn/none", 0x245ada0c253e3fe2, 0x4f4ead488d40c0fb, 0x239420a69ab64fc6),
+    ("li/churn/none", 0x50e28dee5bbae161, 0x25e294111168af96, 0x2a10c68fc2974fd2),
     ("li/faulted/none", 0xe564b77f059467bc, 0xe610ac6389cb93eb, 0x9073d433e599ac3a),
     ("li/net/full", 0xd8ea60b649aa0e49, 0x2ec37157c724ac1e, 0x48af41ed58882225),
-    ("li/churn/full", 0x245ada0c253e3fe2, 0x4f4ead488d40c0fb, 0x239420a69ab64fc6),
+    ("li/churn/full", 0x50e28dee5bbae161, 0x25e294111168af96, 0x2a10c68fc2974fd2),
     ("li/faulted/full", 0xe564b77f059467bc, 0xe610ac6389cb93eb, 0x9073d433e599ac3a),
     ("m88ksim/net/none", 0x64a8173c6b3767c4, 0x0f42214f212755bd, 0x4efd7be269f14788),
     ("m88ksim/churn/none", 0x715d6b5e380c9a4a, 0xc0cffb3f8de0032e, 0x12e44baa84ca65a3),
@@ -1044,8 +1020,6 @@ const PINNED_CORNERS: &[(&str, u64, u64, u64)] = &[
     ("fuel-exit/full", 0x2e60f50d45c8a3c1, 0x4a319a86710bd60a, 0x53599d3ff5937550),
     ("slices/none", 0x766aa13706d2c640, 0x33596f619954acd5, 0xb0dc60d995367dd6),
     ("slices/full", 0x766aa13706d2c640, 0x33596f619954acd5, 0xb0dc60d995367dd6),
-    ("no-link/none", 0x1911da74d8561721, 0xef29001fdbac343e, 0x1dc3f4ad35acf852),
-    ("no-link/full", 0x1911da74d8561721, 0xef29001fdbac343e, 0x1dc3f4ad35acf852),
     ("flush-mid-run/none", 0xeb3686df98628bfe, 0x170afad083162e18, 0x5e1d65593f730e87),
     ("flush-mid-run/full", 0xeb3686df98628bfe, 0x170afad083162e18, 0x5e1d65593f730e87),
     ("error-in-trace/none", 0xcbf29ce484222325, 0xc8fdd691b6fe896c, 0x122a9fb549f67d24),

@@ -17,15 +17,14 @@
 //!   cached head meets the cached-path exclusion.
 //!
 //! One more configuration per workload and scheme (τ = 10) turns on
-//! spike flushing, a 32-fragment cache and the degradation ladder, so
-//! flushes clear the cached set in the middle of a run and some runs end
-//! on the ladder's interpret-only rung.
+//! spike flushing and a 32-fragment cache, so flushes clear the cached
+//! set in the middle of a run.
 //!
 //! On a mismatch the test prints every cell's digest in the table's own
 //! format; a deliberate behaviour change replaces the table with it and
 //! says in the change log which cells moved and why.
 
-use hotpath::dynamo::{DegradeConfig, EngineWarmState, FlushPolicy, LinkedEngine};
+use hotpath::dynamo::{EngineWarmState, FlushPolicy, LinkedEngine};
 use hotpath::prelude::*;
 
 const TAUS: [u64; 3] = [10, 50, 100];
@@ -101,23 +100,17 @@ enum Mode {
     Ingest,
 }
 
-/// The churning configuration: small windows and a small cache, so spike
-/// flushes, capacity flushes and ladder steps all fire within a
-/// smoke-sized run.
+/// The churning configuration: a small spike window and a small cache,
+/// so spike flushes and capacity flushes both fire within a smoke-sized
+/// run.
 fn churning(scheme: Scheme, delay: u64) -> DynamoConfig {
     let mut config = DynamoConfig::new(scheme, delay);
     config.max_fragments = 32;
     config.flush = FlushPolicy::OnSpike {
-        window: 100,
+        window: 50,
         factor: 1.5,
         min_predictions: 2,
     };
-    config.degrade = Some(DegradeConfig {
-        window_events: 1_000,
-        max_flushes_per_window: 1,
-        cooldown_windows: 2,
-        ..DegradeConfig::default()
-    });
     config
 }
 
@@ -246,11 +239,11 @@ linked/ijpeg/PathProfile/churn 37d848e0e1755048
 linked/li/NET/10 bf5bc6d8a01bef15
 linked/li/NET/50 13fbfb779c5a8cb8
 linked/li/NET/100 aef5fc2cebf81fcd
-linked/li/NET/churn 1def3b3a1868bdbd
+linked/li/NET/churn bf5bc6d8a01bef15
 linked/li/PathProfile/10 042d56b725748936
 linked/li/PathProfile/50 ffabc5a161fda69d
 linked/li/PathProfile/100 fb038bf10b08db79
-linked/li/PathProfile/churn 1956c51be0b62f47
+linked/li/PathProfile/churn bbdc9fb50ce88719
 linked/m88ksim/NET/10 65d59b6eddfc12f4
 linked/m88ksim/NET/50 df4b7c78009b8811
 linked/m88ksim/NET/100 ac8f4898fad8af84
@@ -289,15 +282,15 @@ const INGEST: &str = "
 ingest/compress/NET/10 80163b6c1e88ff3a
 ingest/compress/NET/50 cc35969da568393d
 ingest/compress/NET/100 48acc99b67bffc99
-ingest/compress/NET/churn 465d86c0af132207
+ingest/compress/NET/churn 1a670bb6e435b426
 ingest/compress/PathProfile/10 fb8a869e7d548188
 ingest/compress/PathProfile/50 8684a1d4a1b75dfc
 ingest/compress/PathProfile/100 2bf0731675d3d9cb
-ingest/compress/PathProfile/churn 26f9193648d7e610
+ingest/compress/PathProfile/churn b3ff4777f568b057
 ingest/gcc/NET/10 ef51fed639c12d27
 ingest/gcc/NET/50 ac7c5d613eaa2eb5
 ingest/gcc/NET/100 1d65a1a328ab7d70
-ingest/gcc/NET/churn 75cd0c9a0cc9c775
+ingest/gcc/NET/churn ca23a18222fb55a7
 ingest/gcc/PathProfile/10 f440dda9306bf925
 ingest/gcc/PathProfile/50 4037815244203a68
 ingest/gcc/PathProfile/100 a813dbd7e329699e
@@ -305,57 +298,57 @@ ingest/gcc/PathProfile/churn f440dda9306bf925
 ingest/go/NET/10 0ea57fb8646519b1
 ingest/go/NET/50 3950f0c304e2867b
 ingest/go/NET/100 bed1d1e66255a47f
-ingest/go/NET/churn 0a4ebe72e098f20e
+ingest/go/NET/churn 3c41321a479b03a9
 ingest/go/PathProfile/10 8ef15cd1540356af
 ingest/go/PathProfile/50 e66c7704f21a4d23
 ingest/go/PathProfile/100 09793f2250a2f5e5
-ingest/go/PathProfile/churn 6a6c2410a1500744
+ingest/go/PathProfile/churn 382be6035c244cad
 ingest/ijpeg/NET/10 54786d1627526387
 ingest/ijpeg/NET/50 af4d16e44b0bf11f
 ingest/ijpeg/NET/100 ebb19c09f68ed22c
-ingest/ijpeg/NET/churn 0643e76c18cc534d
+ingest/ijpeg/NET/churn 7fefa7bb8236b1ed
 ingest/ijpeg/PathProfile/10 bffe2e5474963e58
 ingest/ijpeg/PathProfile/50 67c73cd0b8f94ac4
 ingest/ijpeg/PathProfile/100 27c1e2421ffa4673
-ingest/ijpeg/PathProfile/churn ec8f37a1d40f12e6
+ingest/ijpeg/PathProfile/churn da1f2d886aa62753
 ingest/li/NET/10 5a69e46dd554bca9
 ingest/li/NET/50 e7863cb6fe20239f
 ingest/li/NET/100 6e889c5ff5eb153c
-ingest/li/NET/churn 8afde1129d9f2cb3
+ingest/li/NET/churn ea4d30b726d82c29
 ingest/li/PathProfile/10 0abdb6e0cedfccdf
 ingest/li/PathProfile/50 0220a3a571f96d01
 ingest/li/PathProfile/100 756c174decf149ed
-ingest/li/PathProfile/churn 1b57fdbbb278beba
+ingest/li/PathProfile/churn a45a9db417275b02
 ingest/m88ksim/NET/10 9127d16f5bfc98d3
 ingest/m88ksim/NET/50 871cdf425099d992
 ingest/m88ksim/NET/100 275c81e879d55a5c
-ingest/m88ksim/NET/churn 6c1b650fe12606b7
+ingest/m88ksim/NET/churn 975d0f9aae6233a6
 ingest/m88ksim/PathProfile/10 08b2159de7abc9ff
 ingest/m88ksim/PathProfile/50 65d84a49af7f1a0b
 ingest/m88ksim/PathProfile/100 cb50819ed7675561
-ingest/m88ksim/PathProfile/churn 9daf680004daf28a
+ingest/m88ksim/PathProfile/churn 7fe6ab61fb0a72d5
 ingest/perl/NET/10 55ffa6e8d5099fe4
 ingest/perl/NET/50 b173f9df4e981e01
 ingest/perl/NET/100 a79a4d5b6eb41b1f
-ingest/perl/NET/churn d750efc80baf7ede
+ingest/perl/NET/churn f49815ff53507b98
 ingest/perl/PathProfile/10 97ea0a010a448c74
 ingest/perl/PathProfile/50 71ca6e8fd22a8ff1
 ingest/perl/PathProfile/100 5b69a97e1cb3ff75
-ingest/perl/PathProfile/churn 97ea0a010a448c74
+ingest/perl/PathProfile/churn 9d0e78f3e67c71fb
 ingest/vortex/NET/10 6bc2d36edcf95546
 ingest/vortex/NET/50 1e83f4f57a8e8c6a
 ingest/vortex/NET/100 de23d5ae180b9c88
-ingest/vortex/NET/churn 20863fa45211a282
+ingest/vortex/NET/churn fa00e9d65ec20b4e
 ingest/vortex/PathProfile/10 791292359a4a51c0
 ingest/vortex/PathProfile/50 b0eaab2608b44027
 ingest/vortex/PathProfile/100 557da5f999918020
-ingest/vortex/PathProfile/churn 437c64b7a607363a
+ingest/vortex/PathProfile/churn 788228646fd81257
 ingest/deltablue/NET/10 2bd12a649223b5a5
 ingest/deltablue/NET/50 d8b0aeb48df781d8
 ingest/deltablue/NET/100 d753a5f1aa77fdcf
-ingest/deltablue/NET/churn 6bebaa4f863e8310
+ingest/deltablue/NET/churn 16909be0efd6cfcc
 ingest/deltablue/PathProfile/10 562cb49aca3f183f
 ingest/deltablue/PathProfile/50 697fa1b9d76eacb4
 ingest/deltablue/PathProfile/100 1ac74efe8da73191
-ingest/deltablue/PathProfile/churn 69adc49bde7b79e2
+ingest/deltablue/PathProfile/churn 92ce19e468eb516e
 ";

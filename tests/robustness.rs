@@ -11,22 +11,17 @@
 //!    leave the final state bit-identical.
 //! 2. **Panic isolation.** An injected trace panic poisons the fragment
 //!    (blacklisted across flushes) and the run continues interpreted.
-//! 3. **Bail-out and ladder sweeps.** All nine workloads stay
-//!    bit-identical under a hair-trigger bail-out and under the staged
-//!    degradation ladder.
-//! 4. **Re-promotion.** A phase-shift workload demonstrably walks the
-//!    ladder down during cache churn and back up after the phase change
-//!    (telemetry-gated).
-//! 5. **Serve-layer faults.** The wire-fault matrix (torn writes,
+//! 3. **Bail-out and capacity-storm sweeps.** All nine workloads stay
+//!    bit-identical under a hair-trigger bail-out and against a
+//!    4-fragment cache that flushes over and over.
+//! 4. **Serve-layer faults.** The wire-fault matrix (torn writes,
 //!    resets, corrupt frames, stalls, delayed reads) on both TCP
 //!    front-ends, shard-panic supervision with snapshot re-admission,
 //!    the client's bounded retry budget, the configurable drain
 //!    deadline, and the whole suite at once under `FaultPlan::chaos`
 //!    (an ignored test sweeps more seeds).
 
-use hotpath::dynamo::{
-    BailoutPolicy, DegradeConfig, DynamoConfig, LadderMode, LinkedEngine, Scheme,
-};
+use hotpath::dynamo::{BailoutPolicy, DynamoConfig, LinkedEngine, Scheme};
 use hotpath::ir::builder::{FunctionBuilder, ProgramBuilder};
 use hotpath::ir::{CmpOp, Program};
 use hotpath::vm::{
@@ -208,18 +203,16 @@ fn hair_trigger_bailout_is_bit_identical_across_the_suite() {
 }
 
 #[test]
-fn degradation_ladder_is_bit_identical_across_the_suite() {
+fn capacity_storm_is_bit_identical_across_the_suite() {
+    let mut flushed = Vec::new();
     for w in suite(Scale::Small) {
         let mut cfg = DynamoConfig::new(Scheme::Net, 10);
-        // Aggressive ladder: a single flush in a window degrades.
+        // A 4-fragment cache with no bail-out: capacity flushes sever
+        // every link, again and again, for the whole run.
         cfg.max_fragments = 4;
-        cfg.degrade = Some(DegradeConfig {
-            window_events: 2_000,
-            max_flushes_per_window: 0,
-            ..DegradeConfig::default()
-        });
+        cfg.bailout = None;
         let mut engine = LinkedEngine::new(cfg);
-        let tag = format!("{:?}/ladder", w.name);
+        let tag = format!("{:?}/capacity-storm", w.name);
 
         let mut plain_vm = Vm::new(&w.program);
         let plain = plain_vm.run(&mut NullObserver).unwrap();
@@ -229,107 +222,14 @@ fn degradation_ladder_is_bit_identical_across_the_suite() {
         assert_eq!(plain, linked, "{tag}: RunStats");
         assert_eq!(plain_vm.memory(), linked_vm.memory(), "{tag}: memory");
         assert_eq!(plain_vm.globals(), linked_vm.globals(), "{tag}: globals");
+        if engine.cache().flushes() > 0 {
+            flushed.push(w.name);
+        }
     }
-}
-
-/// Two phases. The storm phase rotates a 3-way switch (`i % 3`), so any
-/// single trace — even with a linked tail — always has an uncovered
-/// successor that exits back to the dispatch loop; against a 1-fragment
-/// cache that keeps the install/capacity-flush storm (and the watchdog's
-/// event clock) running. The hot phase is a straight 2-block loop that
-/// caches as one healthy fragment. Block ids: entry=0, then h1=1,
-/// body=2, c0=3, c1=4, c2=5, latch=6, h2=7, b2a=8, b2b=9, exit=10.
-fn phase_shift_program(storm_trips: i64, hot_trips: i64) -> Program {
-    let mut fb = FunctionBuilder::new("main");
-    let i = fb.reg();
-    let acc = fb.reg();
-    let h1 = fb.new_block();
-    let body = fb.new_block();
-    let c0 = fb.new_block();
-    let c1 = fb.new_block();
-    let c2 = fb.new_block();
-    let latch = fb.new_block();
-    let h2 = fb.new_block();
-    let b2a = fb.new_block();
-    let b2b = fb.new_block();
-    let exit = fb.new_block();
-    fb.const_(i, 0);
-    fb.const_(acc, 0);
-    fb.jump(h1);
-    fb.switch_to(h1);
-    let c = fb.cmp_imm(CmpOp::Lt, i, storm_trips);
-    fb.branch(c, body, h2);
-    fb.switch_to(body);
-    let m = fb.reg();
-    fb.rem_imm(m, i, 3);
-    fb.switch(m, vec![c0, c1], c2);
-    fb.switch_to(c0);
-    fb.add_imm(acc, acc, 1);
-    fb.jump(latch);
-    fb.switch_to(c1);
-    fb.add_imm(acc, acc, 2);
-    fb.jump(latch);
-    fb.switch_to(c2);
-    fb.add_imm(acc, acc, 3);
-    fb.jump(latch);
-    fb.switch_to(latch);
-    fb.add_imm(i, i, 1);
-    fb.jump(h1);
-    fb.switch_to(h2);
-    fb.const_(i, 0);
-    fb.jump(b2a);
-    fb.switch_to(b2a);
-    let c2b = fb.cmp_imm(CmpOp::Lt, i, hot_trips);
-    fb.branch(c2b, b2b, exit);
-    fb.switch_to(b2b);
-    fb.add_imm(i, i, 1);
-    fb.add_imm(acc, acc, 1);
-    fb.jump(b2a);
-    fb.switch_to(exit);
-    fb.halt();
-    let mut pb = ProgramBuilder::new();
-    pb.add_function(fb).unwrap();
-    pb.finish().unwrap()
-}
-
-/// The ladder configuration the phase-shift tests run: tiny cache so the
-/// alternating phase storms it with capacity flushes, small windows so
-/// the ladder reacts within the run.
-fn phase_shift_config() -> DynamoConfig {
-    let mut cfg = DynamoConfig::new(Scheme::Net, 5);
-    cfg.max_fragments = 1;
-    cfg.degrade = Some(DegradeConfig {
-        window_events: 400,
-        max_flushes_per_window: 1,
-        cooldown_windows: 2,
-        ..DegradeConfig::default()
-    });
-    cfg
-}
-
-#[test]
-fn phase_shift_walks_the_ladder_and_stays_bit_identical() {
-    let p = phase_shift_program(8_000, 8_000);
-    let mut engine = LinkedEngine::new(phase_shift_config());
-
-    let mut plain_vm = Vm::new(&p);
-    let plain = plain_vm.run(&mut NullObserver).unwrap();
-    let mut linked_vm = Vm::new(&p);
-    let linked = linked_vm.run_linked(&mut engine).unwrap();
-
-    assert_eq!(plain, linked, "phase-shift: RunStats");
-    assert_eq!(plain_vm.memory(), linked_vm.memory(), "phase-shift: memory");
-    assert_eq!(
-        plain_vm.globals(),
-        linked_vm.globals(),
-        "phase-shift: globals"
-    );
-    // The hot phase ends the run healthy: the engine climbed back off
-    // the ladder's bottom rung.
-    assert_ne!(
-        engine.mode(),
-        LadderMode::InterpOnly,
-        "the clean second phase must re-promote the engine"
+    // gcc and go never hold more than four fragments at this scale.
+    assert!(
+        flushed.len() >= 7,
+        "the 4-fragment cache must flush on most of the suite: {flushed:?}"
     );
 }
 
@@ -760,37 +660,6 @@ mod serve_faults {
 mod recorded {
     use super::*;
     use hotpath::telemetry::{self, SummaryRecorder};
-
-    #[test]
-    fn phase_shift_emits_degrade_then_repromote() {
-        let p = phase_shift_program(8_000, 8_000);
-        let (recorder, handle) = SummaryRecorder::new();
-        let guard = telemetry::install(Box::new(recorder));
-        let mut engine = LinkedEngine::new(phase_shift_config());
-        let stats = Vm::new(&p).run_linked(&mut engine).unwrap();
-        drop(guard);
-        let expect = Vm::new(&p).run(&mut NullObserver).unwrap();
-        assert_eq!(stats, expect);
-
-        let summary = handle.snapshot();
-        let detail = format!(
-            "degraded={} repromoted={} flushes={} installs={} enters={} mode={:?}",
-            summary.count("mode_degraded"),
-            summary.count("mode_repromoted"),
-            summary.count("cache_flush"),
-            summary.count("fragment_install"),
-            summary.count("trace_enter"),
-            engine.mode(),
-        );
-        assert!(
-            summary.count("mode_degraded") >= 1,
-            "the storm phase must step the ladder down ({detail})"
-        );
-        assert!(
-            summary.count("mode_repromoted") >= 1,
-            "the hot phase must step the ladder back up ({detail})"
-        );
-    }
 
     #[test]
     fn injected_panic_emits_poison_telemetry() {

@@ -398,7 +398,6 @@ impl<C: TraceController> TraceController for Calls<C> {
                 blocks.iter().for_each(|&b| d.word(u64::from(b)));
             }
             Some(TraceCommand::Flush) => d.word(2),
-            Some(TraceCommand::SetLinking(on)) => d.word(3 + u64::from(*on)),
         }
         command
     }
