@@ -11,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use hotpath_bench::difffuzz::{check_seed, shrink, FuzzOptions, FAULT_RATES};
+use hotpath_bench::difffuzz::{check_seed, shrink, FuzzOptions, EXIT_REASONS, FAULT_RATES};
 
 fn usage() -> ! {
     eprintln!("usage: difffuzz [--seeds N] [--start S] [--fault-seed F] [--no-faults]");
@@ -47,11 +47,15 @@ fn main() -> ExitCode {
     let mut blocks = 0u64;
     let mut injected = [0u64; FAULT_RATES.len()];
     let mut churning = 0u64;
+    let mut exits = [0u64; EXIT_REASONS.len()];
     for seed in start..start.saturating_add(seeds) {
         match check_seed(seed, &options) {
             Ok(report) => {
                 blocks += report.blocks;
                 churning += u64::from(report.churning_config);
+                for (total, n) in exits.iter_mut().zip(report.exits) {
+                    *total += n;
+                }
                 for (total, n) in injected.iter_mut().zip(report.injected) {
                     *total += n;
                 }
@@ -77,6 +81,12 @@ fn main() -> ExitCode {
         blocks,
         started.elapsed().as_secs_f64()
     );
+    let detail: Vec<String> = EXIT_REASONS
+        .iter()
+        .zip(exits)
+        .map(|(reason, n)| format!("{}={n}", reason.as_str()))
+        .collect();
+    println!("difffuzz: linked excursions by exit: {}", detail.join(" "));
     if options.faults {
         let detail: Vec<String> = FAULT_RATES
             .iter()

@@ -31,8 +31,9 @@ use hotpath_ir::gen::{generate, GenConfig};
 use hotpath_ir::Program;
 use hotpath_profiles::{PathExecution, PathExtractor, PathSink, DEFAULT_PATH_CAP};
 use hotpath_vm::{
-    ExecutionObserver, FaultInjector, FaultPlan, FaultPoint, NullObserver, OptLevel, RecordedTrace,
-    RunStats, TraceController, TraceRecorder, Vm, VmError,
+    BlockEvent, ExecutionObserver, FaultInjector, FaultPlan, FaultPoint, NullObserver, OptLevel,
+    RecordedTrace, RunStats, TraceCommand, TraceController, TraceExcursion, TraceExitReason,
+    TraceRecorder, Vm, VmError,
 };
 
 /// The optimization levels every seed is cross-checked at, with the stage
@@ -95,6 +96,16 @@ pub const SHRINK_LADDER: [GenConfig; 4] = [
         loop_weight: 60,
         memory_words: 8,
     },
+];
+
+/// The excursion exit reasons the linked stages count, in report order.
+/// A `fuel` exit in an unsliced, unbounded run is the per-excursion cap
+/// ([`hotpath_vm::EXCURSION_BLOCKS`]) splitting a long trace chain.
+pub const EXIT_REASONS: [TraceExitReason; 4] = [
+    TraceExitReason::TraceEnd,
+    TraceExitReason::GuardFail,
+    TraceExitReason::Fuel,
+    TraceExitReason::Halt,
 ];
 
 /// Path caps the ingest stage cycles through by seed, so the cap rule
@@ -190,6 +201,40 @@ pub struct SeedReport {
     /// Whether the seed ran the churning configuration (a small cache
     /// with spike flushes).
     pub churning_config: bool,
+    /// Excursions of the clean linked stages (summed over opt levels),
+    /// per [`EXIT_REASONS`] entry.
+    pub exits: [u64; EXIT_REASONS.len()],
+}
+
+/// Wraps a controller and counts its excursions by exit reason.
+struct ExitTally<C> {
+    inner: C,
+    exits: [u64; EXIT_REASONS.len()],
+}
+
+impl<C: ExecutionObserver> ExecutionObserver for ExitTally<C> {
+    fn on_block(&mut self, event: &BlockEvent) {
+        self.inner.on_block(event);
+    }
+
+    fn on_halt(&mut self) {
+        self.inner.on_halt();
+    }
+}
+
+impl<C: TraceController> TraceController for ExitTally<C> {
+    fn on_trace_exit(&mut self, excursion: &TraceExcursion) {
+        let i = EXIT_REASONS
+            .iter()
+            .position(|&r| r == excursion.reason)
+            .expect("every reason is listed");
+        self.exits[i] += 1;
+        self.inner.on_trace_exit(excursion);
+    }
+
+    fn poll_command(&mut self) -> Option<TraceCommand> {
+        self.inner.poll_command()
+    }
 }
 
 /// The engine configuration a seed runs under: scheme alternates by
@@ -319,8 +364,14 @@ pub fn check_program(
     // level — the optimizer must be invisible in results.
     for (level, stage, _) in OPT_STAGES {
         let mut vm = Vm::new(program).with_opt_level(level);
-        let mut engine = LinkedEngine::new(config.clone().with_opt_level(level));
+        let mut engine = ExitTally {
+            inner: LinkedEngine::new(config.clone().with_opt_level(level)),
+            exits: [0; EXIT_REASONS.len()],
+        };
         let result = vm.run_linked(&mut engine);
+        for (total, n) in report.exits.iter_mut().zip(engine.exits) {
+            *total += n;
+        }
         let got = FinalState::capture(&vm, result);
         if got != expect {
             return Err(diverged(stage, &got));

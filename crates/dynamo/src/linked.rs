@@ -16,12 +16,15 @@
 //!
 //! Trace selection follows the simulated engine's policy: NET or
 //! path-profile prediction over interpreted paths installs primary
-//! fragments, and guard-fail exits are counted per target exactly like
-//! Dynamo's exit stubs — at τ arrivals the target is *armed* and the next
-//! interpreted path from it installs as a tail fragment, which linking
-//! then stitches to its parent. The cycle model is charged from the real
-//! counts the trace backend reports ([`CostModel::excursion_transitions`]),
-//! so the simulated and executed backends can be cross-checked.
+//! fragments, and every exit that leaves the cache for an untraced block
+//! (a failed guard or a trace's last transfer) is counted per target
+//! exactly like Dynamo's exit stubs, since "exits from existing traces
+//! are potential trace heads" — at τ arrivals the target is *armed* and
+//! the next interpreted path from it installs as a tail fragment, which
+//! linking then stitches to its parent. The cycle model is charged from
+//! the real counts the trace backend reports
+//! ([`CostModel::excursion_transitions`]), so the simulated and executed
+//! backends can be cross-checked.
 //!
 //! The two schemes profile as the paper says they do. Under NET the engine
 //! runs only the path boundary rules ([`PathSegmenter`]) and one counter
@@ -84,7 +87,7 @@ pub struct FragmentRecord {
 pub struct EngineWarmState {
     /// Installed fragments, in install order.
     pub fragments: Vec<FragmentRecord>,
-    /// Exit-stub arrival counters: (guard-fail target, arrivals).
+    /// Exit-stub arrival counters: (exit target, arrivals).
     pub exit_counts: Vec<(u32, u64)>,
     /// Targets whose stub counter already reached τ.
     pub armed: Vec<u32>,
@@ -294,13 +297,15 @@ pub struct LinkedEngine {
     pending: VecDeque<TraceCommand>,
     cycles: CycleBreakdown,
     detector: Option<SpikeDetector>,
-    /// Exit-stub counters: arrivals per guard-fail target (Dynamo counts
-    /// arrivals through unlinked exit stubs the same way).
+    /// Exit-stub counters: arrivals per exit target, whether a guard
+    /// failed or the trace ended there (Dynamo counts arrivals through
+    /// unlinked exit stubs the same way).
     exit_counts: CounterTable,
-    /// Guard-fail targets whose stub counter reached τ: the next completed
+    /// Exit targets whose stub counter reached τ: the next completed
     /// interpreted path starting there installs as a tail fragment.
     armed: Vec<u32>,
-    /// Blocks of the interpreted path currently being accumulated.
+    /// Blocks of the interpreted path currently being accumulated: only
+    /// blocks interpreted since the last excursion.
     cur_blocks: Vec<u32>,
     /// An empty buffer that replaces `cur_blocks` when a path completes,
     /// so completing a path allocates nothing.
@@ -574,8 +579,8 @@ impl LinkedEngine {
             was_prediction = true;
         }
         // Armed exit-stub targets: the first interpreted path from a hot
-        // guard-fail target becomes the tail fragment Dynamo would record
-        // from that exit stub.
+        // exit target becomes the tail fragment Dynamo would record from
+        // that exit stub.
         if !was_prediction {
             let head = span.head.as_u32();
             if let Some(i) = self.armed.iter().position(|&h| h == head) {
@@ -686,6 +691,11 @@ impl TraceController for LinkedEngine {
                 }
             }
         }
+        // The recording ends here either way: an excursion that follows
+        // this one with no interpreted block between them must not see
+        // (and install) the blocks interpreted before this one.
+        self.cur_blocks.clear();
+        self.cur_insts = 0;
         self.blocks_total += exc.blocks;
         self.blocks_cached += exc.blocks;
         self.insts_total += exc.insts;
@@ -693,10 +703,13 @@ impl TraceController for LinkedEngine {
         self.cycles.trace += exc.insts as f64 * cost.trace_per_inst;
         let guard_failed = exc.reason == TraceExitReason::GuardFail;
         self.cycles.transitions += cost.excursion_transitions(exc.links, guard_failed);
-        if guard_failed {
+        if guard_failed || exc.reason == TraceExitReason::TraceEnd {
             // Exit-stub counting on the real exit: arrivals at the
-            // off-trace target; at τ the target is armed and the next
-            // interpreted path from it installs as a tail fragment.
+            // off-trace target, whether a guard failed or the trace's last
+            // transfer left the cache; at τ the target is armed and the
+            // next interpreted path from it installs as a tail fragment.
+            // A fuel exit stops at a trace head that runs again and a
+            // halt ends the run: neither leaves the cache.
             self.cycles.profiling += cost.counter_op;
             let target = exc.target.as_u32();
             let c = self.exit_counts.slot(target);
@@ -738,8 +751,8 @@ mod tests {
     use super::*;
     use crate::engine::{run_dynamo, Scheme};
     use hotpath_ir::builder::{FunctionBuilder, ProgramBuilder};
-    use hotpath_ir::CmpOp;
-    use hotpath_vm::NullObserver;
+    use hotpath_ir::{BlockId, CmpOp};
+    use hotpath_vm::{NullObserver, EXCURSION_BLOCKS};
 
     /// Tight single-path loop: the best case for trace caching.
     fn hot_loop(trip: i64) -> Program {
@@ -863,6 +876,71 @@ mod tests {
         let plain = Vm::new(&p).run(&mut NullObserver).unwrap_err();
         let linked = run_dynamo_linked(&p, &DynamoConfig::new(Scheme::Net, 50)).unwrap_err();
         assert_eq!(plain, linked);
+    }
+
+    /// An excursion that leaves for `target` after `blocks` blocks.
+    fn excursion(reason: TraceExitReason, target: u32, blocks: u64) -> TraceExcursion {
+        TraceExcursion {
+            head: BlockId::new(target),
+            from: Some(BlockId::new(target)),
+            target: BlockId::new(target),
+            kind: TransferKind::Jump,
+            backward: true,
+            target_size: 1,
+            reason,
+            blocks,
+            insts: blocks,
+            entries: 1,
+            links: 0,
+            guard_fails: 0,
+            guard_execs: 0,
+            halted: false,
+        }
+    }
+
+    #[test]
+    fn back_to_back_excursions_do_not_install_a_stale_recording() {
+        // Blocks 7 and 8 are interpreted, then two excursions follow with
+        // no interpreted block between them (a trace chain split at the
+        // excursion cap). The first one's trace-end exit to 7 is the
+        // τ-th arrival there, which arms 7. The blocks recorded before the
+        // first excursion start at 7 but ran before it: the second
+        // excursion must not install them as 7's tail.
+        let mut engine = LinkedEngine::new(DynamoConfig::new(Scheme::Net, 2));
+        engine.import_warm_state(&EngineWarmState {
+            exit_counts: vec![(7, 1)],
+            ..EngineWarmState::default()
+        });
+        let block = |from: Option<u32>, block: u32, kind| BlockEvent {
+            from: from.map(BlockId::new),
+            block: BlockId::new(block),
+            kind,
+            backward: false,
+            block_size: 3,
+        };
+        engine.on_block(&block(None, 7, TransferKind::Start));
+        engine.on_block(&block(Some(7), 8, TransferKind::Jump));
+        while engine.poll_command().is_some() {}
+        engine.on_trace_exit(&excursion(TraceExitReason::TraceEnd, 7, 10));
+        assert_eq!(engine.export_warm_state().armed, [7]);
+        engine.on_trace_exit(&excursion(TraceExitReason::Fuel, 7, EXCURSION_BLOCKS));
+        assert_eq!(engine.poll_command(), None, "nothing to install");
+        assert_eq!(engine.cache().installs(), 0);
+        // 7 stays armed for the next path actually interpreted from it.
+        assert_eq!(engine.export_warm_state().armed, [7]);
+    }
+
+    #[test]
+    fn trace_end_exits_are_counted_like_guard_fails() {
+        let mut engine = LinkedEngine::new(DynamoConfig::new(Scheme::Net, 3));
+        for reason in [TraceExitReason::TraceEnd, TraceExitReason::GuardFail] {
+            engine.on_trace_exit(&excursion(reason, 5, 10));
+        }
+        // Fuel and halt exits leave no stub arrival.
+        engine.on_trace_exit(&excursion(TraceExitReason::Fuel, 5, 10));
+        assert_eq!(engine.export_warm_state().exit_counts, [(5, 2)]);
+        engine.on_trace_exit(&excursion(TraceExitReason::TraceEnd, 5, 10));
+        assert_eq!(engine.export_warm_state().armed, [5]);
     }
 
     #[test]

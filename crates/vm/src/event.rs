@@ -107,9 +107,12 @@ pub enum TraceExitReason {
     /// A guard failed mid-trace: a conditional or indirect transfer left
     /// the predicted path.
     GuardFail,
-    /// The block budget could not cover another traversal; control falls
-    /// back to block-by-block interpretation so fuel exhaustion hits the
-    /// exact same block as plain interpretation.
+    /// The excursion's block budget could not cover another traversal.
+    /// When the budget was the run's or the slice's, control falls back to
+    /// block-by-block interpretation so fuel exhaustion hits the exact
+    /// same block as plain interpretation. When it was the per-excursion
+    /// cap ([`EXCURSION_BLOCKS`](crate::EXCURSION_BLOCKS)), the target is
+    /// a trace head and dispatch re-enters its trace straight away.
     Fuel,
     /// The program halted on a trace.
     Halt,

@@ -67,6 +67,9 @@ pub use event::{
 };
 pub use opt::OptLevel;
 pub use trace::{CountingObserver, RecordedTrace, TraceRecorder};
-pub use vm::{LinkedState, RunConfig, RunStats, SavedFrame, SavedLinkedState, StepOutcome, Vm};
+pub use vm::{
+    LinkedState, RunConfig, RunStats, SavedFrame, SavedLinkedState, StepOutcome, Vm,
+    EXCURSION_BLOCKS,
+};
 
 pub use hotpath_faultinject::{FaultInjector, FaultPlan, FaultPoint};

@@ -10,6 +10,23 @@ use crate::event::{
 };
 use crate::trace_exec::{compile_trace, run_excursion, Machine, ProgramView, TraceCache};
 
+/// The most blocks one excursion may run before it hands control back to
+/// the controller (a trace longer than this still runs whole).
+///
+/// Once exits link the hot code into a closed trace complex, an
+/// unbounded excursion can run millions of blocks without returning:
+/// the controller then gets no [`TraceController::on_trace_exit`] and no
+/// command poll, so no flush, install or bail-out can act, and anything
+/// that samples at controller calls (a serving session's request
+/// windows) sees nothing. Past this many blocks the chain ends with
+/// [`TraceExitReason::Fuel`] at a trace head and dispatch re-enters that
+/// head straight away, which leaves `RunStats`, memory and globals
+/// exactly as an unbounded excursion would (the same split a fuel slice
+/// makes). The value trades how long the controller waits against the
+/// fixed cost of entering an excursion, which a cap of 1,024 blocks
+/// already made visible in trace-heavy throughput.
+pub const EXCURSION_BLOCKS: u64 = 4096;
+
 /// Limits for one [`Vm::run`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RunConfig {
@@ -590,7 +607,9 @@ impl Vm {
     /// Dispatch has two levels. The outer loop checks the slice, draws
     /// the flush and fuel-starvation faults, and enters a trace when one
     /// is anchored at the current block, its entry guards hold and its
-    /// first traversal fits the budget. Otherwise it hands over to an
+    /// first traversal fits the budget; the excursion then runs at most
+    /// [`EXCURSION_BLOCKS`] blocks (or the one trace, if longer) before
+    /// the controller hears of it. Otherwise it hands over to an
     /// inner loop that interprets blocks with the current block and
     /// frame base in locals. After each interpreted block the inner loop
     /// polls the controller until `poll_command` returns `None`, then
@@ -669,7 +688,11 @@ impl Vm {
                 enter = None;
             }
             if let Some(tid) = enter {
-                if !self.excursion(state, tid, limit)? {
+                let until = limit.min(
+                    state.stats.blocks_executed
+                        + EXCURSION_BLOCKS.max(state.cache.trace_len(tid) as u64),
+                );
+                if !self.excursion(state, tid, until)? {
                     continue;
                 }
                 controller.on_trace_exit(&state.exit);

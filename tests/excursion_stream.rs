@@ -947,59 +947,59 @@ fn scripted_corner_streams_match_the_pinned_digests() {
 /// `(cell, excursions, calls, events)`.
 #[rustfmt::skip]
 const PINNED_WORKLOADS: &[(&str, u64, u64, u64)] = &[
-    ("compress/net/none", 0x91efd572152906ae, 0x8448a770010312b7, 0xd9d98c08cbb47b89),
-    ("compress/churn/none", 0xdff97abb6b877e9c, 0x5df395f3b663e76e, 0x88f89274047b160b),
-    ("compress/faulted/none", 0x9b72762fa330870f, 0x92c2f99f7cd46d38, 0x72207e21abe07f8e),
-    ("compress/net/full", 0x91efd572152906ae, 0x8448a770010312b7, 0xd9d98c08cbb47b89),
-    ("compress/churn/full", 0xdff97abb6b877e9c, 0x5df395f3b663e76e, 0x88f89274047b160b),
-    ("compress/faulted/full", 0x9b72762fa330870f, 0x92c2f99f7cd46d38, 0x72207e21abe07f8e),
-    ("gcc/net/none", 0x05bf1bccdd5d9eae, 0x18be5c1797668eeb, 0x042bdb6556eac701),
-    ("gcc/churn/none", 0xf051a64547d6d165, 0x0b2f92de7e4037e5, 0xcd0383d60b2d6ea9),
-    ("gcc/faulted/none", 0x9026c0c8f4bab8ac, 0x5bd9054625e9a37b, 0x70e77e7d9d3d7b4d),
-    ("gcc/net/full", 0x05bf1bccdd5d9eae, 0x18be5c1797668eeb, 0x042bdb6556eac701),
-    ("gcc/churn/full", 0xf051a64547d6d165, 0x0b2f92de7e4037e5, 0xcd0383d60b2d6ea9),
-    ("gcc/faulted/full", 0x9026c0c8f4bab8ac, 0x5bd9054625e9a37b, 0x70e77e7d9d3d7b4d),
-    ("go/net/none", 0xd688a378a1a2237f, 0x21cc5aba6b63a4ed, 0x2b1fc971adca5809),
-    ("go/churn/none", 0x94dd65e4e1c8f11a, 0xe2a42bc45fac62ac, 0x9e9acd1cc6287a74),
+    ("compress/net/none", 0x71f294ab473bb65f, 0xc031e4522509f793, 0xfa0606eda4d3a7bc),
+    ("compress/churn/none", 0x4a24bc00cf5f49f2, 0x61e4a93fa328b200, 0x1068114d6b9d4296),
+    ("compress/faulted/none", 0xb0b6323f3e240987, 0xd46c557ec96deb01, 0x3c80bd5f4f148bb7),
+    ("compress/net/full", 0x71f294ab473bb65f, 0xc031e4522509f793, 0xfa0606eda4d3a7bc),
+    ("compress/churn/full", 0x4a24bc00cf5f49f2, 0x61e4a93fa328b200, 0x1068114d6b9d4296),
+    ("compress/faulted/full", 0xb0b6323f3e240987, 0xd46c557ec96deb01, 0x3c80bd5f4f148bb7),
+    ("gcc/net/none", 0x39e5d49390baf89c, 0xdfa9dcc40165624e, 0x27e49fc5c0c92d49),
+    ("gcc/churn/none", 0x6c4782fcc4c4b891, 0x279b43d487ba0ccb, 0x80f5de9653d971c8),
+    ("gcc/faulted/none", 0x9026c0c8f4bab8ac, 0x7fc72c64c0540f71, 0x186234cfb16fb6da),
+    ("gcc/net/full", 0x39e5d49390baf89c, 0xdfa9dcc40165624e, 0x27e49fc5c0c92d49),
+    ("gcc/churn/full", 0x6c4782fcc4c4b891, 0x279b43d487ba0ccb, 0x80f5de9653d971c8),
+    ("gcc/faulted/full", 0x9026c0c8f4bab8ac, 0x7fc72c64c0540f71, 0x186234cfb16fb6da),
+    ("go/net/none", 0x1bb820544d0ed945, 0xe766928aff2bdfa6, 0x38e867086a7973f6),
+    ("go/churn/none", 0xd625fd011a23db82, 0xfc5b29d930eff878, 0x44e53fea476a3b3d),
     ("go/faulted/none", 0x84aff4d89d0c8049, 0x22155234c3c7414d, 0x2d294975b2381736),
-    ("go/net/full", 0xd688a378a1a2237f, 0x21cc5aba6b63a4ed, 0x2b1fc971adca5809),
-    ("go/churn/full", 0x94dd65e4e1c8f11a, 0xe2a42bc45fac62ac, 0x9e9acd1cc6287a74),
+    ("go/net/full", 0x1bb820544d0ed945, 0xe766928aff2bdfa6, 0x38e867086a7973f6),
+    ("go/churn/full", 0xd625fd011a23db82, 0xfc5b29d930eff878, 0x44e53fea476a3b3d),
     ("go/faulted/full", 0x84aff4d89d0c8049, 0x22155234c3c7414d, 0x2d294975b2381736),
-    ("ijpeg/net/none", 0xfc340311b06f64e8, 0x3d277df1b13e58e7, 0x3bff6aa353803473),
-    ("ijpeg/churn/none", 0xf1cbe8e924338f61, 0x43de754140427e77, 0x2db67ec3e80fffdd),
+    ("ijpeg/net/none", 0xb8d65eb78d17a131, 0x458a567d331e9fd2, 0xab80942586ca3d18),
+    ("ijpeg/churn/none", 0x2b51b71c0e034ec9, 0x8f11e26c068e3b8c, 0xe94a9cf4bfd0fb92),
     ("ijpeg/faulted/none", 0x0e4b5c92d6b23c60, 0xbfc76909458255ce, 0xa1ab3cf87e3081f8),
-    ("ijpeg/net/full", 0x8d879e14f88b4882, 0xbf3897fa67d33501, 0x3bff6aa353803473),
-    ("ijpeg/churn/full", 0x91a2254fbfce8a8a, 0x5ac74324f543048c, 0x2db67ec3e80fffdd),
+    ("ijpeg/net/full", 0x86cf476696249e11, 0x4ad0dce9425edb72, 0xab80942586ca3d18),
+    ("ijpeg/churn/full", 0xe9f9a7ef55846af9, 0xe4377846e87b6820, 0xe94a9cf4bfd0fb92),
     ("ijpeg/faulted/full", 0x0e4b5c92d6b23c60, 0xbfc76909458255ce, 0xa1ab3cf87e3081f8),
-    ("li/net/none", 0xd8ea60b649aa0e49, 0x2ec37157c724ac1e, 0x48af41ed58882225),
-    ("li/churn/none", 0x50e28dee5bbae161, 0x25e294111168af96, 0x2a10c68fc2974fd2),
+    ("li/net/none", 0xa504d8da92c8ba3e, 0xe620d41c2f60e7ec, 0x6daccd586a33571f),
+    ("li/churn/none", 0x53ac2a87268cc9f4, 0x7af0e669714213f0, 0x78320dbf0291afb4),
     ("li/faulted/none", 0xe564b77f059467bc, 0xe610ac6389cb93eb, 0x9073d433e599ac3a),
-    ("li/net/full", 0xd8ea60b649aa0e49, 0x2ec37157c724ac1e, 0x48af41ed58882225),
-    ("li/churn/full", 0x50e28dee5bbae161, 0x25e294111168af96, 0x2a10c68fc2974fd2),
+    ("li/net/full", 0xa504d8da92c8ba3e, 0xe620d41c2f60e7ec, 0x6daccd586a33571f),
+    ("li/churn/full", 0x53ac2a87268cc9f4, 0x7af0e669714213f0, 0x78320dbf0291afb4),
     ("li/faulted/full", 0xe564b77f059467bc, 0xe610ac6389cb93eb, 0x9073d433e599ac3a),
     ("m88ksim/net/none", 0x64a8173c6b3767c4, 0x0f42214f212755bd, 0x4efd7be269f14788),
-    ("m88ksim/churn/none", 0x715d6b5e380c9a4a, 0xc0cffb3f8de0032e, 0x12e44baa84ca65a3),
+    ("m88ksim/churn/none", 0x850ee892ac1818ca, 0x91d5ecca734e878e, 0xf88f4df29f4a157b),
     ("m88ksim/faulted/none", 0x92cfd3459de750a2, 0xbc46aabf1b57d52f, 0x5cc17736ea6a182c),
     ("m88ksim/net/full", 0x64a8173c6b3767c4, 0x0f42214f212755bd, 0x4efd7be269f14788),
-    ("m88ksim/churn/full", 0x715d6b5e380c9a4a, 0xc0cffb3f8de0032e, 0x12e44baa84ca65a3),
+    ("m88ksim/churn/full", 0x850ee892ac1818ca, 0x91d5ecca734e878e, 0xf88f4df29f4a157b),
     ("m88ksim/faulted/full", 0x92cfd3459de750a2, 0xbc46aabf1b57d52f, 0x5cc17736ea6a182c),
     ("perl/net/none", 0x6c93dceef7414b1d, 0xfa90da5572005774, 0x6a894f613fb6abe6),
-    ("perl/churn/none", 0x5281f2d463bd1aa4, 0x11532e6bcf5eebc9, 0xd765751fc139e527),
+    ("perl/churn/none", 0x2e4553e0e4eab8a3, 0xaf74f43741043dd7, 0xe406096c265ef331),
     ("perl/faulted/none", 0xaa6256e8d75b5af5, 0xf9c2221972fc6d30, 0x9f9ef27661a52b6a),
     ("perl/net/full", 0x6c93dceef7414b1d, 0xfa90da5572005774, 0x6a894f613fb6abe6),
-    ("perl/churn/full", 0x5281f2d463bd1aa4, 0x11532e6bcf5eebc9, 0xd765751fc139e527),
+    ("perl/churn/full", 0x2e4553e0e4eab8a3, 0xaf74f43741043dd7, 0xe406096c265ef331),
     ("perl/faulted/full", 0xaa6256e8d75b5af5, 0xf9c2221972fc6d30, 0x9f9ef27661a52b6a),
-    ("vortex/net/none", 0xbb844ad458565a07, 0xc76f397cc4b0492d, 0x48de44c83f41a73f),
-    ("vortex/churn/none", 0x56c369313e40276f, 0xa3e2666885aed159, 0xf1acce5b99be705a),
+    ("vortex/net/none", 0x2647147af68c19ca, 0x93344aab44eb1ba8, 0xdfcfd3dc80c7b9e3),
+    ("vortex/churn/none", 0x0750d7a9ab03cc43, 0x4d0e66462048d6b2, 0xf8f665ca2b933cb7),
     ("vortex/faulted/none", 0xcbf29ce484222325, 0x18b6260e701b8ddf, 0x3670356ed0082a0d),
-    ("vortex/net/full", 0xbb844ad458565a07, 0xc76f397cc4b0492d, 0x48de44c83f41a73f),
-    ("vortex/churn/full", 0x56c369313e40276f, 0xa3e2666885aed159, 0xf1acce5b99be705a),
+    ("vortex/net/full", 0x2647147af68c19ca, 0x93344aab44eb1ba8, 0xdfcfd3dc80c7b9e3),
+    ("vortex/churn/full", 0x0750d7a9ab03cc43, 0x4d0e66462048d6b2, 0xf8f665ca2b933cb7),
     ("vortex/faulted/full", 0xcbf29ce484222325, 0x18b6260e701b8ddf, 0x3670356ed0082a0d),
     ("deltablue/net/none", 0x467a887af93a2bee, 0xdc82e163c9752420, 0x3a8d71999f7a765b),
-    ("deltablue/churn/none", 0xdb7cd0b535053f92, 0x0dc26e0246769642, 0x8d1594dd0807695f),
+    ("deltablue/churn/none", 0xe0e454cf95d462a8, 0x8058161d2a87d470, 0x6fe29b182e3fb043),
     ("deltablue/faulted/none", 0x9f4f18822ef72a7c, 0x0dd51800b561e2ed, 0xb789d3ad7293a3ca),
     ("deltablue/net/full", 0x467a887af93a2bee, 0xdc82e163c9752420, 0x3a8d71999f7a765b),
-    ("deltablue/churn/full", 0xdb7cd0b535053f92, 0x0dc26e0246769642, 0x8d1594dd0807695f),
+    ("deltablue/churn/full", 0xe0e454cf95d462a8, 0x8058161d2a87d470, 0x6fe29b182e3fb043),
     ("deltablue/faulted/full", 0x9f4f18822ef72a7c, 0x0dd51800b561e2ed, 0xb789d3ad7293a3ca),
 ];
 
@@ -1026,6 +1026,6 @@ const PINNED_CORNERS: &[(&str, u64, u64, u64)] = &[
     ("error-in-trace/full", 0xcbf29ce484222325, 0xc8fdd691b6fe896c, 0x122a9fb549f67d24),
     ("overflow-in-trace/none", 0xb3bd5ccf8985783f, 0xb7f1fe43caad1ca1, 0xb86ce6c8aa639b6b),
     ("overflow-in-trace/full", 0xb3bd5ccf8985783f, 0xb7f1fe43caad1ca1, 0xb86ce6c8aa639b6b),
-    ("faulted/none", 0xe4f1052175b6a644, 0xeb7b6a60e7752b1d, 0x48fae3af290e30e4),
-    ("faulted/full", 0xe4f1052175b6a644, 0xeb7b6a60e7752b1d, 0x48fae3af290e30e4),
+    ("faulted/none", 0x765fbebe9adf45dd, 0xf2ad96c218e62ed5, 0x03153988cb4ad401),
+    ("faulted/full", 0x765fbebe9adf45dd, 0xf2ad96c218e62ed5, 0x03153988cb4ad401),
 ];

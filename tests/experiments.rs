@@ -156,3 +156,23 @@ fn dynamo_bails_out_on_gcc_like_workloads() {
     let compress = tight(&build(WorkloadName::Compress, Scale::Small));
     assert!(!compress.bailed_out, "compress must stay under the budget");
 }
+
+/// Exits from existing traces are potential trace heads: the executed
+/// engine counts every exit that leaves the cache, a trace's last
+/// transfer as well as a failed guard, so the code control keeps leaving
+/// traces for gets traced too. gcc and go leave their traces for one
+/// dispatcher block tens of thousands of times; counted, it becomes a
+/// trace head and nearly all of each run executes in traces.
+#[test]
+fn linked_engine_caches_nearly_all_of_gcc_and_go() {
+    for name in [WorkloadName::Gcc, WorkloadName::Go] {
+        let w = build(name, Scale::Small);
+        let run = run_dynamo_linked(&w.program, &DynamoConfig::new(Scheme::Net, 50)).unwrap();
+        let plain = Vm::new(&w.program)
+            .run(&mut hotpath::vm::NullObserver)
+            .unwrap();
+        assert_eq!(run.stats, plain, "{name}");
+        let cached = run.outcome.cached_block_fraction;
+        assert!(cached >= 0.95, "{name} caches {cached:.3} of its blocks");
+    }
+}

@@ -21,6 +21,11 @@
 //!    interpretation at that budget, and the controller sees the same
 //!    calls it saw before the dispatcher learned to interpret whole runs
 //!    of blocks between trace heads.
+//! 5. **Cap sweep.** Slices and budgets around the per-excursion cap
+//!    (`EXCURSION_BLOCKS`) on a closed hot loop whose trace chain the cap
+//!    splits, faults off and on, end like plain interpretation; and the
+//!    loop reaches its controller at least once per cap plus longest
+//!    trace.
 
 use hotpath::dynamo::{DynamoConfig, LinkedEngine, Scheme};
 use hotpath::ir::builder::{FunctionBuilder, ProgramBuilder};
@@ -28,7 +33,7 @@ use hotpath::ir::{CmpOp, GlobalReg, Program};
 use hotpath::vm::{
     BlockEvent, ExecutionObserver, FaultInjector, FaultPlan, FaultPoint, NullObserver, RunConfig,
     RunStats, ScriptedController, StepOutcome, TraceCommand, TraceController, TraceExcursion,
-    TransferKind, Vm, VmError,
+    TraceExitReason, TransferKind, Vm, VmError, EXCURSION_BLOCKS,
 };
 use hotpath::workloads::{suite, Scale};
 
@@ -307,8 +312,8 @@ const SWEEP_DIGESTS: [(Option<u64>, u64, u64); 6] = [
     (Some(2), 0x7857335514576f0b, 0x1efbf93ac9f30c83),
     (Some(3), 0x47e127f87952732e, 0x51d371ca6a324362),
     (Some(7), 0x3721137fa656fb39, 0x4e7684b0c83ba5cc),
-    (Some(37), 0xaabac12d6ef64c4f, 0x9fadf4857b231fca),
-    (None, 0x3f302cf342c8bedf, 0xd85bf4d86f50f1bb),
+    (Some(37), 0xe83b823abd1ae7b5, 0x9fadf4857b231fca),
+    (None, 0x77750812d12b35ee, 0xd85bf4d86f50f1bb),
 ];
 
 /// FNV-1a taken a word at a time.
@@ -518,4 +523,170 @@ fn boundary_sweep_matches_plain_interpretation_at_every_budget_and_slice() {
         moved |= digests != [pinned_off, pinned_on];
     }
     assert!(!moved, "controller call digests moved; now:\n{table}");
+}
+
+/// Wraps a controller: records where every excursion ended (the run's
+/// block count after it), why, and how many blocks it ran.
+struct Exits<C> {
+    inner: C,
+    blocks: u64,
+    exits: Vec<(u64, TraceExitReason, u64)>,
+}
+
+impl<C> Exits<C> {
+    fn new(inner: C) -> Self {
+        Exits {
+            inner,
+            blocks: 0,
+            exits: Vec::new(),
+        }
+    }
+
+    /// Where each excursion that ended at the cap (a `Fuel` exit) ended.
+    fn cap_exits(&self) -> Vec<u64> {
+        self.exits
+            .iter()
+            .filter(|e| e.1 == TraceExitReason::Fuel)
+            .map(|e| e.0)
+            .collect()
+    }
+}
+
+impl<C: TraceController> ExecutionObserver for Exits<C> {
+    fn on_block(&mut self, event: &BlockEvent) {
+        self.blocks += 1;
+        self.inner.on_block(event);
+    }
+
+    fn on_halt(&mut self) {
+        self.inner.on_halt();
+    }
+}
+
+impl<C: TraceController> TraceController for Exits<C> {
+    fn on_trace_exit(&mut self, e: &TraceExcursion) {
+        self.blocks += e.blocks;
+        self.exits.push((self.blocks, e.reason, e.blocks));
+        self.inner.on_trace_exit(e);
+    }
+
+    fn poll_command(&mut self) -> Option<TraceCommand> {
+        self.inner.poll_command()
+    }
+}
+
+/// The longest fragment `engine` installed, in blocks.
+fn longest_fragment(engine: &LinkedEngine) -> u64 {
+    let warm = engine.export_warm_state();
+    let longest = warm.fragments.iter().map(|f| f.blocks.len()).max();
+    longest.expect("the loop installs traces") as u64
+}
+
+/// `calling_loop(CAP_TRIP)` runs about 4.5 blocks an iteration, so once
+/// its traces link into a closed complex one excursion would run for tens
+/// of thousands of blocks without the cap.
+const CAP_TRIP: i64 = 12_000;
+
+/// The cap sweep: slices and budgets that straddle [`EXCURSION_BLOCKS`]
+/// (one below, at, one above, and twice the cap plus the longest trace),
+/// and budgets at and around the first two places where an unbounded run
+/// splits a trace chain at the cap. Every run, faults off and on, ends as
+/// plain interpretation does at that budget, and the unbounded run with
+/// faults off really splits the closed loop's chain at the cap.
+#[test]
+fn cap_sweep_matches_plain_interpretation_around_the_excursion_cap() {
+    let p = calling_loop(CAP_TRIP);
+    let mut log = EventLog(Vec::new());
+    let full = Vm::new(&p).run(&mut log).unwrap();
+
+    let mut probe = Exits::new(LinkedEngine::new(DynamoConfig::new(Scheme::Net, 50)));
+    assert_eq!(Vm::new(&p).run_linked(&mut probe).unwrap(), full);
+    let caps = probe.cap_exits();
+    assert!(
+        caps.len() >= 2,
+        "the closed loop must reach the cap twice: {caps:?}"
+    );
+    let longest = longest_fragment(&probe.inner);
+    let cap = EXCURSION_BLOCKS;
+    let straddle = [cap - 1, cap, cap + 1, 2 * cap + longest];
+
+    let mut budgets: Vec<u64> = straddle.to_vec();
+    for &at in &caps[..2] {
+        budgets.extend(at - 2..=at + 2);
+    }
+    budgets.push(full.blocks_executed);
+    budgets.sort_unstable();
+    budgets.dedup();
+    let slices = straddle.map(Some).into_iter().chain([None]);
+    let faults = FaultPlan::new(0xCA9)
+        .with(FaultPoint::GuardFail, 0.0005)
+        .with(FaultPoint::Flush, 0.0001)
+        .with(FaultPoint::FuelStarve, 0.05)
+        .with(FaultPoint::InstallReject, 0.25);
+
+    for slice in slices {
+        for armed in [false, true] {
+            for &budget in &budgets {
+                let tag = format!("budget {budget}, slice {slice:?}, faults {armed}");
+                let config = RunConfig {
+                    max_blocks: budget,
+                    ..RunConfig::default()
+                };
+                let mut plain = Vm::new(&p).with_config(config);
+                let want = plain.run(&mut NullObserver);
+                let mut vm = Vm::new(&p).with_config(config);
+                if armed {
+                    vm = vm.with_faults(FaultInjector::new(faults));
+                }
+                let mut calls = Calls {
+                    inner: LinkedEngine::new(DynamoConfig::new(Scheme::Net, 50)),
+                    digest: Fnv(0),
+                    open: false,
+                };
+                let mut state = vm.start_linked();
+                let got = loop {
+                    match vm.step_linked(&mut state, &mut calls, slice) {
+                        Ok(StepOutcome::Yielded) => {}
+                        Ok(StepOutcome::Halted(stats)) => break Ok(stats),
+                        Err(e) => break Err(e),
+                    }
+                };
+                assert!(!calls.open, "{tag}: a call awaits its closing poll");
+                assert_eq!(got, want, "{tag}: result");
+                if got.is_err() {
+                    let reached = prefix_stats(&log.0, budget as usize);
+                    assert_eq!(state.stats(), reached, "{tag}: counts at the error");
+                }
+                assert_eq!(vm.memory(), plain.memory(), "{tag}: memory");
+                assert_eq!(vm.globals(), plain.globals(), "{tag}: globals");
+            }
+        }
+    }
+}
+
+/// A long closed loop hands control back to its controller at least every
+/// [`EXCURSION_BLOCKS`] plus longest-trace blocks: no excursion runs
+/// longer, and the chain is split at the cap many times over the run.
+#[test]
+fn closed_loops_reach_the_controller_at_least_every_excursion_cap() {
+    let p = calling_loop(CAP_TRIP);
+    let mut exits = Exits::new(LinkedEngine::new(DynamoConfig::new(Scheme::Net, 50)));
+    let stats = assert_bit_identical(&p, &mut exits, "closed loop");
+    let bound = EXCURSION_BLOCKS + longest_fragment(&exits.inner);
+    let longest = exits.exits.iter().map(|e| e.2).max().unwrap_or(0);
+    assert!(
+        longest <= bound,
+        "an excursion ran {longest} blocks, past {bound}"
+    );
+    let in_traces: u64 = exits.exits.iter().map(|e| e.2).sum();
+    assert!(
+        in_traces > stats.blocks_executed / 2,
+        "the loop runs mostly in traces: {in_traces} of {}",
+        stats.blocks_executed
+    );
+    let caps = exits.cap_exits().len() as u64;
+    assert!(
+        caps >= in_traces / bound.max(1) - 1,
+        "{caps} cap exits for {in_traces} blocks in traces"
+    );
 }
